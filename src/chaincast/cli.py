@@ -14,6 +14,7 @@ One executable, one subcommand per stage, plus the full chain:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -98,33 +99,13 @@ def _cmd_indicators(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_features_from_config(config: pipeline.PipelineConfig):
-    from .ingest import align_calendars
-    frames = {name: parse_csv(getattr(config, f"{name}_csv"), config.csv_format)
-              for name in pipeline.ASSETS}
-    aligned = dict(zip(pipeline.ASSETS,
-                       align_calendars([frames[a] for a in pipeline.ASSETS])))
-    tracks = {}
-    for name in ("eurusd", "oil"):
-        train, _ = split_frame(aligned[name], config.split)
-        fitted = pipeline._fit_asset(name, train.close_series(), config)
-        tracks[name] = arima.one_step_history(fitted, aligned[name].close_series())
-    ind = indicators.compute(aligned["gold"], config.indicator_params)
-    features = regression.build_features(aligned["gold"], ind,
-                                         tracks["eurusd"], tracks["oil"])
-    train_m = features.window_by_target(config.split.train_start, config.split.train_end)
-    test_m = features.window_by_target(config.split.test_start, config.split.test_end)
-    return train_m, test_m
-
-
 def _cmd_stepwise(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config)
-    train_m, test_m = _build_features_from_config(config)
-    kept, dropped = regression.full_rank_subset(train_m)
+    train_m, test_m = pipeline.feature_windows(config)
+    _, dropped, traces = pipeline.select_columns(train_m, (args.direction,), args.criterion)
     if dropped:
         print("dropped exactly collinear column(s): " + ", ".join(dropped))
-    trace = regression.stepwise(train_m.with_columns(kept), args.direction,
-                                args.criterion)
+    trace = traces[args.direction]
     for step in trace.steps:
         print(f"{step.action} {step.column}: {args.criterion} -> {step.criterion:.2f}")
     if not trace.steps:
@@ -138,19 +119,15 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 
 def _cmd_train_nn(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config)
-    train_m, test_m = _build_features_from_config(config)
-    kept, _ = regression.full_rank_subset(train_m)
-    trace = regression.stepwise(train_m.with_columns(kept),
-                                config.stepwise_direction, config.stepwise_criterion)
-    subset = trace.fit.included
-    print(f"training on {config.stepwise_direction}-selected columns: {', '.join(subset)}")
+    train_m, test_m = pipeline.feature_windows(config)
+    direction = config.stepwise_direction
+    _, _, traces = pipeline.select_columns(train_m, (direction,), config.stepwise_criterion)
+    subset = traces[direction].fit.included
+    print(f"training on {direction}-selected columns: {', '.join(subset)}")
     nn_train = train_m.with_columns(subset)
     nn_test = test_m.with_columns(subset)
-    train_config = config.nn_train if args.seed is None else neuralnet.TrainConfig(
-        epochs=config.nn_train.epochs, learning_rate=config.nn_train.learning_rate,
-        batch_size=config.nn_train.batch_size, seed=args.seed,
-        validation_fraction=config.nn_train.validation_fraction,
-        plateau_patience=config.nn_train.plateau_patience)
+    train_config = (config.nn_train if args.seed is None
+                    else dataclasses.replace(config.nn_train, seed=args.seed))
     if args.hidden == "sweep":
         result = neuralnet.sweep(nn_train, train_config, config.nn_max_hidden)
         for h in sorted(result.reports):
@@ -275,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChaincastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ChaincastError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

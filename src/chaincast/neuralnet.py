@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -283,14 +283,8 @@ def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
     failures: dict[int, str] = {}
     models: dict[int, MlpModel] = {}
     for h in range(1, max_hidden + 1):
-        run_config = TrainConfig(
-            epochs=config.epochs, learning_rate=config.learning_rate,
-            batch_size=config.batch_size, seed=config.seed + h,
-            validation_fraction=config.validation_fraction,
-            plateau_patience=config.plateau_patience,
-        )
         try:
-            models[h], reports[h] = train(m, h, run_config)
+            models[h], reports[h] = train(m, h, replace(config, seed=config.seed + h))
         except DivergenceError as exc:
             failures[h] = str(exc)
     if not reports:

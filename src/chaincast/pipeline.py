@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,6 +95,14 @@ class PipelineConfig:
             raise ValueError(f"bad stepwise_criterion {self.stepwise_criterion!r}")
         if self.arima_criterion not in ("aic", "sic"):
             raise ValueError(f"bad arima_criterion {self.arima_criterion!r}")
+        for key, low in (("nn_hidden", 1), ("nn_max_hidden", 1),
+                         ("arima_max_p", 0), ("arima_max_q", 0)):
+            value = getattr(self, key)
+            if value is not None and value < low:  # nn_hidden None means sweep
+                raise ValueError(f"config key '{key}': must be at least {low}, got {value}")
+        if not 0 < self.stationarity_threshold <= 1:
+            raise ValueError("config key 'stationarity_threshold': must be in (0, 1], "
+                             f"got {self.stationarity_threshold}")
 
 
 def _parse_date(value: str, key: str) -> datetime.date:
@@ -249,7 +258,7 @@ def _write_correlogram(path: Path, train_diff: Series, max_lag: int = 24) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fit_asset(name: str, train: Series, config: PipelineConfig) -> arima.ArimaFit:
+def _fit_asset(train: Series, config: PipelineConfig) -> arima.ArimaFit:
     d = suggest_d(train, config.stationarity_threshold)
     return arima.select_order(
         train, d, max_p=config.arima_max_p, max_q=config.arima_max_q,
@@ -269,6 +278,138 @@ def _whiteness(fitted: arima.ArimaFit) -> dict:
     }
 
 
+# --- the chain's stages; `run` times and names each one with `stage()`
+
+
+@contextmanager
+def stage(name: str, timings: dict[str, float]):
+    """Record the block's seconds under ``name``; re-raise a failure as
+    `StageError` naming the stage."""
+    clock = time.perf_counter
+    started = clock()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    timings[name] = clock() - started
+
+
+def _read_frames(config: PipelineConfig) -> dict[str, PriceFrame]:
+    return {name: parse_csv(getattr(config, f"{name}_csv"), config.csv_format)
+            for name in ASSETS}
+
+
+def _align(frames: dict[str, PriceFrame]) -> dict[str, PriceFrame]:
+    return dict(zip(ASSETS, align_calendars([frames[a] for a in ASSETS])))
+
+
+def _split(aligned: dict[str, PriceFrame], spec: SplitSpec
+           ) -> tuple[dict[str, PriceFrame], dict[str, PriceFrame]]:
+    halves = {name: split(aligned[name], spec) for name in ASSETS}
+    return ({name: h[0] for name, h in halves.items()},
+            {name: h[1] for name, h in halves.items()})
+
+
+def _windows(aligned: dict[str, PriceFrame], indicator_set: indicators.IndicatorSet,
+             tracks: dict[str, np.ndarray], spec: SplitSpec
+             ) -> tuple[regression.FeatureMatrix, regression.FeatureMatrix]:
+    features = regression.build_features(
+        aligned["gold"], indicator_set, tracks["eurusd"], tracks["oil"])
+    return (features.window_by_target(spec.train_start, spec.train_end),
+            features.window_by_target(spec.test_start, spec.test_end))
+
+
+def select_columns(train_m: regression.FeatureMatrix, directions, criterion: str
+                   ) -> tuple[tuple[str, ...], tuple[str, ...],
+                              dict[str, regression.StepwiseTrace]]:
+    """(kept, dropped, trace per direction): drop exactly collinear columns,
+    then run stepwise selection on the rest in each of ``directions``."""
+    kept, dropped = regression.full_rank_subset(train_m)
+    reduced = train_m.with_columns(kept)
+    return kept, dropped, {d: regression.stepwise(reduced, d, criterion)
+                           for d in directions}
+
+
+def feature_windows(config: PipelineConfig
+                    ) -> tuple[regression.FeatureMatrix, regression.FeatureMatrix]:
+    """Train and test feature matrices, through the same stages as `run`.
+
+    Runs ingest, align, split, the companions' ARIMA tracks, indicators and
+    features; the target's own ARIMA model is not fitted and no artifact is
+    written.  The ``stepwise`` and ``train-nn`` subcommands start here.
+    """
+    aligned = _align(_read_frames(config))
+    train, _ = _split(aligned, config.split)
+    tracks = {name: arima.one_step_history(_fit_asset(train[name].close_series(), config),
+                                           aligned[name].close_series())
+              for name in ASSETS[1:]}
+    return _windows(aligned, indicators.compute(aligned["gold"], config.indicator_params),
+                    tracks, config.split)
+
+
+def _arima_entry(fitted: arima.ArimaFit, train: Series, correlogram: Path) -> dict:
+    _write_correlogram(correlogram, difference(train, fitted.spec.d))
+    return {
+        "order": [fitted.spec.p, fitted.spec.d, fitted.spec.q],
+        "mu": fitted.mu,
+        "phi": [float(x) for x in fitted.phi],
+        "theta": [float(x) for x in fitted.theta],
+        "sigma2": fitted.sigma2,
+        "aic": fitted.aic,
+        "sic": fitted.sic,
+        "ljung_box": _whiteness(fitted),
+    }
+
+
+def _regression_entry(fit: regression.RegressionFit, test_m: regression.FeatureMatrix,
+                      predictions: Path) -> dict:
+    result = regression.evaluate(fit, test_m)
+    write_predictions(predictions, test_m.target_dates, test_m.y, result.predictions)
+    return {
+        "included": list(fit.included),
+        "intercept": fit.intercept,
+        "coefficients": {c: float(v) for c, v in zip(fit.included, fit.coefficients)},
+        "equation": fit.equation(),
+        "test_accuracy": result.accuracy,
+    }
+
+
+def _neural_net(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
+                test_m: regression.FeatureMatrix, config: PipelineConfig,
+                out: Path) -> dict:
+    if not subset:
+        raise ValueError("selected subset is empty; nothing to train on")
+    nn_train_m = train_m.with_columns(subset)
+    nn_test_m = test_m.with_columns(subset)
+    entry: dict = {"subset_source": f"{config.stepwise_direction} stepwise",
+                   "columns": list(subset)}
+    if config.nn_hidden is None:
+        result = neuralnet.sweep(nn_train_m, config.nn_train, config.nn_max_hidden)
+        model, reports, chosen = result.model, result.reports, result.chosen
+        if result.failures:
+            entry["diverged"] = {str(h): msg for h, msg in sorted(result.failures.items())}
+    else:
+        model, report = neuralnet.train(nn_train_m, config.nn_hidden, config.nn_train)
+        reports, chosen = {config.nn_hidden: report}, config.nn_hidden
+    entry["chosen_hidden"] = chosen
+    entry["sweep"] = {
+        str(h): {
+            "validation_mape": r.validation_mape,
+            "train_mape": r.train_mape,
+            "epochs_run": r.epochs_run,
+            "early_stopped": r.early_stopped,
+            "seed": r.seed,
+        } for h, r in sorted(reports.items())
+    }
+    nn_mape, nn_preds = neuralnet.evaluate(model, nn_test_m)
+    write_predictions(out / "predictions_hybrid_nn.csv", nn_test_m.target_dates,
+                       nn_test_m.y, nn_preds)
+    (out / "model_nn.json").write_text(
+        neuralnet.model_to_json(model) + "\n", encoding="utf-8")
+    entry["test_accuracy"] = 100.0 - nn_mape
+    return entry
+
+
 def run(config: PipelineConfig) -> PipelineReport:
     """Execute the whole chain and write artifacts to ``config.out_dir``.
 
@@ -280,7 +421,13 @@ def run(config: PipelineConfig) -> PipelineReport:
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     body: dict = {"config": {k: v for k, v in sorted(config.raw.items())}}
-    _run_stages(config, out, body, timings)
+    try:
+        _run_stages(config, out, body, timings)
+    except StageError:
+        (out / "report_partial.json").write_text(
+            json.dumps(body, indent=2, sort_keys=True, default=str) + "\n",
+            encoding="utf-8")
+        raise
     report = PipelineReport(body=body, timings=timings)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "timings.json").write_text(
@@ -290,180 +437,73 @@ def run(config: PipelineConfig) -> PipelineReport:
 
 def _run_stages(config: PipelineConfig, out: Path, body: dict,
                 timings: dict[str, float]) -> None:
-    stage = "ingest"
-    started = time.perf_counter()
-    frames: dict[str, PriceFrame] = {}
-    try:
-        for name in ASSETS:
-            frames[name] = parse_csv(getattr(config, f"{name}_csv"), config.csv_format)
-        timings[stage] = time.perf_counter() - started
-
-        stage = "align"
-        started = time.perf_counter()
-        aligned = dict(zip(ASSETS, align_calendars([frames[a] for a in ASSETS])))
-        timings[stage] = time.perf_counter() - started
-
-        stage = "split"
-        started = time.perf_counter()
-        train_frames: dict[str, PriceFrame] = {}
-        test_frames: dict[str, PriceFrame] = {}
-        for name in ASSETS:
-            train_frames[name], test_frames[name] = split(aligned[name], config.split)
-        test_dates = test_frames["gold"].dates
+    with stage("ingest", timings):
+        frames = _read_frames(config)
+    with stage("align", timings):
+        aligned = _align(frames)
+    with stage("split", timings):
+        train, test = _split(aligned, config.split)
         body["split"] = {
             "train_start": config.split.train_start.isoformat(),
             "train_end": config.split.train_end.isoformat(),
             "test_start": config.split.test_start.isoformat(),
             "test_end": config.split.test_end.isoformat(),
-            "train_rows": len(train_frames["gold"]),
-            "test_rows": len(test_frames["gold"]),
+            "train_rows": len(train["gold"]),
+            "test_rows": len(test["gold"]),
         }
-        timings[stage] = time.perf_counter() - started
 
-        body["assets"] = {}
-        fits: dict[str, arima.ArimaFit] = {}
-        tracks: dict[str, np.ndarray] = {}
-        for name in ASSETS:
-            stage = f"arima_{name}"
-            started = time.perf_counter()
-            train_series = train_frames[name].close_series()
-            fitted = _fit_asset(name, train_series, config)
-            fits[name] = fitted
-            _write_correlogram(out / f"correlogram_{name}.csv",
-                               difference(train_series, fitted.spec.d))
-            entry = {
-                "order": [fitted.spec.p, fitted.spec.d, fitted.spec.q],
-                "mu": fitted.mu,
-                "phi": [float(x) for x in fitted.phi],
-                "theta": [float(x) for x in fitted.theta],
-                "sigma2": fitted.sigma2,
-                "aic": fitted.aic,
-                "sic": fitted.sic,
-                "ljung_box": _whiteness(fitted),
-            }
+    body["assets"] = {}
+    tracks: dict[str, np.ndarray] = {}
+    for name in ASSETS:
+        with stage(f"arima_{name}", timings):
+            train_series = train[name].close_series()
+            fitted = _fit_asset(train_series, config)
+            entry = _arima_entry(fitted, train_series, out / f"correlogram_{name}.csv")
             if name == "gold":
-                preds = arima.rolling_one_step(
-                    fitted, test_frames[name].close_series(), train_frames[name].closes)
+                preds = arima.rolling_one_step(fitted, test[name].close_series(),
+                                               train[name].closes)
                 write_predictions(out / "predictions_arima_gold.csv",
-                                   test_dates, test_frames[name].closes, preds.values)
-                entry["test_accuracy"] = accuracy(test_frames[name].closes, preds.values)
+                                   test[name].dates, test[name].closes, preds.values)
+                entry["test_accuracy"] = accuracy(test[name].closes, preds.values)
             else:
                 # one-step forecast track across the whole calendar, used as
                 # a regression feature on both windows
                 tracks[name] = arima.one_step_history(fitted, aligned[name].close_series())
             body["assets"][name] = entry
-            timings[stage] = time.perf_counter() - started
 
-        stage = "indicators"
-        started = time.perf_counter()
+    with stage("indicators", timings):
         indicator_set = indicators.compute(aligned["gold"], config.indicator_params)
-        timings[stage] = time.perf_counter() - started
-
-        stage = "features"
-        started = time.perf_counter()
-        features = regression.build_features(
-            aligned["gold"], indicator_set, tracks["eurusd"], tracks["oil"])
-        train_m = features.window_by_target(config.split.train_start, config.split.train_end)
-        test_m = features.window_by_target(config.split.test_start, config.split.test_end)
-        if test_m.target_dates != test_dates:
+    with stage("features", timings):
+        train_m, test_m = _windows(aligned, indicator_set, tracks, config.split)
+        if test_m.target_dates != test["gold"].dates:
             raise ValueError("feature rows do not cover the test window exactly")
         body["feature_rows"] = {"train": len(train_m), "test": len(test_m),
-                                "columns": list(features.columns)}
-        timings[stage] = time.perf_counter() - started
+                                "columns": list(train_m.columns)}
 
-        stage = "regression"
-        started = time.perf_counter()
-        kept, dropped = regression.full_rank_subset(train_m)
+    with stage("regression", timings):
+        criterion = config.stepwise_criterion
+        kept, dropped, traces = select_columns(train_m, ("forward", "backward"), criterion)
         full_fit = regression.ols(train_m, kept)
-        full_eval = regression.evaluate(full_fit, test_m)
-        write_predictions(out / "predictions_ols_full.csv", test_dates,
-                           test_m.y, full_eval.predictions)
         body["full_ols"] = {
-            "included": list(full_fit.included),
+            **_regression_entry(full_fit, test_m, out / "predictions_ols_full.csv"),
             "dropped_collinear": list(dropped),
-            "intercept": full_fit.intercept,
-            "coefficients": {c: float(v) for c, v
-                             in zip(full_fit.included, full_fit.coefficients)},
             "bic": full_fit.bic,
-            "equation": full_fit.equation(),
-            "test_accuracy": full_eval.accuracy,
         }
-
-        reduced = train_m.with_columns(kept)
-        traces: dict[str, regression.StepwiseTrace] = {}
-        body["stepwise"] = {}
-        for direction in ("forward", "backward"):
-            trace = regression.stepwise(reduced, direction, config.stepwise_criterion)
-            traces[direction] = trace
-            step_eval = regression.evaluate(trace.fit, test_m)
-            write_predictions(out / f"predictions_stepwise_{direction}.csv",
-                               test_dates, test_m.y, step_eval.predictions)
-            final_criterion = (trace.fit.bic if config.stepwise_criterion == "bic"
-                               else trace.fit.aic)
-            body["stepwise"][direction] = {
-                "included": list(trace.fit.included),
+        body["stepwise"] = {
+            direction: {
+                **_regression_entry(trace.fit, test_m,
+                                    out / f"predictions_stepwise_{direction}.csv"),
                 "steps": [{"action": s.action, "column": s.column,
                            "criterion": s.criterion} for s in trace.steps],
-                "criterion": config.stepwise_criterion,
-                "final_criterion": final_criterion,
-                "intercept": trace.fit.intercept,
-                "coefficients": {c: float(v) for c, v
-                                 in zip(trace.fit.included, trace.fit.coefficients)},
-                "equation": trace.fit.equation(),
-                "test_accuracy": step_eval.accuracy,
-            }
-        timings[stage] = time.perf_counter() - started
+                "criterion": criterion,
+                "final_criterion": regression._criterion_value(trace.fit, criterion),
+            } for direction, trace in traces.items()
+        }
 
-        stage = "neural_net"
-        started = time.perf_counter()
-        subset = traces[config.stepwise_direction].fit.included
-        if not subset:
-            raise ValueError("selected subset is empty; nothing to train on")
-        nn_train_m = train_m.with_columns(subset)
-        nn_test_m = test_m.with_columns(subset)
-        nn_body: dict = {"subset_source": f"{config.stepwise_direction} stepwise",
-                         "columns": list(subset)}
-        if config.nn_hidden is None:
-            sweep_result = neuralnet.sweep(nn_train_m, config.nn_train,
-                                           config.nn_max_hidden)
-            model = sweep_result.model
-            nn_body["chosen_hidden"] = sweep_result.chosen
-            nn_body["sweep"] = {
-                str(h): {
-                    "validation_mape": r.validation_mape,
-                    "train_mape": r.train_mape,
-                    "epochs_run": r.epochs_run,
-                    "early_stopped": r.early_stopped,
-                    "seed": r.seed,
-                } for h, r in sorted(sweep_result.reports.items())
-            }
-            if sweep_result.failures:
-                nn_body["diverged"] = {str(h): msg for h, msg
-                                       in sorted(sweep_result.failures.items())}
-        else:
-            model, train_report = neuralnet.train(nn_train_m, config.nn_hidden,
-                                                  config.nn_train)
-            nn_body["chosen_hidden"] = config.nn_hidden
-            nn_body["sweep"] = {
-                str(config.nn_hidden): {
-                    "validation_mape": train_report.validation_mape,
-                    "train_mape": train_report.train_mape,
-                    "epochs_run": train_report.epochs_run,
-                    "early_stopped": train_report.early_stopped,
-                    "seed": train_report.seed,
-                }
-            }
-        nn_mape, nn_preds = neuralnet.evaluate(model, nn_test_m)
-        write_predictions(out / "predictions_hybrid_nn.csv", test_dates,
-                           nn_test_m.y, nn_preds)
-        (out / "model_nn.json").write_text(
-            neuralnet.model_to_json(model) + "\n", encoding="utf-8")
-        nn_body["test_accuracy"] = 100.0 - nn_mape
-        body["neural_net"] = nn_body
-        timings[stage] = time.perf_counter() - started
-
-        stage = "report"
-        started = time.perf_counter()
+    with stage("neural_net", timings):
+        body["neural_net"] = _neural_net(traces[config.stepwise_direction].fit.included,
+                                         train_m, test_m, config, out)
+    with stage("report", timings):
         body["stage_accuracies"] = {
             "arima_gold": body["assets"]["gold"]["test_accuracy"],
             "full_ols": body["full_ols"]["test_accuracy"],
@@ -472,19 +512,8 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
             "hybrid_nn": body["neural_net"]["test_accuracy"],
         }
         body["seed"] = config.seed
-        timings[stage] = time.perf_counter() - started
-
-        stage = "plot_data"
-        started = time.perf_counter()
+    with stage("plot_data", timings):
         emit_plot_data(out, regression_direction=config.stepwise_direction)
-        timings[stage] = time.perf_counter() - started
-    except Exception as exc:
-        (out / "report_partial.json").write_text(
-            json.dumps(body, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8")
-        if isinstance(exc, StageError):
-            raise
-        raise StageError(stage, str(exc)) from exc
 
 
 def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:

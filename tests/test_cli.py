@@ -132,6 +132,18 @@ def test_train_nn_fixed_size_writes_model(demo_bundle, tmp_path, capsys):
     assert len(payload["w_hidden"]) == 3
 
 
+def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path):
+    paths = demo_bundle["paths"]
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("".join(f"{name}_csv = {paths[name]}\n" for name in ("gold", "eurusd", "oil"))
+                   + "nn_epochs = 60\nnn_hidden = 4\nout_dir = out\n")
+    assert main(["pipeline", "run", "--config", str(cfg)]) == 0
+    model_path = tmp_path / "m.json"
+    assert main(["train-nn", "--config", str(cfg), "--hidden", "4",
+                 "--out", str(model_path)]) == 0
+    assert model_path.read_bytes() == (tmp_path / "out" / "model_nn.json").read_bytes()
+
+
 def test_pipeline_run_prints_stage_accuracies(demo_bundle, tmp_path, capsys):
     out_dir = tmp_path / "cli_out"
     code = main(["pipeline", "run", "--config", str(demo_bundle["cfg_path"]),

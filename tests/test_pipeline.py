@@ -1,10 +1,11 @@
+import dataclasses
 import datetime
 import json
 
 import numpy as np
 import pytest
 
-from chaincast import arima, pipeline
+from chaincast import arima, neuralnet, pipeline
 from chaincast.errors import DataFormatError, StageError
 from chaincast.indicators import compute
 from chaincast.ingest import align_calendars, parse_csv, split as split_frame, write_csv
@@ -134,6 +135,20 @@ def test_config_bad_number(tmp_path):
         parse_config_text(BASE + "nn_epochs = many\n", tmp_path)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("nn_hidden = 0", "nn_hidden"),
+    ("nn_max_hidden = 0", "nn_max_hidden"),
+    ("arima_max_p = -1", "arima_max_p"),
+    ("arima_max_q = -1", "arima_max_q"),
+    ("stationarity_threshold = 7", "stationarity_threshold"),
+    ("stationarity_threshold = 0", "stationarity_threshold"),
+])
+def test_config_number_out_of_range_names_key(tmp_path, line, key):
+    write_trio(tmp_path)
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        parse_config_text(BASE + line + "\n", tmp_path)
+
+
 def test_config_missing_csv_named(tmp_path):
     (tmp_path / "gold.csv").write_text("date,close,open,high,low\n2015-01-02,10,10,11,9\n")
     with pytest.raises(DataFormatError, match="eurusd_csv does not exist"):
@@ -211,6 +226,23 @@ def test_stage_error_names_split(tmp_path):
     assert exc.value.stage == "split"
     partial = json.loads((tmp_path / "out" / "report_partial.json").read_text())
     assert "config" in partial
+
+
+def test_stage_error_names_neural_net(demo_bundle, tmp_path, monkeypatch):
+    def broken_sweep(*args, **kwargs):
+        raise RuntimeError("sweep broke")
+
+    monkeypatch.setattr(neuralnet, "sweep", broken_sweep)
+    out = tmp_path / "out"
+    config = dataclasses.replace(demo_bundle["config"], out_dir=out)
+    with pytest.raises(StageError) as exc:
+        run(config)
+    assert exc.value.stage == "neural_net"
+    assert str(exc.value) == "stage 'neural_net': sweep broke"
+    partial = json.loads((out / "report_partial.json").read_text())
+    assert {"assets", "full_ols", "stepwise"} <= set(partial)
+    assert "neural_net" not in partial
+    assert not (out / "report.json").exists()
 
 
 # --- full runs on the bundled fixture --------------------------------------
@@ -341,10 +373,10 @@ def test_correlogram_artifact_shape(demo_bundle):
 
 
 def test_saved_model_reproduces_hybrid_predictions(demo_bundle):
-    from chaincast.cli import _build_features_from_config
+    from chaincast.pipeline import feature_windows
     out = demo_bundle["out_dir"]
     model = model_from_json((out / "model_nn.json").read_text())
-    _, test_m = _build_features_from_config(demo_bundle["config"])
+    _, test_m = feature_windows(demo_bundle["config"])
     preds = predict_prices(model, test_m.with_columns(model.columns))
     _, _, saved = read_predictions(out / "predictions_hybrid_nn.csv")
     np.testing.assert_array_equal(preds, saved)
