@@ -27,6 +27,24 @@ from .metrics import accuracy
 from .series import acf, difference, pacf, suggest_d
 
 
+# fit-arima's order search without --config
+_ARIMA_SEARCH = {"max_p": 3, "max_q": 3, "criterion": "sic"}
+
+
+def _hidden_size(text: str) -> str | int:
+    """``--hidden``: 'sweep' or a positive layer size, checked before any work."""
+    if text == "sweep":
+        return text
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 'sweep' or a positive integer, got {text!r}")
+    return size
+
+
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="CSV file with daily bars")
     sub.add_argument("--format", default="auto", choices=["auto", "plain", "vendor"],
@@ -53,17 +71,25 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_fit_arima(args: argparse.Namespace) -> int:
     frame = parse_csv(args.input, args.format)
+    given = {key: value for key, value in (("max_p", args.max_p), ("max_q", args.max_q),
+                                           ("criterion", args.criterion))
+             if value is not None}
     if args.config:
-        split_spec = pipeline.load_config(args.config).split
+        # the pipeline's own search settings, flags given here winning
+        config = pipeline.load_config(
+            args.config, {f"arima_{key}": str(value) for key, value in given.items()})
+        train, test = split_frame(frame, config.split)
+        fitted = pipeline._fit_asset(train.close_series(), config, args.d)
+        criterion = config.arima_criterion
     else:
-        split_spec = DEFAULT_SPLIT
-    train, test = split_frame(frame, split_spec)
-    closes = train.close_series()
-    d = args.d if args.d is not None else suggest_d(closes)
-    fitted = arima.select_order(closes, d, max_p=args.max_p, max_q=args.max_q,
-                                criterion=args.criterion)
+        search = {**_ARIMA_SEARCH, **given}
+        train, test = split_frame(frame, DEFAULT_SPLIT)
+        closes = train.close_series()
+        d = args.d if args.d is not None else suggest_d(closes)
+        fitted = arima.select_order(closes, d, **search)
+        criterion = search["criterion"]
     spec = fitted.spec
-    print(f"selected order: ({spec.p},{spec.d},{spec.q}) by {args.criterion}")
+    print(f"selected order: ({spec.p},{spec.d},{spec.q}) by {criterion}")
     print(f"mu = {fitted.mu:.6g}")
     if spec.p:
         print("ar coefficients: " + ", ".join(f"{x:.4f}" for x in fitted.phi))
@@ -102,12 +128,14 @@ def _cmd_indicators(args: argparse.Namespace) -> int:
 def _cmd_stepwise(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config)
     train_m, test_m = pipeline.feature_windows(config)
-    _, dropped, traces = pipeline.select_columns(train_m, (args.direction,), args.criterion)
+    direction = args.direction or config.stepwise_direction
+    criterion = args.criterion or config.stepwise_criterion
+    _, dropped, traces = pipeline.select_columns(train_m, (direction,), criterion)
     if dropped:
         print("dropped exactly collinear column(s): " + ", ".join(dropped))
-    trace = traces[args.direction]
+    trace = traces[direction]
     for step in trace.steps:
-        print(f"{step.action} {step.column}: {args.criterion} -> {step.criterion:.2f}")
+        print(f"{step.action} {step.column}: {criterion} -> {step.criterion:.2f}")
     if not trace.steps:
         print("no move improved the criterion; model unchanged")
     print(f"selected: {', '.join(trace.fit.included) or '(intercept only)'}")
@@ -139,7 +167,7 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
         print(f"chosen hidden size: {result.chosen}")
         model = result.model
     else:
-        model, report = neuralnet.train(nn_train, int(args.hidden), train_config)
+        model, report = neuralnet.train(nn_train, args.hidden, train_config)
         print(f"hidden {model.hidden_size}: train MAPE {report.train_mape:.4f}%, "
               f"validation MAPE {report.validation_mape:.4f}%, "
               f"{report.epochs_run} epochs")
@@ -205,11 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit-arima", help="order search and held-out accuracy")
     _add_input_args(p)
     p.add_argument("--config", default=None,
-                   help="config file supplying the train/test split")
+                   help="config file supplying the train/test split and the "
+                        "search settings (arima_*, stationarity_threshold, seed)")
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--max-p", type=int, default=3)
-    p.add_argument("--max-q", type=int, default=3)
-    p.add_argument("--criterion", default="sic", choices=["aic", "sic"])
+    p.add_argument("--max-p", type=int, default=None,
+                   help="default: the config's arima_max_p, else 3")
+    p.add_argument("--max-q", type=int, default=None,
+                   help="default: the config's arima_max_q, else 3")
+    p.add_argument("--criterion", default=None, choices=["aic", "sic"],
+                   help="default: the config's arima_criterion, else sic")
     p.add_argument("--out", default=None, help="write predictions CSV here")
     p.set_defaults(func=_cmd_fit_arima)
 
@@ -220,13 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("stepwise", help="variable selection trace")
     p.add_argument("--config", required=True)
-    p.add_argument("--direction", default="backward", choices=["forward", "backward"])
-    p.add_argument("--criterion", default="bic", choices=["aic", "bic"])
+    p.add_argument("--direction", default=None, choices=["forward", "backward"],
+                   help="default: the config's stepwise_direction")
+    p.add_argument("--criterion", default=None, choices=["aic", "bic"],
+                   help="default: the config's stepwise_criterion")
     p.set_defaults(func=_cmd_stepwise)
 
     p = subs.add_parser("train-nn", help="train the network or sweep hidden sizes")
     p.add_argument("--config", required=True)
-    p.add_argument("--hidden", default="sweep",
+    p.add_argument("--hidden", default="sweep", type=_hidden_size,
                    help="'sweep' or a hidden-layer size (default: sweep)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write model JSON here")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,25 +133,35 @@ def _init_params(inputs: int, hidden: int, rng: np.random.Generator):
     return w_hidden, np.zeros(hidden), w_out, 0.0
 
 
-def _forward_batch(x, w_hidden, b_hidden, w_out, b_out):
-    z = x @ w_hidden.T + b_hidden
+def _forward(x, w_hidden, b_hidden, w_out, b_out):
+    """Pre-activations, activations and outputs of S networks at once.
+
+    Weights carry a leading network axis: (S, H, k), (S, H), (S, H) and
+    (S,).  ``x`` is (S, B, k), one batch per network, or one (B, k) batch
+    they all see; the outputs are (S, B).
+    """
+    z = x @ w_hidden.transpose(0, 2, 1) + b_hidden[:, None, :]
     a = np.maximum(z, 0.0)
-    return z, a, a @ w_out + b_out
+    return z, a, (a @ w_out[:, :, None])[..., 0] + b_out[:, None]
 
 
-def _gradients(x, y, w_hidden, b_hidden, w_out, b_out):
-    """Analytic MSE gradients for one batch.  Returns (loss, grads)."""
-    z, a, pred = _forward_batch(x, w_hidden, b_hidden, w_out, b_out)
-    err = pred - y
-    loss = float(np.mean(err**2))
-    d_pred = 2.0 * err / err.size
-    g_w_out = a.T @ d_pred
-    g_b_out = float(np.sum(d_pred))
-    d_a = np.outer(d_pred, w_out)
-    d_z = d_a * (z > 0.0)
-    g_w_hidden = d_z.T @ x
-    g_b_hidden = d_z.sum(axis=0)
-    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+def _batch_gradients(x, y, w_hidden, b_hidden, w_out, b_out):
+    """Analytic MSE gradients of stacked networks, shaped like their weights.
+
+    Shapes as in `_forward`; ``y`` is (S, B), or (B,) for a shared batch.
+    """
+    z, a, pred = _forward(x, w_hidden, b_hidden, w_out, b_out)
+    d_pred = 2.0 * (pred - y) / y.shape[-1]
+    g_w_out = (a.transpose(0, 2, 1) @ d_pred[:, :, None])[..., 0]
+    g_b_out = d_pred.sum(axis=1)
+    d_z = d_pred[:, :, None] * w_out[:, None, :] * (z > 0.0)
+    return d_z.transpose(0, 2, 1) @ x, d_z.sum(axis=1), g_w_out, g_b_out
+
+
+def _model_output(model: MlpModel, xs: np.ndarray) -> np.ndarray:
+    """Scaled outputs of one model on already-scaled rows."""
+    return _forward(xs, model.w_hidden[None], model.b_hidden[None],
+                    model.w_out[None], np.array([model.b_out]))[2][0]
 
 
 def forward(model: MlpModel, features: np.ndarray) -> float:
@@ -161,9 +171,7 @@ def forward(model: MlpModel, features: np.ndarray) -> float:
         raise ValueError(
             f"expected {model.w_hidden.shape[1]} features, got shape {x.shape}"
         )
-    _, _, out = _forward_batch(x[None, :], model.w_hidden, model.b_hidden,
-                               model.w_out, model.b_out)
-    return float(out[0])
+    return float(_model_output(model, x[None, :])[0])
 
 
 def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
@@ -176,23 +184,74 @@ def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"schema mismatch: model expects {model.columns}, matrix has {m.columns}"
         )
-    xs = model.scaler.apply_x(m.x)
-    _, _, out = _forward_batch(xs, model.w_hidden, model.b_hidden,
-                               model.w_out, model.b_out)
-    return model.scaler.invert_y(out)
+    return model.scaler.invert_y(_model_output(model, model.scaler.apply_x(m.x)))
 
 
-def train(m: FeatureMatrix, hidden: int,
-          config: TrainConfig = DEFAULT_TRAIN_CONFIG) -> tuple[MlpModel, TrainReport]:
-    """Fit one network on a training matrix.
+@dataclass
+class _Run:
+    """One hidden size inside `_train_lockstep`: its own seed stream,
+    learning-rate schedule and loss history, then its final weights or the
+    divergence that ended it."""
 
-    The last ``validation_fraction`` of rows (chronologically) are held out
-    for size selection; the scaler and the gradient steps see only the
-    earlier rows.  Raises `DivergenceError` the first epoch the loss or any
-    weight stops being finite.
+    hidden: int
+    seed: int
+    rng: np.random.Generator
+    lr: float
+    best: float = math.inf
+    stale: int = 0
+    halvings: int = 0
+    early_stopped: bool = False
+    epoch_mse: list[float] = field(default_factory=list)
+    weights: tuple = ()
+    error: DivergenceError | None = None
+
+    def end_epoch(self, epoch: int, mse: float, finite: bool, patience: int) -> bool:
+        """Record one epoch's loss and apply the plateau schedule.  Returns
+        False once this size diverges or stops early."""
+        self.epoch_mse.append(mse)
+        if not finite:
+            self.error = DivergenceError(
+                f"training diverged at epoch {epoch} (hidden={self.hidden}, "
+                f"seed={self.seed})", epoch=epoch,
+            )
+            return False
+        if mse < self.best - 1e-12:
+            self.best = mse
+            self.stale = 0
+        else:
+            self.stale += 1
+            if self.stale >= patience:
+                self.lr *= 0.5
+                self.halvings += 1
+                self.stale = 0
+                if self.halvings > 6:
+                    self.early_stopped = True
+                    return False
+        return True
+
+    def keep(self, params, j: int) -> None:
+        """Copy this size's own units out of row ``j`` of the stacked weights."""
+        w_hidden, b_hidden, w_out, b_out = params
+        h = self.hidden
+        self.weights = (w_hidden[j, :h].copy(), b_hidden[j, :h].copy(),
+                        w_out[j, :h].copy(), float(b_out[j]))
+
+
+def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
+                    ) -> tuple[dict[int, tuple[MlpModel, TrainReport]],
+                               dict[int, DivergenceError]]:
+    """Train one network per hidden size in ``sizes`` together, each seeded
+    by its entry in ``seeds``.
+
+    The weights are stacked on a leading size axis and padded to the
+    largest size; a padded unit starts at zero and stays zero, since its
+    ReLU output and gradient are 0.  Each size draws from its own generator
+    exactly what a lone run of it draws (initial weights, then one
+    permutation per epoch), so it sees the same batches and ends with the
+    same weights up to summation order over the padding.  A size leaves
+    the stack when it stops early or diverges.  Returns (model, report) per
+    trained size and the `DivergenceError` of each diverged one.
     """
-    if hidden < 1:
-        raise ValueError(f"hidden size must be positive, got {hidden}")
     if len(m) < 30:
         raise ValueError(f"need at least 30 rows to train, got {len(m)}")
 
@@ -206,92 +265,106 @@ def train(m: FeatureMatrix, hidden: int,
     xs = scaler.apply_x(fit_rows.x)
     ys = scaler.apply_y(fit_rows.y)
 
-    rng = np.random.default_rng(config.seed)
-    w_hidden, b_hidden, w_out, b_out = _init_params(xs.shape[1], hidden, rng)
+    runs = [_Run(h, s, np.random.default_rng(s), config.learning_rate)
+            for h, s in zip(sizes, seeds)]
+    inputs, top = xs.shape[1], max(sizes)
+    params = [np.zeros((len(runs), top, inputs)), np.zeros((len(runs), top)),
+              np.zeros((len(runs), top)), np.zeros(len(runs))]
+    for j, run in enumerate(runs):
+        # biases start at zero
+        w_hidden, _, w_out, _ = _init_params(inputs, run.hidden, run.rng)
+        params[0][j, :run.hidden] = w_hidden
+        params[2][j, :run.hidden] = w_out
 
-    lr = config.learning_rate
-    best = np.inf
-    stale = 0
-    halvings = 0
-    epoch_mse = []
-    early_stopped = False
+    active = runs
+    step = config.batch_size
     # overflow during a diverging run is expected and reported as an error,
     # so the intermediate inf/nan arithmetic must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(n_fit)
-            for lo in range(0, n_fit, config.batch_size):
-                batch = order[lo:lo + config.batch_size]
-                _, grads = _gradients(xs[batch], ys[batch],
-                                      w_hidden, b_hidden, w_out, b_out)
-                w_hidden -= lr * grads[0]
-                b_hidden -= lr * grads[1]
-                w_out -= lr * grads[2]
-                b_out -= lr * grads[3]
-            _, _, pred = _forward_batch(xs, w_hidden, b_hidden, w_out, b_out)
-            mse = float(np.mean((pred - ys)**2))
-            epoch_mse.append(mse)
-            if not (np.isfinite(mse) and np.all(np.isfinite(w_hidden))
-                    and np.all(np.isfinite(w_out))):
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch} (hidden={hidden}, "
-                    f"seed={config.seed})", epoch=epoch,
-                )
-            if mse < best - 1e-12:
-                best = mse
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.plateau_patience:
-                    lr *= 0.5
-                    halvings += 1
-                    stale = 0
-                    if halvings > 6:
-                        early_stopped = True
-                        break
+            order = np.stack([run.rng.permutation(n_fit) for run in active])
+            x_epoch, y_epoch = xs[order], ys[order]
+            lr = np.array([run.lr for run in active])
+            rates = (lr[:, None, None], lr[:, None], lr[:, None], lr)
+            for lo in range(0, n_fit, step):
+                grads = _batch_gradients(x_epoch[:, lo:lo + step],
+                                         y_epoch[:, lo:lo + step], *params)
+                for p, rate, g in zip(params, rates, grads):
+                    p -= rate * g
+            mse = np.mean((_forward(xs, *params)[2] - ys)**2, axis=1)
+            finite = (np.isfinite(mse) & np.isfinite(params[0]).all(axis=(1, 2))
+                      & np.isfinite(params[2]).all(axis=1))
+            going = np.array([run.end_epoch(epoch, float(e), bool(ok),
+                                            config.plateau_patience)
+                              for run, e, ok in zip(active, mse, finite)])
+            if not going.all():
+                for j in np.flatnonzero(~going):
+                    active[j].keep(params, j)
+                params = [p[going] for p in params]
+                active = [run for run, g in zip(active, going) if g]
+                if not active:
+                    break
+    for j, run in enumerate(active):
+        run.keep(params, j)
 
-    model = MlpModel(m.columns, w_hidden, b_hidden, w_out, float(b_out), scaler)
-    train_pred = scaler.invert_y(
-        _forward_batch(xs, w_hidden, b_hidden, w_out, b_out)[2])
-    train_mape = mape(fit_rows.y, train_pred)
-    if n_val:
-        val_rows = FeatureMatrix(m.dates[n_fit:], m.target_dates[n_fit:],
-                                 m.columns, m.x[n_fit:], m.y[n_fit:])
-        val_mape = mape(val_rows.y, predict_prices(model, val_rows))
-    else:
-        val_mape = math.nan
-    report = TrainReport(
-        epoch_mse=np.array(epoch_mse), train_mape=train_mape,
-        validation_mape=val_mape, epochs_run=len(epoch_mse),
-        seed=config.seed, hidden_size=hidden, early_stopped=early_stopped,
-    )
-    return model, report
+    val_rows = FeatureMatrix(m.dates[n_fit:], m.target_dates[n_fit:],
+                             m.columns, m.x[n_fit:], m.y[n_fit:]) if n_val else None
+    fitted: dict[int, tuple[MlpModel, TrainReport]] = {}
+    diverged: dict[int, DivergenceError] = {}
+    for run in runs:
+        if run.error is not None:
+            diverged[run.hidden] = run.error
+            continue
+        model = MlpModel(m.columns, *run.weights, scaler)
+        val_mape = mape(val_rows.y, predict_prices(model, val_rows)) if n_val else math.nan
+        fitted[run.hidden] = model, TrainReport(
+            epoch_mse=np.array(run.epoch_mse),
+            train_mape=mape(fit_rows.y, predict_prices(model, fit_rows)),
+            validation_mape=val_mape, epochs_run=len(run.epoch_mse),
+            seed=run.seed, hidden_size=run.hidden, early_stopped=run.early_stopped,
+        )
+    return fitted, diverged
+
+
+def train(m: FeatureMatrix, hidden: int,
+          config: TrainConfig = DEFAULT_TRAIN_CONFIG) -> tuple[MlpModel, TrainReport]:
+    """Fit one network on a training matrix.
+
+    The last ``validation_fraction`` of rows (chronologically) are held out
+    for size selection; the scaler and the gradient steps see only the
+    earlier rows.  Raises `DivergenceError` the first epoch the loss or any
+    weight stops being finite.  This is the one-size case of the kernel
+    `sweep` runs.
+    """
+    if hidden < 1:
+        raise ValueError(f"hidden size must be positive, got {hidden}")
+    fitted, diverged = _train_lockstep(m, (hidden,), (config.seed,), config)
+    if diverged:
+        raise diverged[hidden]
+    return fitted[hidden]
 
 
 def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
           max_hidden: int = 10) -> SweepResult:
     """Train hidden sizes 1..max_hidden and keep the best by validation MAPE.
 
-    Size ``h`` trains with seed ``config.seed + h``, so individual runs can
-    be reproduced in isolation.  Ties on validation MAPE go to the smaller
-    network."""
+    All sizes train in lockstep, size ``h`` with seed ``config.seed + h``,
+    and each gets the result ``train`` gives it alone with that seed (up to
+    summation order), so individual runs can be reproduced in isolation.
+    Ties on validation MAPE go to the smaller network."""
     if max_hidden < 1:
         raise ValueError("max_hidden must be positive")
     if not config.validation_fraction:
         raise ValueError("sweep needs a non-zero validation fraction")
-    reports: dict[int, TrainReport] = {}
-    failures: dict[int, str] = {}
-    models: dict[int, MlpModel] = {}
-    for h in range(1, max_hidden + 1):
-        try:
-            models[h], reports[h] = train(m, h, replace(config, seed=config.seed + h))
-        except DivergenceError as exc:
-            failures[h] = str(exc)
-    if not reports:
+    sizes = range(1, max_hidden + 1)
+    fitted, diverged = _train_lockstep(m, sizes, [config.seed + h for h in sizes], config)
+    if not fitted:
         raise FitError("every hidden size diverged; lower the learning rate")
+    reports = {h: report for h, (_, report) in fitted.items()}
     chosen = min(reports, key=lambda h: (reports[h].validation_mape, h))
-    return SweepResult(reports=reports, failures=failures,
-                       chosen=chosen, model=models[chosen])
+    return SweepResult(reports=reports,
+                       failures={h: str(exc) for h, exc in diverged.items()},
+                       chosen=chosen, model=fitted[chosen][0])
 
 
 def evaluate(model: MlpModel, test: FeatureMatrix) -> tuple[float, np.ndarray]:
@@ -304,9 +377,10 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
                    batch: int = 16, step: float = 1e-6) -> float:
     """Largest relative gap between analytic and central-difference gradients.
 
-    Uses freshly initialised weights on the first ``batch`` scaled rows, with
-    biases nudged off zero so every parameter sits at a generic point.  Meant
-    for verification, not training.
+    Checks the training kernel's own batched gradient, on a stack of one
+    network.  Uses freshly initialised weights on the first ``batch`` scaled
+    rows, with biases nudged off zero so every parameter sits at a generic
+    point.  Meant for verification, not training.
     """
     scaler = fit_scaler(m)
     xs = scaler.apply_x(m.x[:batch])
@@ -314,32 +388,26 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
     rng = np.random.default_rng(seed)
     w_hidden, _, w_out, _ = _init_params(xs.shape[1], hidden, rng)
     b_hidden = rng.uniform(-0.1, 0.1, hidden)
-    b_out = float(rng.uniform(-0.1, 0.1))
+    b_out = rng.uniform(-0.1, 0.1)
 
-    shapes = (w_hidden.shape, b_hidden.shape, w_out.shape)
-    sizes = tuple(int(np.prod(s)) for s in shapes)
+    params = [w_hidden[None], b_hidden[None], w_out[None], np.array([b_out])]
+    shapes = [p.shape for p in params]
+    cuts = np.cumsum([p.size for p in params])[:-1]
 
-    def unpack(vec: np.ndarray):
-        parts = []
-        at = 0
-        for shape, size in zip(shapes, sizes):
-            parts.append(vec[at:at + size].reshape(shape))
-            at += size
-        parts.append(float(vec[at]))
-        return parts
+    def loss(vec: np.ndarray) -> float:
+        parts = [part.reshape(shape) for part, shape in zip(np.split(vec, cuts), shapes)]
+        return float(np.mean((_forward(xs, *parts)[2] - ys)**2))
 
-    vec = np.concatenate([w_hidden.ravel(), b_hidden, w_out, [b_out]])
-    _, analytic = _gradients(xs, ys, *unpack(vec))
-    grad = np.concatenate([analytic[0].ravel(), analytic[1], analytic[2],
-                           [analytic[3]]])
+    vec = np.concatenate([p.ravel() for p in params])
+    grad = np.concatenate([g.ravel() for g in _batch_gradients(xs, ys, *params)])
 
     worst = 0.0
     for j in range(vec.size):
         bumped = vec.copy()
         bumped[j] = vec[j] + step
-        up = _gradients(xs, ys, *unpack(bumped))[0]
+        up = loss(bumped)
         bumped[j] = vec[j] - step
-        down = _gradients(xs, ys, *unpack(bumped))[0]
+        down = loss(bumped)
         numeric = (up - down) / (2.0 * step)
         denom = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / denom)

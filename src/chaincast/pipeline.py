@@ -258,8 +258,12 @@ def _write_correlogram(path: Path, train_diff: Series, max_lag: int = 24) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fit_asset(train: Series, config: PipelineConfig) -> arima.ArimaFit:
-    d = suggest_d(train, config.stationarity_threshold)
+def _fit_asset(train: Series, config: PipelineConfig, d: int | None = None
+               ) -> arima.ArimaFit:
+    """Order search under the config's settings; ``d`` forces the
+    differencing order instead of suggesting one."""
+    if d is None:
+        d = suggest_d(train, config.stationarity_threshold)
     return arima.select_order(
         train, d, max_p=config.arima_max_p, max_q=config.arima_max_q,
         criterion=config.arima_criterion,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import chaincast
+from chaincast import pipeline
 from chaincast.cli import main
 from chaincast.ingest import write_csv
 from chaincast.synthetic import business_days, simulate_arima
@@ -142,6 +143,58 @@ def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path):
     assert main(["train-nn", "--config", str(cfg), "--hidden", "4",
                  "--out", str(model_path)]) == 0
     assert model_path.read_bytes() == (tmp_path / "out" / "model_nn.json").read_bytes()
+
+
+def _config_with(tmp_path, paths, extra):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text("".join(f"{name}_csv = {paths[name]}\n" for name in ("gold", "eurusd", "oil"))
+                   + extra + "out_dir = out\n")
+    return cfg
+
+
+def test_stepwise_defaults_come_from_config(demo_bundle, tmp_path, capsys):
+    cfg = _config_with(tmp_path, demo_bundle["paths"],
+                       "stepwise_direction = forward\nstepwise_criterion = aic\n")
+    assert main(["stepwise", "--config", str(cfg)]) == 0
+    steps = [l for l in capsys.readouterr().out.splitlines() if ": aic -> " in l]
+    assert steps and all(l.startswith("add ") for l in steps)
+    # flags still override the config
+    assert main(["stepwise", "--config", str(cfg),
+                 "--direction", "backward", "--criterion", "bic"]) == 0
+    out = capsys.readouterr().out
+    included = demo_bundle["report"].body["stepwise"]["backward"]["included"]
+    assert "selected: " + ", ".join(included) in out.splitlines()
+    assert ": bic -> " in out and ": aic -> " not in out
+
+
+def test_fit_arima_config_supplies_search_settings(demo_bundle, tmp_path, capsys):
+    cfg = _config_with(tmp_path, demo_bundle["paths"],
+                       "arima_criterion = aic\narima_max_p = 1\narima_max_q = 0\n"
+                       "nn_hidden = 1\nnn_epochs = 5\n")
+    assert main(["pipeline", "run", "--config", str(cfg)]) == 0
+    order = json.loads((tmp_path / "out" / "report.json").read_text())["assets"]["gold"]["order"]
+    gold = str(demo_bundle["paths"]["gold"])
+    capsys.readouterr()
+    assert main(["fit-arima", "--input", gold, "--config", str(cfg)]) == 0
+    assert "selected order: ({},{},{}) by aic".format(*order) in capsys.readouterr().out
+    # a flag given on the command line wins over the config
+    assert main(["fit-arima", "--input", gold, "--config", str(cfg),
+                 "--criterion", "sic"]) == 0
+    assert "by sic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("hidden", ["abc", "0"])
+def test_train_nn_rejects_bad_hidden_before_any_work(demo_bundle, monkeypatch, capsys,
+                                                     hidden):
+    def no_work(config):
+        raise AssertionError("feature_windows ran before --hidden was checked")
+
+    monkeypatch.setattr(pipeline, "feature_windows", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["train-nn", "--config", str(demo_bundle["cfg_path"]), "--hidden", hidden])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--hidden" in err and repr(hidden) in err
 
 
 def test_pipeline_run_prints_stage_accuracies(demo_bundle, tmp_path, capsys):
