@@ -1,13 +1,20 @@
 """ARIMA estimation, order selection, and forecasting.
 
-Models are fitted by conditional sum of squares on the differenced series:
-residuals are recursed with pre-sample shocks at zero, the first ``p``
-differenced values serve as startup lags, and the mean is profiled out in
-closed form.  The optimizer searches an unconstrained parameterisation in
+Models are fitted by conditional sum of squares (CSS) on the differenced
+series: residuals are recursed with pre-sample shocks at zero, the first
+``p`` differenced values serve as startup lags, and the mean is profiled out
+in closed form.  The search runs over an unconstrained parameterisation in
 which AR and MA coefficient vectors are rebuilt from partial-correlation
 values squashed through tanh, so every visited point is stationary and
 invertible by construction; the fitted polynomial roots are still checked
 explicitly before a fit is accepted.
+
+CSS is a nonlinear least-squares problem, and `minimize` solves it by
+Levenberg-Marquardt iteration (Marquardt 1963) on the residual vector.  The
+Jacobian is analytic: each residual derivative comes out of the same
+``lfilter`` recursion that produces the residuals, with the direction of the
+profiled mean projected out (variable projection, Kaufman 1975).  The
+one-step predictors run that recursion as one filter as well.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
+from scipy.linalg import solve_toeplitz
+from scipy.optimize import OptimizeResult
+from scipy.signal import lfilter, lfiltic
 
 from .errors import FitError
 from .series import Series, difference, integrate
@@ -50,7 +58,16 @@ class ArimaSpec:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer budget and tolerances for `fit`."""
+    """Solver budget and tolerances for `fit`.
+
+    ``max_iterations`` caps the Levenberg-Marquardt iterations of one
+    attempt and ``restarts`` the extra attempts from seeded random points
+    after a failed one.  The solver stops when the largest component of a
+    proposed step (in the tanh-transformed coordinates) is at most
+    ``xatol``, or when two accepted steps in a row each lower the
+    conditional sum of squares by at most ``fatol`` relative to its
+    previous value.
+    """
 
     max_iterations: int = 2000
     restarts: int = 4
@@ -98,38 +115,185 @@ def ar_from_pacf(pac: np.ndarray) -> np.ndarray:
     Levinson recursion; the coefficient vector it returns has all polynomial
     roots outside the unit circle whenever every input lies inside (-1, 1).
     """
+    return _levinson(pac)[0]
+
+
+def _levinson(pac) -> tuple[np.ndarray, np.ndarray]:
+    """`ar_from_pacf` and its Jacobian, ``dphi[i, k] = d phi_i / d pac_k``,
+    carried through the recursion in forward mode."""
     pac = np.asarray(pac, dtype=float)
     phi = pac.copy()
-    for k in range(1, len(pac)):
-        phi[:k] = phi[:k] - pac[k] * phi[:k][::-1]
-    return phi
+    dphi = np.eye(pac.size)
+    for k in range(1, pac.size):
+        rev = phi[:k][::-1].copy()
+        dphi[:k] = dphi[:k] - pac[k] * dphi[:k][::-1]
+        dphi[:k, k] -= rev
+        phi[:k] = phi[:k] - pac[k] * rev
+    return phi, dphi
 
 
-def _coeffs_from_raw(raw: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    r = np.clip(np.tanh(raw), -0.9999, 0.9999)
-    phi = ar_from_pacf(r[:p]) if p else np.empty(0)
+def _pacf_from_ar(phi: np.ndarray) -> np.ndarray | None:
+    """Inverse of `ar_from_pacf` (the step-down recursion), or None when
+    ``phi`` is not stationary."""
+    a = np.array(phi, dtype=float)
+    pac = np.empty(a.size)
+    for k in range(a.size - 1, -1, -1):
+        r = a[k]
+        if not abs(r) < 1.0:
+            return None
+        pac[k] = r
+        a = (a[:k] + r * a[:k][::-1]) / (1.0 - r * r)
+    return pac
+
+
+def _coeffs_from_raw(raw: np.ndarray, p: int,
+                     q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AR and MA coefficients at ``raw``, and the Jacobian of the stacked
+    ``(phi, theta)`` with respect to ``raw``."""
+    t = np.tanh(raw)
+    r = np.clip(t, -0.9999, 0.9999)
+    phi, dphi = _levinson(r[:p])
     # MA polynomial 1 + theta_1 B + ... is invertible iff the mirrored AR
     # polynomial is stationary, hence the sign flip.
-    theta = -ar_from_pacf(r[p:]) if q else np.empty(0)
-    return phi, theta
+    theta, dtheta = _levinson(r[p:])
+    dcoef = np.zeros((p + q, p + q))
+    dcoef[:p, :p] = dphi
+    dcoef[p:, p:] = -dtheta
+    # a clipped component no longer moves the coefficients
+    dcoef *= np.where(np.abs(t) < 0.9999, 1.0 - t**2, 0.0)
+    return phi, -theta, dcoef
 
 
-def _css_residuals(w: np.ndarray, p: int, q: int,
-                   phi: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Profiled mean and residual vector for fixed AR/MA coefficients.
+def _css_residuals(w: np.ndarray, p: int, q: int, phi: np.ndarray,
+                   theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Profiled mean, residual vector and mean direction for fixed AR/MA
+    coefficients.
 
-    With the AR part applied, residuals are linear in mu, so the optimal mean
-    is a one-dimensional least-squares solve instead of a search dimension.
+    With the AR part applied, residuals are linear in mu, ``e = filter(u) -
+    mu * m`` with ``m = filter(1)``, so the optimal mean is a one-dimensional
+    least-squares solve instead of a search dimension.
     """
     n = w.size
     u = w[p:].copy()
     for i in range(1, p + 1):
         u -= phi[i - 1] * w[p - i:n - i]
     ma_poly = np.concatenate([[1.0], theta])
-    e_base = lfilter([1.0], ma_poly, u)
-    e_mean = lfilter([1.0], ma_poly, np.ones_like(u))
+    e_base, e_mean = lfilter([1.0], ma_poly, np.stack([u, np.ones_like(u)]), axis=-1)
     mu = float(np.dot(e_base, e_mean) / np.dot(e_mean, e_mean))
-    return mu, e_base - mu * e_mean
+    return mu, e_base - mu * e_mean, e_mean
+
+
+def _css_jacobian(w: np.ndarray, p: int, q: int, theta: np.ndarray,
+                  e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Derivatives of the profiled residuals with respect to ``(phi, theta)``,
+    one column per coefficient.
+
+    At fixed mean, ``de/dphi_i`` is the MA filter applied to ``-w`` lagged by
+    ``i`` and ``de/dtheta_j`` the same filter applied to ``-e`` lagged by
+    ``j`` (zero before the start).  Projecting the mean direction ``m`` out
+    of every column accounts for the mean being re-profiled; since the
+    profiled residuals are orthogonal to ``m``, the gradient ``J.T @ e`` is
+    exact.
+    """
+    rows = np.zeros((p + q, e.size))
+    for i in range(1, p + 1):
+        rows[i - 1] = -w[p - i:w.size - i]
+    for j in range(1, q + 1):
+        rows[p + j - 1, j:] = -e[:-j]
+    d = lfilter([1.0], np.concatenate([[1.0], theta]), rows, axis=-1)
+    d -= np.outer(d @ m / (m @ m), m)
+    return d.T
+
+
+def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Starting point in the transformed coordinates, by Hannan-Rissanen
+    (1982) regression.
+
+    A long Yule-Walker autoregression (order ``log(n)**2``, at least
+    ``2 * (p + q)``; its Toeplitz solve needs no ``n``-row design matrix)
+    estimates the shocks.  Regressing ``w`` on its own ``p`` lags and ``q``
+    lagged shock estimates gives AR and MA coefficients, which the step-down
+    recursion and artanh map back to the search coordinates.  A block that
+    comes out non-stationary or non-invertible starts at zero.
+    """
+    n = w.size
+    shocks = np.zeros(n)
+    if q:
+        m = int(min(n // 4, max(2 * (p + q), np.log(n) ** 2)))
+        x = w - w.mean()
+        acov = np.array([x[:n - k] @ x[k:] for k in range(m + 1)])
+        ar = solve_toeplitz(acov[:m], acov[1:])
+        shocks[m:] = lfilter(np.concatenate([[1.0], -ar]), [1.0], x)[m:]
+        start = m + q
+    else:
+        start = p
+    design = np.column_stack([np.ones(n - start)]
+                             + [w[start - i:n - i] for i in range(1, p + 1)]
+                             + [shocks[start - j:n - j] for j in range(1, q + 1)])
+    coef = np.linalg.lstsq(design, w[start:], rcond=None)[0]
+    x0 = np.zeros(p + q)
+    for block, coeffs in ((slice(0, p), coef[1:p + 1]), (slice(p, p + q), -coef[p + 1:])):
+        pac = _pacf_from_ar(coeffs)
+        if pac is not None:
+            x0[block] = np.arctanh(np.clip(pac, -0.99, 0.99))
+    return x0
+
+
+def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
+             fatol: float) -> OptimizeResult:
+    """Levenberg-Marquardt minimisation of a sum of squared residuals.
+
+    ``residuals(x)`` returns the residual vector at ``x`` and a function of
+    no arguments that returns its Jacobian there.  Each iteration solves
+    ``(J'J + lam * diag(J'J)) step = -J'e``; the step is taken when the sum
+    of squares does not rise, and ``lam`` then falls threefold, otherwise it
+    rises tenfold and the step is tried again.  The search converges when a
+    proposed step's largest component is at most ``xatol`` or two accepted
+    steps in a row each lower the sum of squares by at most ``fatol``
+    relative to its previous value.  ``nfev`` counts every call of
+    ``residuals``.
+    """
+    x = np.array(x0, dtype=float)
+    e, jacobian = residuals(x)
+    nfev, iteration = 1, 0
+    css = float(e @ e)
+
+    def result(success: bool, message: str) -> OptimizeResult:
+        return OptimizeResult(x=x, fun=css, nfev=nfev, nit=iteration,
+                              success=success, message=message)
+
+    if not np.isfinite(css):
+        return result(False, "residuals are not finite at the starting point")
+    lam, small_before = 1e-3, False
+    jac = jacobian()
+    for iteration in range(1, max_iterations + 1):
+        curvature, gradient = jac.T @ jac, jac.T @ e
+        if not gradient.any():
+            return result(True, "gradient is zero")
+        scale = np.diag(curvature)
+        scale = np.maximum(scale, 1e-12 * scale.max())
+        step = np.linalg.solve(curvature + lam * np.diag(scale), -gradient)
+        if np.max(np.abs(step)) <= xatol:
+            return result(True, "step is below xatol")
+        e_new, jacobian_new = residuals(x + step)
+        nfev += 1
+        css_new = float(e_new @ e_new)
+        if not css_new <= css:  # also rejects a NaN
+            lam *= 10.0
+            continue
+        css_old, css = css, css_new
+        x, e = x + step, e_new
+        # one step that overshoots across a narrow valley can land barely
+        # lower while still far from the minimum, so take two in a row
+        small = css_old - css <= fatol * css_old
+        if small and small_before:
+            return result(True, "relative decrease is below fatol")
+        small_before = small
+        # falling slower than it rises lets lam settle where steps are taken
+        # in a row, instead of alternating a rejected and an accepted step
+        lam = max(lam / 3.0, 1e-12)
+        jac = jacobian_new()
+    return result(False, "maximum number of iterations reached")
 
 
 def _roots_outside(coeffs: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
@@ -153,10 +317,15 @@ def fit(train: Series, spec: ArimaSpec,
     """Estimate an ARIMA model on a level series.
 
     Differencing happens internally according to ``spec.d``.  Estimation
-    minimises the mean squared conditional residual with a Nelder-Mead
-    simplex over the transformed coefficients, restarting from perturbed
-    points when the simplex fails to converge; a model whose polynomial
-    roots sit on or inside the unit circle is rejected.
+    minimises the conditional sum of squares by Levenberg-Marquardt
+    iteration (`minimize`) over the transformed coefficients, with the
+    analytic Jacobian of the residuals.  The first attempt starts from a
+    Hannan-Rissanen regression: at zero the AR and MA lag columns of the
+    Jacobian coincide, so the first steps would split each lag arbitrarily
+    between the two and can settle in a worse local minimum.  Later attempts
+    start from seeded random points when an attempt fails to converge; a
+    model whose polynomial roots sit on or inside the unit circle is
+    rejected.
     """
     p, d, q = spec.p, spec.d, spec.q
     if len(train) < 10 * spec.n_params():
@@ -173,28 +342,25 @@ def fit(train: Series, spec: ArimaSpec,
         resid = w - mu
         return _finish(spec, mu, np.empty(0), np.empty(0), resid)
 
-    def objective(raw: np.ndarray) -> float:
-        phi, theta = _coeffs_from_raw(raw, p, q)
-        _, eps = _css_residuals(w, p, q, phi, theta)
-        return float(np.mean(eps**2))
+    def residuals(raw: np.ndarray):
+        phi, theta, dcoef = _coeffs_from_raw(raw, p, q)
+        _, e, m = _css_residuals(w, p, q, phi, theta)
+        return e, lambda: _css_jacobian(w, p, q, theta, e, m) @ dcoef
 
     rng = np.random.default_rng(config.seed)
     failures: list[str] = []
     for attempt in range(config.restarts + 1):
-        x0 = np.zeros(p + q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
-        result = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": config.max_iterations,
-                     "xatol": config.xatol, "fatol": config.fatol},
-        )
+        x0 = _hannan_rissanen(w, p, q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
+        result = minimize(residuals, x0, config.max_iterations,
+                          config.xatol, config.fatol)
         if not result.success:
             failures.append(f"attempt {attempt}: {result.message}")
             continue
-        phi, theta = _coeffs_from_raw(result.x, p, q)
+        phi, theta, _ = _coeffs_from_raw(result.x, p, q)
         if not (_roots_outside(phi) and _roots_outside(-theta)):
             failures.append(f"attempt {attempt}: roots on or inside the unit circle")
             continue
-        mu, resid = _css_residuals(w, p, q, phi, theta)
+        mu, resid, _ = _css_residuals(w, p, q, phi, theta)
         return _finish(spec, mu, phi, theta, resid)
     raise FitError(
         f"({p},{d},{q}) estimation failed after {config.restarts + 1} attempts: "
@@ -286,6 +452,38 @@ def forecast(fitted: ArimaFit, anchors, horizon: int) -> Forecast:
     return Forecast(integrate(path, anchors[-d:]), horizon, fitted.spec)
 
 
+def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """One-step predictions of ``levels[p + d:]``, parameters frozen.
+
+    The shocks come from one pass of the MA filter over the differenced
+    values minus their mean-plus-AR part, and each prediction adds the MA
+    terms of the shocks before it, so no prediction reads its own day's
+    value.  ``shocks`` holds the ``q`` shocks before the first prediction,
+    oldest first.  Differenced predictions are re-integrated on the previous
+    actual levels.
+    """
+    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
+    w = np.diff(levels, n=d)
+    n = w.size
+    steps = np.full(n - p, fitted.mu)
+    for i in range(1, p + 1):
+        steps += fitted.phi[i - 1] * w[p - i:n - i]
+    if q:
+        ma_poly = np.concatenate([[1.0], fitted.theta])
+        e, _ = lfilter([1.0], ma_poly, w[p:] - steps,
+                       zi=lfiltic([1.0], ma_poly, shocks[::-1]))
+        e = np.concatenate([shocks, e])
+        for j in range(1, q + 1):
+            steps += fitted.theta[j - 1] * e[q - j:e.size - j]
+    if d == 0:
+        return steps
+    start = p + d
+    prev = levels[start - 1:-1]
+    if d == 1:
+        return prev + steps
+    return prev + (prev - levels[start - 2:-2]) + steps
+
+
 def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
     """One-step-ahead predictions over a held-out window, parameters frozen.
 
@@ -305,26 +503,8 @@ def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
         raise ValueError("anchors must be finite")
     tail = anchors[-(p + d):] if p + d else np.empty(0)
     levels = np.concatenate([tail, test.values])
-    w = np.diff(levels, n=d)
-    eps_hist = list(fitted.residuals[-q:]) if q else []
-    preds = np.empty(len(test))
-    offset = tail.size  # first test value's index within `levels`
-    for t in range(len(test)):
-        idx = p + t  # position in w of the value being predicted
-        step = fitted.mu
-        for i in range(1, p + 1):
-            step += fitted.phi[i - 1] * w[idx - i]
-        for j in range(1, q + 1):
-            step += fitted.theta[j - 1] * (eps_hist[-j] if j <= len(eps_hist) else 0.0)
-        prev = levels[offset + t - 1]
-        if d == 0:
-            preds[t] = step
-        elif d == 1:
-            preds[t] = prev + step
-        else:
-            preds[t] = prev + (prev - levels[offset + t - 2]) + step
-        if q:
-            eps_hist.append(w[idx] - step)
+    shocks = fitted.residuals[-q:] if q else np.empty(0)
+    preds = _one_step(fitted, levels, shocks)
     return Series(preds, name=f"{test.name}_pred", diff_level=test.diff_level)
 
 
@@ -340,23 +520,6 @@ def one_step_history(fitted: ArimaFit, full: Series) -> np.ndarray:
     start = p + d
     if len(full) <= start:
         raise ValueError(f"series too short for ({p},{d},{q}) one-step history")
-    w = difference(full, d).values
     out = np.full(len(full), np.nan)
-    eps_hist: list[float] = []
-    levels = full.values
-    for idx in range(p, w.size):
-        step = fitted.mu
-        for i in range(1, p + 1):
-            step += fitted.phi[i - 1] * w[idx - i]
-        for j in range(1, q + 1):
-            step += fitted.theta[j - 1] * (eps_hist[-j] if j <= len(eps_hist) else 0.0)
-        pos = idx + d
-        prev = levels[pos - 1]
-        if d == 0:
-            out[pos] = step
-        elif d == 1:
-            out[pos] = prev + step
-        else:
-            out[pos] = prev + (prev - levels[pos - 2]) + step
-        eps_hist.append(w[idx] - step)
+    out[start:] = _one_step(fitted, full.values, np.zeros(q))
     return out

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
+from scipy.signal import lfilter
 
+from chaincast import arima, pipeline, synthetic
 from chaincast.arima import (
     ArimaSpec,
     FitConfig,
@@ -12,8 +16,128 @@ from chaincast.arima import (
     select_order,
 )
 from chaincast.errors import FitError
-from chaincast.series import Series
+from chaincast.series import Series, difference, suggest_d
 from chaincast.synthetic import simulate_arima, simulate_arma
+
+
+# Reference implementations: the Nelder-Mead estimator and the per-day
+# one-step loops that the Levenberg-Marquardt solver and the one-filter
+# predictors replaced, kept verbatim as oracles.
+
+def _reference_coeffs_from_raw(raw, p, q):
+    r = np.clip(np.tanh(raw), -0.9999, 0.9999)
+    phi = ar_from_pacf(r[:p]) if p else np.empty(0)
+    theta = -ar_from_pacf(r[p:]) if q else np.empty(0)
+    return phi, theta
+
+
+def _reference_css_residuals(w, p, q, phi, theta):
+    n = w.size
+    u = w[p:].copy()
+    for i in range(1, p + 1):
+        u -= phi[i - 1] * w[p - i:n - i]
+    ma_poly = np.concatenate([[1.0], theta])
+    e_base = lfilter([1.0], ma_poly, u)
+    e_mean = lfilter([1.0], ma_poly, np.ones_like(u))
+    mu = float(np.dot(e_base, e_mean) / np.dot(e_mean, e_mean))
+    return mu, e_base - mu * e_mean
+
+
+def _reference_fit(train, spec, config=arima.DEFAULT_FIT_CONFIG):
+    p, d, q = spec.p, spec.d, spec.q
+    if len(train) < 10 * spec.n_params():
+        raise ValueError(
+            f"series too short to fit ({spec.p},{spec.d},{spec.q}): "
+            f"{len(train)} observations, need {10 * spec.n_params()}"
+        )
+    w = difference(train, d).values
+    if np.ptp(w) == 0.0 and (p or q):
+        raise FitError(f"differenced series is constant; ({p},{d},{q}) unidentifiable")
+
+    if p + q == 0:
+        mu = float(w.mean())
+        resid = w - mu
+        return arima._finish(spec, mu, np.empty(0), np.empty(0), resid)
+
+    def objective(raw):
+        phi, theta = _reference_coeffs_from_raw(raw, p, q)
+        _, eps = _reference_css_residuals(w, p, q, phi, theta)
+        return float(np.mean(eps**2))
+
+    rng = np.random.default_rng(config.seed)
+    failures = []
+    for attempt in range(config.restarts + 1):
+        x0 = np.zeros(p + q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
+        result = scipy_minimize(
+            objective, x0, method="Nelder-Mead",
+            options={"maxiter": config.max_iterations,
+                     "xatol": config.xatol, "fatol": config.fatol},
+        )
+        if not result.success:
+            failures.append(f"attempt {attempt}: {result.message}")
+            continue
+        phi, theta = _reference_coeffs_from_raw(result.x, p, q)
+        if not (arima._roots_outside(phi) and arima._roots_outside(-theta)):
+            failures.append(f"attempt {attempt}: roots on or inside the unit circle")
+            continue
+        mu, resid = _reference_css_residuals(w, p, q, phi, theta)
+        return arima._finish(spec, mu, phi, theta, resid)
+    raise FitError(
+        f"({p},{d},{q}) estimation failed after {config.restarts + 1} attempts: "
+        + "; ".join(failures)
+    )
+
+
+def _reference_rolling_one_step(fitted, test, anchors):
+    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
+    anchors = np.asarray(anchors, dtype=float)
+    tail = anchors[-(p + d):] if p + d else np.empty(0)
+    levels = np.concatenate([tail, test.values])
+    w = np.diff(levels, n=d)
+    eps_hist = list(fitted.residuals[-q:]) if q else []
+    preds = np.empty(len(test))
+    offset = tail.size  # first test value's index within `levels`
+    for t in range(len(test)):
+        idx = p + t  # position in w of the value being predicted
+        step = fitted.mu
+        for i in range(1, p + 1):
+            step += fitted.phi[i - 1] * w[idx - i]
+        for j in range(1, q + 1):
+            step += fitted.theta[j - 1] * (eps_hist[-j] if j <= len(eps_hist) else 0.0)
+        prev = levels[offset + t - 1]
+        if d == 0:
+            preds[t] = step
+        elif d == 1:
+            preds[t] = prev + step
+        else:
+            preds[t] = prev + (prev - levels[offset + t - 2]) + step
+        if q:
+            eps_hist.append(w[idx] - step)
+    return preds
+
+
+def _reference_one_step_history(fitted, full):
+    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
+    w = difference(full, d).values
+    out = np.full(len(full), np.nan)
+    eps_hist = []
+    levels = full.values
+    for idx in range(p, w.size):
+        step = fitted.mu
+        for i in range(1, p + 1):
+            step += fitted.phi[i - 1] * w[idx - i]
+        for j in range(1, q + 1):
+            step += fitted.theta[j - 1] * (eps_hist[-j] if j <= len(eps_hist) else 0.0)
+        pos = idx + d
+        prev = levels[pos - 1]
+        if d == 0:
+            out[pos] = step
+        elif d == 1:
+            out[pos] = prev + step
+        else:
+            out[pos] = prev + (prev - levels[pos - 2]) + step
+        eps_hist.append(w[idx] - step)
+    return out
 
 
 def test_spec_validation():
@@ -33,6 +157,16 @@ def test_ar_from_pacf_stays_stationary():
         phi = ar_from_pacf(pac)
         roots = np.roots(np.concatenate([-phi[::-1], [1.0]]))
         assert np.all(np.abs(roots) > 1.0)
+
+
+def test_pacf_from_ar_inverts_ar_from_pacf():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        pac = rng.uniform(-0.999, 0.999, rng.integers(1, 6))
+        np.testing.assert_allclose(arima._pacf_from_ar(ar_from_pacf(pac)), pac,
+                                   rtol=0.0, atol=1e-9)
+    assert arima._pacf_from_ar(np.array([1.2])) is None
+    assert arima._pacf_from_ar(np.array([0.5, 0.6])) is None  # a root at |z| = 0.94
 
 
 def test_fit_drift_only_closed_form():
@@ -210,3 +344,115 @@ def test_one_step_history_with_ma_matches_rolling_closely():
     hist = one_step_history(fitted, Series(levels))
     rolled = rolling_one_step(fitted, test, anchors=levels[:340])
     np.testing.assert_allclose(hist[340:], rolled.values, atol=1e-9)
+
+
+def test_one_step_predictors_match_reference_loops():
+    cases = {(1, 1, 0): ([0.5], []), (0, 1, 2): ([], [0.4, 0.2]),
+             (2, 0, 1): ([0.5, -0.3], [0.4]), (1, 2, 1): ([0.3], [0.3])}
+    for (p, d, q), (phi, theta) in cases.items():
+        levels = simulate_arima(phi, theta, 0.1, d, 500, seed=19 + p + 2 * q,
+                                start_level=300.0)
+        train, test = Series(levels[:420]), Series(levels[420:])
+        fitted = fit(train, ArimaSpec(p, d, q))
+        np.testing.assert_allclose(
+            rolling_one_step(fitted, test, anchors=levels[:420]).values,
+            _reference_rolling_one_step(fitted, test, levels[:420]),
+            rtol=1e-12, atol=0.0, err_msg=f"rolling ({p},{d},{q})")
+        hist = one_step_history(fitted, Series(levels))
+        np.testing.assert_allclose(
+            hist, _reference_one_step_history(fitted, Series(levels)),
+            rtol=1e-12, atol=0.0, err_msg=f"history ({p},{d},{q})")
+
+
+# Simulated series with known orders, about 800 observations each.
+KNOWN_ORDERS = {
+    "arma11": (ArimaSpec(1, 0, 1),
+               simulate_arima([0.6], [0.3], 0.5, 0, 800, seed=21)),
+    "arima212": (ArimaSpec(2, 1, 2),
+                 simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, 1, 800, seed=22)),
+    "ma2": (ArimaSpec(0, 0, 2),
+            simulate_arima([], [0.5, 0.3], 1.0, 0, 800, seed=23)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ORDERS))
+def test_fit_matches_reference_on_true_cell(name):
+    spec, levels = KNOWN_ORDERS[name]
+    new = fit(Series(levels), spec)
+    ref = _reference_fit(Series(levels), spec)
+    np.testing.assert_allclose(np.concatenate([new.phi, new.theta]),
+                               np.concatenate([ref.phi, ref.theta]), rtol=0.0, atol=1e-4)
+    assert new.css <= ref.css * (1.0 + 1e-9)
+
+
+def _training_series(config):
+    train, _ = pipeline._split(pipeline._align(pipeline._read_frames(config)),
+                               config.split)
+    return {name: train[name].close_series() for name in pipeline.ASSETS}
+
+
+def _sic_gap(train, d, monkeypatch):
+    new = select_order(train, d)
+    with monkeypatch.context() as patched:
+        patched.setattr(arima, "fit", _reference_fit)
+        ref = select_order(train, d)
+    return new.sic - ref.sic
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ORDERS))
+def test_select_order_no_worse_than_reference(name, monkeypatch):
+    spec, levels = KNOWN_ORDERS[name]
+    assert _sic_gap(Series(levels), spec.d, monkeypatch) <= 1e-5
+
+
+# 84: started from zero, the solver settled gold's (3,0,2) cell in a local
+# minimum 11.8 above the reference search's winner
+@pytest.mark.parametrize("seed", [synthetic.FIXTURE_SEED, 84])
+def test_select_order_no_worse_than_reference_on_fixture(seed, tmp_path, monkeypatch):
+    synthetic.make_fixture(tmp_path, seed=seed)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("gold_csv = gold.csv\neurusd_csv = eurusd.csv\noil_csv = oil.csv\n")
+    config = pipeline.load_config(cfg)
+    for name, train in _training_series(config).items():
+        d = suggest_d(train, config.stationarity_threshold)
+        assert _sic_gap(train, d, monkeypatch) <= 1e-5, name
+
+
+def test_css_gradient_matches_central_differences():
+    p, d, q = 2, 1, 2
+    w = np.diff(simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, d, 600, seed=24))
+    raw = np.array([0.3, -0.2, 0.25, -0.4])
+
+    def mse(x):
+        phi, theta, _ = arima._coeffs_from_raw(x, p, q)
+        return float(np.mean(arima._css_residuals(w, p, q, phi, theta)[1] ** 2))
+
+    phi, theta, dcoef = arima._coeffs_from_raw(raw, p, q)
+    _, e, m = arima._css_residuals(w, p, q, phi, theta)
+    jac = arima._css_jacobian(w, p, q, theta, e, m) @ dcoef
+    gradient = 2.0 / e.size * (jac.T @ e)
+    h = 1e-5
+    numeric = np.array([(mse(raw + h * unit) - mse(raw - h * unit)) / (2 * h)
+                        for unit in np.eye(p + q)])
+    np.testing.assert_allclose(gradient, numeric, rtol=1e-6)
+
+
+def test_fit_budget_exhausted_names_cell_and_attempts():
+    levels = simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, 1, 800, seed=22)
+    with pytest.raises(FitError, match=r"\(2,1,2\).*2 attempts"):
+        fit(Series(levels), ArimaSpec(2, 1, 2), FitConfig(max_iterations=1, restarts=1))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(p=st.integers(0, 3), q=st.integers(0, 3), d=st.integers(0, 1),
+       seed=st.integers(0, 2**16), split=st.integers(120, 280))
+def test_rolling_one_step_equals_history_tail(p, q, d, seed, split):
+    q = min(q, 3 - p)
+    rng = np.random.default_rng(seed)
+    phi = ar_from_pacf(rng.uniform(-0.7, 0.7, p))
+    theta = -ar_from_pacf(rng.uniform(-0.7, 0.7, q))
+    levels = simulate_arima(phi, theta, 0.1, d, 300, seed=seed, start_level=50.0)
+    fitted = fit(Series(levels[:split]), ArimaSpec(p, d, q))
+    rolled = rolling_one_step(fitted, Series(levels[split:]), anchors=levels[:split])
+    hist = one_step_history(fitted, Series(levels))
+    np.testing.assert_allclose(hist[split:], rolled.values, rtol=0.0, atol=1e-9)
