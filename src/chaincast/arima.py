@@ -11,26 +11,34 @@ explicitly before a fit is accepted.
 
 CSS is a nonlinear least-squares problem, and `minimize` solves it by
 Levenberg-Marquardt iteration (Marquardt 1963) on the residual vector.  The
-Jacobian is analytic: each residual derivative comes out of the same
-``lfilter`` recursion that produces the residuals, with the direction of the
-profiled mean projected out (variable projection, Kaufman 1975).  The
-one-step predictors run that recursion as one filter as well.
+Jacobian is analytic: each residual derivative comes out of the same MA
+inversion (`_InverseMA`, built once per coefficient vector) that produces the
+residuals, with the direction of the profiled mean projected out (variable
+projection, Kaufman 1975).  The one-step predictors run that inversion as
+one filter as well.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
-from scipy.optimize import OptimizeResult
-from scipy.signal import lfilter, lfiltic
 
 from .errors import FitError
-from .series import Series, difference, integrate
+from .series import Series, _durbin_levinson, difference, integrate
 
 MAX_ORDER = 5  # cap on p + q; larger models are never competitive on ~1000 days
 ROOT_MARGIN = 1e-6
+
+# Samples per block of `_InverseMA`.  Within a block the filter is one matmul
+# with the block's impulse-response matrix, whose first column the
+# constructor computes by the scalar recursion; a longer block costs more of
+# both.
+_BLOCK = 64
+# index into the impulse response padded with one zero: block[k, i] = h[i - k]
+_LAGS = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+_TOEPLITZ = np.where(_LAGS >= 0, _LAGS, _BLOCK)
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,19 @@ class ArimaFit:
 
 
 @dataclass(frozen=True)
+class MinimizeResult:
+    """Outcome of `minimize`: the final point and sum of squares, the
+    evaluation and iteration counts, and why the search stopped."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    message: str
+
+
+@dataclass(frozen=True)
 class Forecast:
     """Multi-step path on the original (undifferenced) scale."""
 
@@ -164,8 +185,67 @@ def _coeffs_from_raw(raw: np.ndarray, p: int,
     return phi, -theta, dcoef
 
 
-def _css_residuals(w: np.ndarray, p: int, q: int, phi: np.ndarray,
-                   theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+class _InverseMA:
+    """The MA inversion ``y[t] = x[t] - theta_1 y[t-1] - ... - theta_q y[t-q]``,
+    that is, filtering by ``1 / (1 + theta_1 B + ... + theta_q B^q)``.
+
+    Built once per ``theta`` and applied blockwise.  Within a block of
+    `_BLOCK` samples the zero-state output is one matmul with the
+    lower-triangular Toeplitz matrix of the impulse response.  The q outputs
+    before a block act on it as the inputs ``u[t] = -sum_m theta[t+m] s[m]``
+    (``s`` newest first), so their effect is one matmul with a q-row matrix.
+    Those q outputs pass from block to block by a q-dimensional linear
+    recursion, solved in log2(blocks) batched matmuls.  With q = 0 the
+    filter is the identity.
+    """
+
+    def __init__(self, theta: np.ndarray):
+        self.q = q = theta.size
+        if not q:
+            return
+        # the impulse response by the recursion itself, oldest lag first
+        coeffs = (-theta[::-1]).tolist()
+        h = [0.0] * q + [1.0]
+        for _ in range(_BLOCK - 1):
+            h.append(sum(map(operator.mul, coeffs, h[-q:])))
+        # a row of inputs times block is the zero-state output
+        self.block = np.array(h[q:] + [0.0])[_TOEPLITZ]
+        state_inputs = np.zeros((q, q))
+        for t in range(q):
+            state_inputs[:q - t, t] = -theta[t:]
+        self.carry = state_inputs @ self.block[:q]
+        self.carry_tail = self.carry[:, :-q - 1:-1]
+
+    def __call__(self, x: np.ndarray, past: np.ndarray | None = None) -> np.ndarray:
+        """Filter ``x`` along its last axis.  ``past`` holds the q outputs
+        before ``x[..., 0]``, oldest first; they are zero when it is None."""
+        q = self.q
+        if not q:
+            return np.array(x, dtype=float)
+        n = x.shape[-1]
+        blocks = -(-n // _BLOCK)
+        padded = np.zeros(x.shape[:-1] + (blocks * _BLOCK,))
+        padded[..., :n] = x
+        y = padded.reshape(x.shape[:-1] + (blocks, _BLOCK)) @ self.block
+        # states[b], the q outputs before block b (newest first), follow
+        # states[b+1] = tails[b] + states[b] @ carry_tail.  Doubling solves
+        # the recursion: after the round with shift d each entry sums the
+        # terms from the 2d entries up to it.
+        tails = y[..., :-1, :-q - 1:-1]
+        states = np.zeros(y.shape[:-1] + (q,))
+        if past is not None:
+            states[..., 0, :] = np.asarray(past, dtype=float)[::-1]
+        states[..., 1:, :] = tails
+        step, shift = self.carry_tail, 1
+        while shift < blocks:
+            states[..., shift:, :] += states[..., :-shift, :] @ step
+            step, shift = step @ step, 2 * shift
+        y += states @ self.carry
+        return y.reshape(padded.shape)[..., :n]
+
+
+def _css_residuals(w: np.ndarray, p: int, phi: np.ndarray,
+                   ma: _InverseMA) -> tuple[float, np.ndarray, np.ndarray]:
     """Profiled mean, residual vector and mean direction for fixed AR/MA
     coefficients.
 
@@ -177,13 +257,12 @@ def _css_residuals(w: np.ndarray, p: int, q: int, phi: np.ndarray,
     u = w[p:].copy()
     for i in range(1, p + 1):
         u -= phi[i - 1] * w[p - i:n - i]
-    ma_poly = np.concatenate([[1.0], theta])
-    e_base, e_mean = lfilter([1.0], ma_poly, np.stack([u, np.ones_like(u)]), axis=-1)
+    e_base, e_mean = ma(np.stack([u, np.ones_like(u)]))
     mu = float(np.dot(e_base, e_mean) / np.dot(e_mean, e_mean))
     return mu, e_base - mu * e_mean, e_mean
 
 
-def _css_jacobian(w: np.ndarray, p: int, q: int, theta: np.ndarray,
+def _css_jacobian(w: np.ndarray, p: int, ma: _InverseMA,
                   e: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Derivatives of the profiled residuals with respect to ``(phi, theta)``,
     one column per coefficient.
@@ -195,12 +274,13 @@ def _css_jacobian(w: np.ndarray, p: int, q: int, theta: np.ndarray,
     profiled residuals are orthogonal to ``m``, the gradient ``J.T @ e`` is
     exact.
     """
+    q = ma.q
     rows = np.zeros((p + q, e.size))
     for i in range(1, p + 1):
         rows[i - 1] = -w[p - i:w.size - i]
     for j in range(1, q + 1):
         rows[p + j - 1, j:] = -e[:-j]
-    d = lfilter([1.0], np.concatenate([[1.0], theta]), rows, axis=-1)
+    d = ma(rows)
     d -= np.outer(d @ m / (m @ m), m)
     return d.T
 
@@ -210,11 +290,12 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     (1982) regression.
 
     A long Yule-Walker autoregression (order ``log(n)**2``, at least
-    ``2 * (p + q)``; its Toeplitz solve needs no ``n``-row design matrix)
-    estimates the shocks.  Regressing ``w`` on its own ``p`` lags and ``q``
-    lagged shock estimates gives AR and MA coefficients, which the step-down
-    recursion and artanh map back to the search coordinates.  A block that
-    comes out non-stationary or non-invertible starts at zero.
+    ``2 * (p + q)``; the Durbin-Levinson recursion solves it without an
+    ``n``-row design matrix) estimates the shocks.  Regressing ``w`` on its
+    own ``p`` lags and ``q`` lagged shock estimates gives AR and MA
+    coefficients, which the step-down recursion and artanh map back to the
+    search coordinates.  A block that comes out non-stationary or
+    non-invertible starts at zero.
     """
     n = w.size
     shocks = np.zeros(n)
@@ -222,8 +303,8 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
         m = int(min(n // 4, max(2 * (p + q), np.log(n) ** 2)))
         x = w - w.mean()
         acov = np.array([x[:n - k] @ x[k:] for k in range(m + 1)])
-        ar = solve_toeplitz(acov[:m], acov[1:])
-        shocks[m:] = lfilter(np.concatenate([[1.0], -ar]), [1.0], x)[m:]
+        ar = _durbin_levinson(acov / acov[0], m)[1]
+        shocks[m:] = np.convolve(x, np.concatenate([[1.0], -ar]))[m:n]
         start = m + q
     else:
         start = p
@@ -240,7 +321,7 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
-             fatol: float) -> OptimizeResult:
+             fatol: float) -> MinimizeResult:
     """Levenberg-Marquardt minimisation of a sum of squared residuals.
 
     ``residuals(x)`` returns the residual vector at ``x`` and a function of
@@ -258,8 +339,8 @@ def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
     nfev, iteration = 1, 0
     css = float(e @ e)
 
-    def result(success: bool, message: str) -> OptimizeResult:
-        return OptimizeResult(x=x, fun=css, nfev=nfev, nit=iteration,
+    def result(success: bool, message: str) -> MinimizeResult:
+        return MinimizeResult(x=x, fun=css, nfev=nfev, nit=iteration,
                               success=success, message=message)
 
     if not np.isfinite(css):
@@ -344,8 +425,9 @@ def fit(train: Series, spec: ArimaSpec,
 
     def residuals(raw: np.ndarray):
         phi, theta, dcoef = _coeffs_from_raw(raw, p, q)
-        _, e, m = _css_residuals(w, p, q, phi, theta)
-        return e, lambda: _css_jacobian(w, p, q, theta, e, m) @ dcoef
+        ma = _InverseMA(theta)
+        _, e, m = _css_residuals(w, p, phi, ma)
+        return e, lambda: _css_jacobian(w, p, ma, e, m) @ dcoef
 
     rng = np.random.default_rng(config.seed)
     failures: list[str] = []
@@ -360,7 +442,7 @@ def fit(train: Series, spec: ArimaSpec,
         if not (_roots_outside(phi) and _roots_outside(-theta)):
             failures.append(f"attempt {attempt}: roots on or inside the unit circle")
             continue
-        mu, resid, _ = _css_residuals(w, p, q, phi, theta)
+        mu, resid, _ = _css_residuals(w, p, phi, _InverseMA(theta))
         return _finish(spec, mu, phi, theta, resid)
     raise FitError(
         f"({p},{d},{q}) estimation failed after {config.restarts + 1} attempts: "
@@ -469,9 +551,7 @@ def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.nd
     for i in range(1, p + 1):
         steps += fitted.phi[i - 1] * w[p - i:n - i]
     if q:
-        ma_poly = np.concatenate([[1.0], fitted.theta])
-        e, _ = lfilter([1.0], ma_poly, w[p:] - steps,
-                       zi=lfiltic([1.0], ma_poly, shocks[::-1]))
+        e = _InverseMA(fitted.theta)(w[p:] - steps, past=shocks)
         e = np.concatenate([shocks, e])
         for j in range(1, q + 1):
             steps += fitted.theta[j - 1] * e[q - j:e.size - j]

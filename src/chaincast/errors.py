@@ -27,7 +27,7 @@ class FitError(ChaincastError):
 class RankDeficiencyError(FitError):
     """A regression design matrix is not full rank.
 
-    ``columns`` lists the names of the columns that had to be pivoted out;
+    ``columns`` lists the names of the columns that were found dependent;
     they are linear combinations of columns kept before them.
     """
 

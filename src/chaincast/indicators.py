@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from .ingest import PriceFrame
 from .series import Series
@@ -68,6 +67,57 @@ class IndicatorSet:
         return int(idx[0])
 
 
+class _Smoother:
+    """Running first-order smoother ``y[t] = gain * x[t] + decay * y[t-1]``.
+
+    ``carry`` holds ``decay * y[t-1]`` and `step` adds the new input's share
+    to it, the operation order of a direct-form II transposed filter, one
+    scalar at a time.  `ema`, `rsi` and the fixture generator all step
+    through here, so a value computed for a whole series and one carried
+    day by day are the same float.
+    """
+
+    def __init__(self, gain: float, decay: float, previous: float):
+        self.gain, self.decay = gain, decay
+        self.carry = decay * previous
+
+    @classmethod
+    def ema(cls, n: int, first: float) -> "_Smoother":
+        """Smoothing with alpha = 2 / (n + 1), seeded as if ``y[-1] = first``."""
+        alpha = 2.0 / (n + 1.0)
+        return cls(alpha, 1.0 - alpha, first)
+
+    def step(self, x: float) -> float:
+        y = self.carry + self.gain * x
+        self.carry = self.decay * y
+        return y
+
+
+class _RsiState:
+    """Running RSI over price changes.
+
+    The average gain and loss start as the plain means of the first ``n``
+    changes and are Wilder-smoothed after that,
+    ``avg[t] = ((n - 1) * avg[t-1] + x[t]) / n``.
+    """
+
+    def __init__(self, first_changes: np.ndarray):
+        n = first_changes.size
+        self.avg_gain = np.maximum(first_changes, 0.0).mean()
+        self.avg_loss = np.maximum(-first_changes, 0.0).mean()
+        self._gains = _Smoother(1.0 / n, (n - 1.0) / n, self.avg_gain)
+        self._losses = _Smoother(1.0 / n, (n - 1.0) / n, self.avg_loss)
+
+    def step(self, change: float) -> None:
+        self.avg_gain = self._gains.step(max(change, 0.0))
+        self.avg_loss = self._losses.step(max(-change, 0.0))
+
+    def value(self) -> float:
+        if self.avg_loss == 0.0:
+            return 50.0 if self.avg_gain == 0.0 else 100.0
+        return 100.0 - 100.0 / (1.0 + self.avg_gain / self.avg_loss)
+
+
 def ema(closes: Series, n: int) -> Series:
     """Exponential moving average with alpha = 2 / (n + 1).
 
@@ -77,10 +127,9 @@ def ema(closes: Series, n: int) -> Series:
     """
     if n < 2:
         raise ValueError(f"smoothing period must be >= 2, got {n}")
-    alpha = 2.0 / (n + 1.0)
     x = closes.values
-    # y[t] = alpha*x[t] + (1-alpha)*y[t-1], y[0] = x[0]
-    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, zi=[(1.0 - alpha) * x[0]])
+    smoother = _Smoother.ema(n, x[0])
+    out = np.array([smoother.step(v) for v in x.tolist()])
     return Series(out, name=f"{closes.name}_ema{n}")
 
 
@@ -97,30 +146,12 @@ def rsi(closes: Series, n: int = 14) -> Series:
     if len(closes) < n + 1:
         raise ValueError(f"RSI-{n} needs at least {n + 1} closes, got {len(closes)}")
     delta = np.diff(closes.values)
-    gains = np.maximum(delta, 0.0)
-    losses = np.maximum(-delta, 0.0)
-
-    def smooth(x: np.ndarray) -> np.ndarray:
-        seed = x[:n].mean()
-        if x.size == n:
-            return np.array([seed])
-        # avg[t] = ((n-1)*avg[t-1] + x[t]) / n after the seeded average
-        rest, _ = lfilter([1.0 / n], [1.0, -(n - 1.0) / n], x[n:],
-                          zi=[(n - 1.0) / n * seed])
-        return np.concatenate([[seed], rest])
-
-    avg_gain = smooth(gains)
-    avg_loss = smooth(losses)
-    out = np.empty_like(avg_gain)
-    flat = (avg_gain == 0.0) & (avg_loss == 0.0)
-    all_gain = (avg_loss == 0.0) & ~flat
-    regular = ~flat & ~all_gain
-    out[flat] = 50.0
-    out[all_gain] = 100.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rs = np.where(regular, avg_gain / np.where(regular, avg_loss, 1.0), 0.0)
-    out[regular] = 100.0 - 100.0 / (1.0 + rs[regular])
-    return Series(out, name=f"{closes.name}_rsi{n}")
+    state = _RsiState(delta[:n])
+    out = [state.value()]
+    for change in delta[n:].tolist():
+        state.step(change)
+        out.append(state.value())
+    return Series(np.array(out), name=f"{closes.name}_rsi{n}")
 
 
 def _stoch_window(frame: PriceFrame, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -192,12 +192,14 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
-    rows = list(csv.reader(text.splitlines()))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+    # blank rows are skipped, but each row keeps its physical line number
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     if not rows:
         raise DataFormatError(f"{path}: file has no header row")
+    header = rows[0][1]
     try:
-        fmt = _detect_format(rows[0])
+        fmt = _detect_format(header)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     if format_hint != "auto" and fmt != format_hint:
@@ -207,10 +209,10 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
 
     bars = []
     seen: dict[datetime.date, int] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
+    for line_no, row in rows[1:]:
+        if len(row) != len(header):
             raise DataFormatError(
-                f"{path}, line {line_no}: expected {len(rows[0])} fields, got {len(row)}"
+                f"{path}, line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
         if fmt == "plain":
             raw_date, raw_close, raw_open, raw_high, raw_low = row

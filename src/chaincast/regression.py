@@ -10,17 +10,18 @@ names (``x1`` .. ``x9``) with a legend mapping them to their meaning.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import RankDeficiencyError
 from .indicators import IndicatorSet
 from .ingest import PriceFrame
 from .metrics import mape
 
-# Relative tolerance on pivoted-QR diagonals when deciding the design rank.
+# A column whose part orthogonal to the columns before it has a norm at most
+# this share of the largest column norm so far counts as dependent.
 RANK_TOL = 1e-10
 
 COLUMN_LEGEND = {
@@ -238,11 +239,44 @@ def _criteria(sse: float, n: int, n_coeffs: int) -> tuple[float, float]:
     return float(base + 2 * n_coeffs), float(base + n_coeffs * np.log(n))
 
 
+def _householder(design: np.ndarray,
+                 y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """One left-to-right Householder QR pass that skips dependent columns.
+
+    Column ``j`` is reflected into the factorisation when its part
+    orthogonal to the columns kept before it has a norm above `RANK_TOL`
+    times the largest norm among those columns and itself (Businger and
+    Golub 1965, with rejection in place of pivoting, so the dependent
+    columns are named in the caller's order).  ``y`` goes through the same
+    reflections.  Returns the kept column indices, the square upper
+    triangular ``R`` on them, and the matching leading entries of ``Q'y``.
+    """
+    k = design.shape[1]
+    work = np.column_stack([design, y])
+    norms = np.linalg.norm(design, axis=0)
+    kept: list[int] = []
+    scale = 0.0
+    for j in range(k):
+        r = len(kept)
+        col = work[r:, j]
+        alpha = float(np.linalg.norm(col))
+        if not alpha > RANK_TOL * max(scale, norms[j]):
+            continue
+        v = col.copy()
+        v[0] += math.copysign(alpha, col[0])
+        v /= np.linalg.norm(v)
+        work[r:, j:] -= np.outer(2.0 * v, v @ work[r:, j:])
+        kept.append(j)
+        scale = max(scale, norms[j])
+    rank = len(kept)
+    return kept, np.triu(work[:rank, kept]), work[:rank, k]
+
+
 def ols(m: FeatureMatrix, subset) -> RegressionFit:
     """Least squares of the target on a subset of columns plus an intercept.
 
-    Solved through a pivoted QR decomposition; if the design is rank
-    deficient the pivoted-out columns are reported by name and no
+    Solved through a Householder QR decomposition; if the design is rank
+    deficient the dependent columns are reported by name and no
     coefficients are returned, because they would not be identifiable.
     An empty subset fits the intercept-only model.
     """
@@ -255,33 +289,16 @@ def ols(m: FeatureMatrix, subset) -> RegressionFit:
     design = np.column_stack([np.ones(n), m.design(subset)])
     names = ("intercept",) + subset
 
-    q, r, piv = linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > RANK_TOL * diag[0])) if diag[0] > 0.0 else 0
-    if rank < design.shape[1]:
-        # name the dependent columns in user order: scan left to right and
-        # flag each column that fails to grow the rank of what precedes it
-        dependent = []
-        kept: list[int] = []
-        for j in range(design.shape[1]):
-            trial = design[:, kept + [j]]
-            _, r_t, _ = linalg.qr(trial, mode="economic", pivoting=True)
-            d_t = np.abs(np.diag(r_t))
-            rank_t = int(np.sum(d_t > RANK_TOL * d_t[0])) if d_t[0] > 0.0 else 0
-            if rank_t == len(kept) + 1:
-                kept.append(j)
-            else:
-                dependent.append(names[j])
-        dropped = tuple(dependent)
+    kept, r, qty = _householder(design, m.y)
+    if len(kept) < design.shape[1]:
+        dropped = tuple(name for j, name in enumerate(names) if j not in kept)
         raise RankDeficiencyError(
-            f"design is rank deficient ({rank} of {design.shape[1]}): "
+            f"design is rank deficient ({len(kept)} of {design.shape[1]}): "
             f"column(s) {', '.join(dropped)} are linear combinations of "
             "columns before them",
             columns=dropped,
         )
-    coef_piv = linalg.solve_triangular(r, q.T @ m.y)
-    coef = np.empty_like(coef_piv)
-    coef[piv] = coef_piv
+    coef = np.linalg.solve(r, qty)
     resid = m.y - design @ coef
     sse = float(np.dot(resid, resid))
     aic, bic = _criteria(sse, n, len(subset) + 1)
@@ -361,13 +378,7 @@ def full_rank_subset(m: FeatureMatrix) -> tuple[tuple[str, ...], tuple[str, ...]
     always sum to 100): each dropped column is a linear combination of kept
     ones, so no information is lost.
     """
-    kept: list[str] = []
-    dropped: list[str] = []
-    for col in m.columns:
-        try:
-            ols(m, tuple(kept) + (col,))
-        except RankDeficiencyError:
-            dropped.append(col)
-            continue
-        kept.append(col)
-    return tuple(kept), tuple(dropped)
+    design = np.column_stack([np.ones(len(m)), m.x])
+    kept = _householder(design, m.y)[0]
+    return (tuple(c for j, c in enumerate(m.columns, start=1) if j in kept),
+            tuple(c for j, c in enumerate(m.columns, start=1) if j not in kept))

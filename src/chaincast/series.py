@@ -7,10 +7,10 @@ of the small `Series` value type defined here, so the invariants it enforces
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 # Two-sided normal 95% quantile used for correlogram confidence bands.
 CONFIDENCE_Z = 1.96
@@ -151,8 +151,13 @@ def acf(s: Series, max_lag: int) -> Correlogram:
     return Correlogram(np.arange(1, max_lag + 1), coeffs, CONFIDENCE_Z / np.sqrt(n))
 
 
-def _pacf_from_acf(rho: np.ndarray, max_lag: int) -> np.ndarray:
-    """Durbin-Levinson recursion from autocorrelations (rho[0] == 1)."""
+def _durbin_levinson(rho: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Durbin (1960) recursion from autocorrelations (rho[0] == 1).
+
+    Returns the partial autocorrelations at lags 1..max_lag and the
+    coefficients of the order-``max_lag`` autoregression that solves the
+    Yule-Walker equations.
+    """
     pacf = np.empty(max_lag)
     phi_prev = np.empty(0)
     for k in range(1, max_lag + 1):
@@ -173,7 +178,7 @@ def _pacf_from_acf(rho: np.ndarray, max_lag: int) -> np.ndarray:
         phi_cur[k - 1] = a
         pacf[k - 1] = a
         phi_prev = phi_cur
-    return pacf
+    return pacf, phi_prev
 
 
 def pacf(s: Series, max_lag: int) -> Correlogram:
@@ -185,7 +190,7 @@ def pacf(s: Series, max_lag: int) -> Correlogram:
     """
     full = acf(s, max_lag)
     rho = np.concatenate([[1.0], full.coefficients])
-    return Correlogram(full.lags, _pacf_from_acf(rho, max_lag), full.band)
+    return Correlogram(full.lags, _durbin_levinson(rho, max_lag)[0], full.band)
 
 
 def suggest_d(s: Series, threshold: float = 0.95) -> int:
@@ -226,5 +231,30 @@ def ljung_box(residuals: Series, lags: int, fitted_params: int = 0) -> Whiteness
     k = np.arange(1, lags + 1)
     statistic = float(n * (n + 2) * np.sum(rho**2 / (n - k)))
     dof = lags - fitted_params
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = _chi2_sf(statistic, dof)
     return WhitenessReport(statistic, dof, p_value, lags, p_value > 0.05)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of a chi-square variable with integer ``dof``.
+
+    With ``lam = x / 2`` the tail is a finite sum of terms
+    ``exp(-lam) * lam**(a + i) / Gamma(a + i + 1)``, i < dof // 2: for even
+    ``dof`` with a = 0 (a Poisson sum), for odd ``dof`` with a = 1/2 plus
+    ``erfc(sqrt(lam))``.  Each term is the one before times ``lam / (a + i)``.
+    Where ``exp(-lam)`` underflows, each term is evaluated in logs instead.
+    """
+    if x <= 0.0:
+        return 1.0
+    lam = x / 2.0
+    a = 0.5 if dof % 2 else 0.0
+    total = math.erfc(math.sqrt(lam)) if dof % 2 else 0.0
+    if lam < 700.0:
+        term = math.exp(-lam) * (2.0 * math.sqrt(lam / math.pi) if dof % 2 else 1.0)
+        for i in range(dof // 2):
+            total += term
+            term *= lam / (a + i + 1.0)
+    else:
+        for i in range(dof // 2):
+            total += math.exp((a + i) * math.log(lam) - lam - math.lgamma(a + i + 1.0))
+    return total

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .indicators import ema, rsi
+from .indicators import _RsiState, _Smoother
 from .ingest import OhlcBar, PriceFrame, write_csv
-from .series import Series
 
 
 def simulate_arma(phi, theta, mu: float, n: int, sigma: float = 1.0,
@@ -167,10 +166,18 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
     warm_spread = spread_noise[:warm] * 0.004 * gold_close[:warm]
     gold_high[:warm] = np.maximum(gold_open[:warm], gold_close[:warm]) + warm_spread
     gold_low[:warm] = np.minimum(gold_open[:warm], gold_close[:warm]) - warm_spread
+    # EMA-10 and RSI-14 of the closes so far, carried from day to day
+    ema_state = _Smoother.ema(10, gold_close[0])
+    for close in gold_close[:warm - 1].tolist():
+        ema_state.step(close)
+    changes = np.diff(gold_close[:warm - 1])
+    rsi_state = _RsiState(changes[:14])
+    for change in changes[14:].tolist():
+        rsi_state.step(change)
     for t in range(warm - 1, n - 1):
-        closes_so_far = Series(gold_close[:t + 1], name="g")
-        ema10 = ema(closes_so_far, 10).values[-1]
-        rsi14 = rsi(closes_so_far, 14).values[-1]
+        ema10 = ema_state.step(gold_close[t])
+        rsi_state.step(gold_close[t] - gold_close[t - 1])
+        rsi14 = rsi_state.value()
         hh = gold_high[t - stoch_n + 1:t + 1].max()
         ll = gold_low[t - stoch_n + 1:t + 1].min()
         k = 100.0 * (gold_close[t] - ll) / (hh - ll) if hh > ll else 50.0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_toeplitz
 from scipy.optimize import minimize as scipy_minimize
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 from chaincast import arima, pipeline, synthetic
 from chaincast.arima import (
@@ -16,7 +17,7 @@ from chaincast.arima import (
     select_order,
 )
 from chaincast.errors import FitError
-from chaincast.series import Series, difference, suggest_d
+from chaincast.series import Series, _durbin_levinson, difference, suggest_d
 from chaincast.synthetic import simulate_arima, simulate_arma
 
 
@@ -425,11 +426,12 @@ def test_css_gradient_matches_central_differences():
 
     def mse(x):
         phi, theta, _ = arima._coeffs_from_raw(x, p, q)
-        return float(np.mean(arima._css_residuals(w, p, q, phi, theta)[1] ** 2))
+        return float(np.mean(arima._css_residuals(w, p, phi, arima._InverseMA(theta))[1] ** 2))
 
     phi, theta, dcoef = arima._coeffs_from_raw(raw, p, q)
-    _, e, m = arima._css_residuals(w, p, q, phi, theta)
-    jac = arima._css_jacobian(w, p, q, theta, e, m) @ dcoef
+    ma = arima._InverseMA(theta)
+    _, e, m = arima._css_residuals(w, p, phi, ma)
+    jac = arima._css_jacobian(w, p, ma, e, m) @ dcoef
     gradient = 2.0 / e.size * (jac.T @ e)
     h = 1e-5
     numeric = np.array([(mse(raw + h * unit) - mse(raw - h * unit)) / (2 * h)
@@ -456,3 +458,60 @@ def test_rolling_one_step_equals_history_tail(p, q, d, seed, split):
     rolled = rolling_one_step(fitted, Series(levels[split:]), anchors=levels[:split])
     hist = one_step_history(fitted, Series(levels))
     np.testing.assert_allclose(hist[split:], rolled.values, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("q", range(6))
+def test_inverse_ma_matches_lfilter(q):
+    """The blocked MA inversion against `lfilter`, normwise relative gap at
+    most 1e-12: one MA root at 0.999, the others inside |z| = 0.5, inputs up
+    to 1e3, with and without past outputs, one row and three."""
+    rng = np.random.default_rng(300 + q)
+    for trial in range(20):
+        roots = np.concatenate([[0.999 * rng.choice([-1.0, 1.0])],
+                                rng.uniform(-0.5, 0.5, max(q - 1, 0))])[:q]
+        ma_poly = np.atleast_1d(np.real(np.poly(roots)))
+        filt = arima._InverseMA(ma_poly[1:])
+        n = int(rng.integers(1, 2000))
+        for shape in ((n,), (3, n)):
+            x = rng.uniform(-1e3, 1e3, shape)
+            for past in (None, rng.uniform(-1e3, 1e3, q)):
+                got = filt(x, past)
+                if q == 0:
+                    expected = x
+                elif past is None:
+                    expected = lfilter([1.0], ma_poly, x)
+                else:
+                    zi = np.broadcast_to(lfiltic([1.0], ma_poly, past[::-1]), shape[:-1] + (q,))
+                    expected = lfilter([1.0], ma_poly, x, zi=zi)[0]
+                assert got.shape == expected.shape
+                gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                assert gap <= 1e-12, (q, trial, shape, past is None, gap)
+
+
+def test_inverse_ma_output_ignores_later_inputs():
+    """Changing inputs from some day on leaves every earlier output's bits
+    alone, across block boundaries too."""
+    rng = np.random.default_rng(31)
+    filt = arima._InverseMA(np.array([0.6, -0.2, 0.1]))
+    x = rng.normal(0.0, 1.0, 500)
+    base = filt(x, np.array([0.3, -0.1, 0.2]))
+    for cut in (1, 63, 64, 65, 300, 499):
+        changed = x.copy()
+        changed[cut:] = rng.normal(0.0, 1e3, 500 - cut)
+        np.testing.assert_array_equal(filt(changed, np.array([0.3, -0.1, 0.2]))[:cut],
+                                      base[:cut])
+
+
+def test_yule_walker_by_durbin_levinson_matches_solve_toeplitz():
+    """The long autoregression of the Hannan-Rissanen start, at the order it
+    uses, against scipy's Toeplitz solver: normwise relative gap 1e-12."""
+    for seed, (phi, theta) in enumerate((([0.5], [0.4]), ([0.5, -0.3], [0.4, 0.2]),
+                                         ([], [0.9]), ([0.95], []))):
+        w = simulate_arma(phi, theta, 0.3, 900, seed=40 + seed)
+        n = w.size
+        m = int(min(n // 4, max(2 * (len(phi) + len(theta)), np.log(n) ** 2)))
+        x = w - w.mean()
+        acov = np.array([x[:n - k] @ x[k:] for k in range(m + 1)])
+        expected = solve_toeplitz(acov[:m], acov[1:])
+        got = _durbin_levinson(acov / acov[0], m)[1]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -1,6 +1,7 @@
 import datetime
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -231,16 +232,20 @@ def test_make_fixture_is_deterministic(demo_bundle, tmp_path, capsys):
         assert fresh == bundled, name
 
 
-def test_console_script_is_installed(tmp_path, monkeypatch):
-    """The `chaincast` entry declared in pyproject.toml, put on PATH the way
-    an installer puts it there, runs the CLI. The launcher is written from the
-    checkout, so the test needs no install."""
+def _pyproject() -> dict:
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    return tomllib.loads(pyproject.read_text())
+
+
+def test_console_script_is_installed(tmp_path, monkeypatch):
+    """The `chaincast` entry declared in pyproject.toml, put on PATH the way
+    an installer puts it there, runs the CLI. The launcher is written from the
+    checkout, so the test needs no install."""
+    scripts = _pyproject()["project"]["scripts"]
     entry = EntryPoint("chaincast", scripts["chaincast"], "console_scripts")
 
     bin_dir = tmp_path / "bin"
@@ -263,3 +268,28 @@ def test_console_script_is_installed(tmp_path, monkeypatch):
     result = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "pipeline" in result.stdout
+
+
+def test_runtime_dependencies_are_numpy_only():
+    deps = _pyproject()["project"]["dependencies"]
+    names = [re.split(r"[<>=!~;\[ ]", d, maxsplit=1)[0] for d in deps]
+    assert names == ["numpy"]
+
+
+def test_cli_runs_without_importing_scipy(demo_bundle):
+    """A fresh process that imports the CLI and runs `diagnose` on the
+    bundled gold.csv never loads scipy."""
+    script = (
+        "import sys\n"
+        "from chaincast.cli import main\n"
+        f"code = main(['diagnose', '--input', {str(demo_bundle['paths']['gold'])!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print('scipy modules:', loaded)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chaincast.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert "series: gold_close" in result.stdout
+    assert "scipy modules: []" in result.stdout

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from chaincast.indicators import (
     IndicatorParams,
@@ -214,3 +215,54 @@ def test_params_validation():
         IndicatorParams(ema_periods=(5, 5))
     with pytest.raises(ValueError):
         IndicatorParams(rsi_period=1)
+
+
+# The lfilter forms that the scalar smoother replaced, kept as oracles.
+
+def _reference_ema(closes, n):
+    alpha = 2.0 / (n + 1.0)
+    x = closes.values
+    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, zi=[(1.0 - alpha) * x[0]])
+    return out
+
+
+def _reference_rsi(closes, n):
+    delta = np.diff(closes.values)
+    gains = np.maximum(delta, 0.0)
+    losses = np.maximum(-delta, 0.0)
+
+    def smooth(x):
+        seed = x[:n].mean()
+        if x.size == n:
+            return np.array([seed])
+        rest, _ = lfilter([1.0 / n], [1.0, -(n - 1.0) / n], x[n:],
+                          zi=[(n - 1.0) / n * seed])
+        return np.concatenate([[seed], rest])
+
+    avg_gain = smooth(gains)
+    avg_loss = smooth(losses)
+    out = np.empty_like(avg_gain)
+    flat = (avg_gain == 0.0) & (avg_loss == 0.0)
+    all_gain = (avg_loss == 0.0) & ~flat
+    regular = ~flat & ~all_gain
+    out[flat] = 50.0
+    out[all_gain] = 100.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rs = np.where(regular, avg_gain / np.where(regular, avg_loss, 1.0), 0.0)
+    out[regular] = 100.0 - 100.0 / (1.0 + rs[regular])
+    return out
+
+
+def test_ema_and_rsi_are_bit_equal_to_lfilter():
+    rng = np.random.default_rng(41)
+    for seed in range(150):
+        closes = random_frame(int(rng.integers(16, 400)), seed=seed).closes
+        if seed % 3 == 0:
+            # flat stretches and one-sided runs reach RSI's 50 and 100 cases
+            closes = np.round(closes, 0)
+        series = Series(closes)
+        for n in (2, 5, 10, 14):
+            np.testing.assert_array_equal(ema(series, n).values, _reference_ema(series, n))
+            np.testing.assert_array_equal(rsi(series, n).values, _reference_rsi(series, n))
+    rising = Series(np.arange(1.0, 40.0))
+    np.testing.assert_array_equal(rsi(rising, 14).values, _reference_rsi(rising, 14))

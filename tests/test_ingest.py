@@ -1,7 +1,9 @@
 import datetime
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincast.errors import DataFormatError
 from chaincast.ingest import (
@@ -112,6 +114,60 @@ def test_unparseable_number_named(tmp_path):
     p.write_text("date,close,open,high,low\n2015-01-02,ten,10,11,9\n")
     with pytest.raises(DataFormatError, match="line 2"):
         parse_csv(p)
+
+
+def test_error_line_counts_blank_rows(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("date,close,open,high,low\n2015-01-02,10,10,11,9\n\n\n"
+                 "2015-01-05,ten,10,11,9\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}, line 5: cannot parse price")):
+        parse_csv(p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_bad_field_error_names_file_and_physical_line(tmp_path_factory, data):
+    """One bad field among valid rows, behind a random BOM, CRLF endings,
+    blank rows and (in the vendor layout) quoted thousands separators: the
+    error names the file and the line the bad row sits on."""
+    vendor = data.draw(st.booleans(), label="vendor")
+    n_rows = data.draw(st.integers(1, 6), label="rows")
+    bad_row = data.draw(st.integers(0, n_rows - 1), label="bad_row")
+    bad_field = data.draw(st.sampled_from(["date", "close", "high"]), label="bad_field")
+    blanks = data.draw(st.lists(st.lists(st.sampled_from(["", "   ", ",,,,"]), max_size=2),
+                                min_size=n_rows + 2, max_size=n_rows + 2), label="blanks")
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    bom = data.draw(st.booleans(), label="bom")
+
+    if vendor:
+        lines = ['"Date","Price","Open","High","Low","Vol.","Change %"']
+    else:
+        lines = ["date,close,open,high,low"]
+    lines = blanks[0] + lines
+    bad_line = None
+    for i in range(n_rows):
+        lines += blanks[i + 1]
+        day = datetime.date(2015, 1, 5) + datetime.timedelta(days=i)
+        close = 1186.25 + 17.5 * i
+        fields = {"date": day.strftime("%b %d, %Y") if vendor else day.isoformat(),
+                  "close": f"{close:,.2f}" if vendor else f"{close:.2f}",
+                  "open": f"{close - 2:,.2f}" if vendor else f"{close - 2:.2f}",
+                  "high": f"{close + 5:,.2f}" if vendor else f"{close + 5:.2f}",
+                  "low": f"{close - 6:,.2f}" if vendor else f"{close - 6:.2f}"}
+        if i == bad_row:
+            fields[bad_field] = "n/a"
+            bad_line = len(lines) + 1
+        order = [fields[k] for k in ("date", "close", "open", "high", "low")]
+        if vendor:
+            lines.append(",".join(f'"{v}"' for v in order + ["", "0.10%"]))
+        else:
+            lines.append(",".join(order))
+    lines += blanks[-1]
+
+    path = tmp_path_factory.mktemp("csv") / "asset.csv"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode("utf-8"))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}, line {bad_line}: ")):
+        parse_csv(path)
 
 
 def test_missing_file():

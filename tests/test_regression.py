@@ -2,7 +2,9 @@ import datetime
 
 import numpy as np
 import pytest
+from scipy import linalg
 
+from chaincast import pipeline
 from chaincast.errors import RankDeficiencyError
 from chaincast.indicators import IndicatorParams, compute
 from chaincast.regression import (
@@ -303,3 +305,78 @@ def test_evaluate_missing_column_rejected():
     test = matrix({"x1": np.arange(10.0)}, np.arange(1.0, 11.0))
     with pytest.raises(ValueError, match="x2"):
         evaluate(fit, test)
+
+
+# The rank check the Householder pass replaced: pivoted QR of the whole
+# design, then one pivoted QR per column from left to right to name the
+# dependent ones.  Kept as the oracle for the error text and the names.
+
+def _reference_rank_error(m, subset):
+    """The parent's RankDeficiencyError text and columns, or None."""
+    design = np.column_stack([np.ones(len(m)), m.design(subset)])
+    names = ("intercept",) + tuple(subset)
+    _, r, _ = linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * diag[0])) if diag[0] > 0.0 else 0
+    if rank == design.shape[1]:
+        return None
+    dependent, kept = [], []
+    for j in range(design.shape[1]):
+        _, r_t, _ = linalg.qr(design[:, kept + [j]], mode="economic", pivoting=True)
+        d_t = np.abs(np.diag(r_t))
+        rank_t = int(np.sum(d_t > 1e-10 * d_t[0])) if d_t[0] > 0.0 else 0
+        if rank_t == len(kept) + 1:
+            kept.append(j)
+        else:
+            dependent.append(names[j])
+    return (f"design is rank deficient ({rank} of {design.shape[1]}): "
+            f"column(s) {', '.join(dependent)} are linear combinations of "
+            "columns before them", tuple(dependent))
+
+
+def _reference_full_rank_subset(m):
+    kept, dropped = [], []
+    for col in m.columns:
+        if _reference_rank_error(m, tuple(kept) + (col,)) is None:
+            kept.append(col)
+        else:
+            dropped.append(col)
+    return tuple(kept), tuple(dropped)
+
+
+def test_rank_deficiency_text_and_columns_match_pivoted_qr():
+    rng = np.random.default_rng(24)
+    n = 300
+    a, b, c = (rng.normal(0, 1, n) for _ in range(3))
+    designs = {
+        # c08's near-collinear pair is full rank; so is its six-column case
+        "near": ({"x1": a, "x2": a + 1e-3 * b}, ("x1", "x2")),
+        "six": ({f"x{j}": rng.normal(0, 2, n) for j in range(1, 7)},
+                tuple(f"x{j}" for j in range(1, 7))),
+        # Williams %R is 100 minus %K
+        "williams": ({"x5": 60 + 20 * a, "x6": b, "x7": 100.0 - (60 + 20 * a)},
+                     ("x5", "x6", "x7")),
+        "constant": ({"x1": a, "x2": np.full(n, 7.0)}, ("x1", "x2")),
+        "two": ({"x1": a, "x2": b, "x3": a + 2.0 * b, "x4": c, "x5": 3.0 - c},
+                ("x1", "x2", "x3", "x4", "x5")),
+        "scaled": ({"x1": 1300 + 40 * a, "x2": 1e-3 * b, "x3": 2.0 * (1300 + 40 * a)},
+                   ("x1", "x2", "x3")),
+        # small next to the largest column, though not next to itself
+        "tiny": ({"x1": 1e8 * a, "x2": 1e-3 * b}, ("x1", "x2")),
+    }
+    for name, (cols, subset) in designs.items():
+        m = matrix(cols, rng.normal(0, 1, n))
+        expected = _reference_rank_error(m, subset)
+        if expected is None:
+            ols(m, subset)
+            continue
+        with pytest.raises(RankDeficiencyError) as exc:
+            ols(m, subset)
+        assert (str(exc.value), exc.value.columns) == expected, name
+
+
+def test_full_rank_subset_matches_pivoted_qr_on_bundled_fixture(demo_bundle):
+    train_m, _ = pipeline.feature_windows(demo_bundle["config"])
+    kept, dropped = full_rank_subset(train_m)
+    assert (kept, dropped) == _reference_full_rank_subset(train_m)
+    assert dropped == ("x7",)
