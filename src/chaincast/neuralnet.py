@@ -4,6 +4,11 @@ One hidden layer of rectified units, a linear output, minibatch gradient
 descent on mean squared error in min-max-scaled space.  Everything is
 seeded: weight draws, batch shuffles, and the hidden-size sweep all derive
 from one base seed, so a training run is reproducible to the bit.
+
+Training folds each bias into its weights (the inputs and the hidden layer
+each gain a unit fixed at 1) and keeps the batch axis innermost, so one
+minibatch step of a whole stack of networks is about a dozen in-place
+numpy calls; `MlpModel` keeps the weights and biases apart.
 """
 
 from __future__ import annotations
@@ -126,42 +131,68 @@ class SweepResult:
 
 
 def _init_params(inputs: int, hidden: int, rng: np.random.Generator):
+    """Initial (w_hidden, w_out); the biases start at zero."""
     bound_h = math.sqrt(6.0 / (inputs + hidden))
     bound_o = math.sqrt(6.0 / (hidden + 1))
-    w_hidden = rng.uniform(-bound_h, bound_h, (hidden, inputs))
-    w_out = rng.uniform(-bound_o, bound_o, hidden)
-    return w_hidden, np.zeros(hidden), w_out, 0.0
+    return (rng.uniform(-bound_h, bound_h, (hidden, inputs)),
+            rng.uniform(-bound_o, bound_o, hidden))
 
 
-def _forward(x, w_hidden, b_hidden, w_out, b_out):
-    """Pre-activations, activations and outputs of S networks at once.
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    return np.column_stack([x, np.ones(len(x))])
 
-    Weights carry a leading network axis: (S, H, k), (S, H), (S, H) and
-    (S,).  ``x`` is (S, B, k), one batch per network, or one (B, k) batch
-    they all see; the outputs are (S, B).
+
+def _outputs(w1, w2, x1t, act, z=None, out=None):
+    """Outputs (S, 1, n) of S folded networks on the n columns of ``x1t``.
+
+    ``w1`` is (S, H, k+1) with the hidden biases as its last column and
+    ``w2`` is (S, 1, H+1) with the output bias last; ``x1t`` is (k+1, n),
+    or (S, k+1, n), with a last row of ones.  The pre-activations go to
+    ``z``, (S, H, n), and the activations into ``act``, (S, H+1, n), above
+    its last row of ones.
     """
-    z = x @ w_hidden.transpose(0, 2, 1) + b_hidden[:, None, :]
-    a = np.maximum(z, 0.0)
-    return z, a, (a @ w_out[:, :, None])[..., 0] + b_out[:, None]
+    z = np.matmul(w1, x1t, out=z)
+    np.maximum(z, 0.0, out=act[:, :-1])
+    return np.matmul(w2, act, out=out)
 
 
-def _batch_gradients(x, y, w_hidden, b_hidden, w_out, b_out):
-    """Analytic MSE gradients of stacked networks, shaped like their weights.
+def _step_buffers(stack: int, hidden: int, width: int, batch: int):
+    """Buffers `_step` writes into, for ``stack`` networks and ``batch`` rows
+    of ``width`` = k+1 inputs."""
+    return (np.empty((stack, hidden, batch)), np.empty((stack, hidden, batch), bool),
+            np.ones((stack, hidden + 1, batch)), np.empty((stack, 1, batch)),
+            np.empty((stack, hidden, batch)), np.empty((stack, hidden, width)),
+            np.empty((stack, 1, hidden + 1)))
 
-    Shapes as in `_forward`; ``y`` is (S, B), or (B,) for a shared batch.
+
+def _step(w1, w2, w_out, x, y, rate, buffers) -> None:
+    """One minibatch gradient step of S folded networks, in place.
+
+    ``x`` is (S, b, k+1) with its ones column, ``y`` is (S, 1, b), ``rate``
+    is (S, 1, 1) holding each network's learning rate times 2/b, and
+    ``w_out`` is the (S, H, 1) view of ``w2``'s unit weights.  The batch
+    axis is innermost throughout, so every call is one batched matmul or
+    one elementwise pass, and nothing is allocated.
     """
-    z, a, pred = _forward(x, w_hidden, b_hidden, w_out, b_out)
-    d_pred = 2.0 * (pred - y) / y.shape[-1]
-    g_w_out = (a.transpose(0, 2, 1) @ d_pred[:, :, None])[..., 0]
-    g_b_out = d_pred.sum(axis=1)
-    d_z = d_pred[:, :, None] * w_out[:, None, :] * (z > 0.0)
-    return d_z.transpose(0, 2, 1) @ x, d_z.sum(axis=1), g_w_out, g_b_out
+    z, mask, act, err, d_z, g1, g2 = buffers
+    _outputs(w1, w2, x.transpose(0, 2, 1), act, z, err)
+    np.greater(z, 0.0, out=mask)
+    np.subtract(err, y, out=err)
+    np.multiply(err, rate, out=err)  # rate times dMSE/dprediction
+    np.multiply(mask, err, out=d_z)
+    np.matmul(d_z, x, out=g1)
+    np.multiply(g1, w_out, out=g1)
+    np.matmul(err, act.transpose(0, 2, 1), out=g2)
+    w1 -= g1
+    w2 -= g2
 
 
 def _model_output(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """Scaled outputs of one model on already-scaled rows."""
-    return _forward(xs, model.w_hidden[None], model.b_hidden[None],
-                    model.w_out[None], np.array([model.b_out]))[2][0]
+    w1 = np.column_stack([model.w_hidden, model.b_hidden])[None]
+    w2 = np.append(model.w_out, model.b_out)[None, None]
+    act = np.ones((1, model.hidden_size + 1, len(xs)))
+    return _outputs(w1, w2, _with_ones(xs).T, act)[0, 0]
 
 
 def forward(model: MlpModel, features: np.ndarray) -> float:
@@ -190,8 +221,8 @@ def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
 @dataclass
 class _Run:
     """One hidden size inside `_train_lockstep`: its own seed stream,
-    learning-rate schedule and loss history, then its final weights or the
-    divergence that ended it."""
+    learning-rate schedule and loss history, then its final folded weight
+    rows or the divergence that ended it."""
 
     hidden: int
     seed: int
@@ -229,13 +260,6 @@ class _Run:
                     return False
         return True
 
-    def keep(self, params, j: int) -> None:
-        """Copy this size's own units out of row ``j`` of the stacked weights."""
-        w_hidden, b_hidden, w_out, b_out = params
-        h = self.hidden
-        self.weights = (w_hidden[j, :h].copy(), b_hidden[j, :h].copy(),
-                        w_out[j, :h].copy(), float(b_out[j]))
-
 
 def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
                     ) -> tuple[dict[int, tuple[MlpModel, TrainReport]],
@@ -243,14 +267,19 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
     """Train one network per hidden size in ``sizes`` together, each seeded
     by its entry in ``seeds``.
 
-    The weights are stacked on a leading size axis and padded to the
-    largest size; a padded unit starts at zero and stays zero, since its
-    ReLU output and gradient are 0.  Each size draws from its own generator
-    exactly what a lone run of it draws (initial weights, then one
-    permutation per epoch), so it sees the same batches and ends with the
-    same weights up to summation order over the padding.  A size leaves
-    the stack when it stops early or diverges.  Returns (model, report) per
-    trained size and the `DivergenceError` of each diverged one.
+    The weights are folded and stacked on a leading size axis: ``w1`` is
+    (S, H, k+1) with the hidden biases as its last column, ``w2`` is
+    (S, 1, H+1) with the output bias last, and the inputs carry a ones
+    column.  Every size is padded to the largest; a padded unit starts at
+    zero and stays zero, since its pre-activation is 0, so its ReLU mask
+    is false and its output and gradient are 0.  Each epoch gathers every
+    size's permuted rows into one buffer, and each step (`_step`) writes
+    into buffers allocated once per batch width.  Each size draws from its
+    own generator exactly what a lone run of it draws (initial weights,
+    then one permutation per epoch), so it sees the same batches and ends
+    with the same weights up to summation order over the padding.  A size
+    leaves the stack when it stops early or diverges.  Returns (model,
+    report) per trained size and the `DivergenceError` of each diverged one.
     """
     if len(m) < 30:
         raise ValueError(f"need at least 30 rows to train, got {len(m)}")
@@ -267,45 +296,55 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
 
     runs = [_Run(h, s, np.random.default_rng(s), config.learning_rate)
             for h, s in zip(sizes, seeds)]
-    inputs, top = xs.shape[1], max(sizes)
-    params = [np.zeros((len(runs), top, inputs)), np.zeros((len(runs), top)),
-              np.zeros((len(runs), top)), np.zeros(len(runs))]
+    inputs, top, stack = xs.shape[1], max(sizes), len(runs)
+    w1, w2 = np.zeros((stack, top, inputs + 1)), np.zeros((stack, 1, top + 1))
     for j, run in enumerate(runs):
-        # biases start at zero
-        w_hidden, _, w_out, _ = _init_params(inputs, run.hidden, run.rng)
-        params[0][j, :run.hidden] = w_hidden
-        params[2][j, :run.hidden] = w_out
+        w1[j, :run.hidden, :inputs], w2[j, 0, :run.hidden] = _init_params(
+            inputs, run.hidden, run.rng)
 
+    x1 = _with_ones(xs)
+    x_epoch, y_epoch = np.empty((stack, n_fit, inputs + 1)), np.empty((stack, 1, n_fit))
+    act_all, err_all = np.ones((stack, top + 1, n_fit)), np.empty((stack, 1, n_fit))
+    batches = [(lo, min(config.batch_size, n_fit - lo))
+               for lo in range(0, n_fit, config.batch_size)]
+    per_width = {b: _step_buffers(stack, top, inputs + 1, b) for _, b in batches}
     active = runs
-    step = config.batch_size
     # overflow during a diverging run is expected and reported as an error,
     # so the intermediate inf/nan arithmetic must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
+            s = len(active)
             order = np.stack([run.rng.permutation(n_fit) for run in active])
-            x_epoch, y_epoch = xs[order], ys[order]
-            lr = np.array([run.lr for run in active])
-            rates = (lr[:, None, None], lr[:, None], lr[:, None], lr)
-            for lo in range(0, n_fit, step):
-                grads = _batch_gradients(x_epoch[:, lo:lo + step],
-                                         y_epoch[:, lo:lo + step], *params)
-                for p, rate, g in zip(params, rates, grads):
-                    p -= rate * g
-            mse = np.mean((_forward(xs, *params)[2] - ys)**2, axis=1)
-            finite = (np.isfinite(mse) & np.isfinite(params[0]).all(axis=(1, 2))
-                      & np.isfinite(params[2]).all(axis=1))
+            x_ep, y_ep = x_epoch[:s], y_epoch[:s]
+            # the indices are in range; "clip" writes into out without a buffer
+            np.take(x1, order, axis=0, out=x_ep, mode="clip")
+            np.take(ys, order, out=y_ep[:, 0], mode="clip")
+            lr = np.array([run.lr for run in active])[:, None, None]
+            rates = {b: lr * (2.0 / b) for b in per_width}
+            bufs = {b: [buf[:s] for buf in bs] for b, bs in per_width.items()}
+            w_out = w2[:, :, :top].transpose(0, 2, 1)
+            for lo, b in batches:
+                _step(w1, w2, w_out, x_ep[:, lo:lo + b], y_ep[:, :, lo:lo + b],
+                      rates[b], bufs[b])
+            # the pre-activations go straight into the rows ReLU overwrites
+            act = act_all[:s]
+            err = _outputs(w1, w2, x1.T, act, act[:, :-1], err_all[:s])
+            np.subtract(err, ys, out=err)
+            mse = np.square(err, out=err).mean(axis=(1, 2))
+            finite = (np.isfinite(mse) & np.isfinite(w1[:, :, :inputs]).all(axis=(1, 2))
+                      & np.isfinite(w2[:, 0, :top]).all(axis=1))
             going = np.array([run.end_epoch(epoch, float(e), bool(ok),
                                             config.plateau_patience)
                               for run, e, ok in zip(active, mse, finite)])
             if not going.all():
                 for j in np.flatnonzero(~going):
-                    active[j].keep(params, j)
-                params = [p[going] for p in params]
+                    active[j].weights = w1[j], w2[j]
+                w1, w2 = w1[going], w2[going]
                 active = [run for run, g in zip(active, going) if g]
                 if not active:
                     break
-    for j, run in enumerate(active):
-        run.keep(params, j)
+    for run, w1_j, w2_j in zip(active, w1, w2):
+        run.weights = w1_j, w2_j
 
     val_rows = FeatureMatrix(m.dates[n_fit:], m.target_dates[n_fit:],
                              m.columns, m.x[n_fit:], m.y[n_fit:]) if n_val else None
@@ -315,7 +354,9 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
         if run.error is not None:
             diverged[run.hidden] = run.error
             continue
-        model = MlpModel(m.columns, *run.weights, scaler)
+        (w1_j, w2_j), h = run.weights, run.hidden
+        model = MlpModel(m.columns, w1_j[:h, :-1].copy(), w1_j[:h, -1].copy(),
+                         w2_j[0, :h].copy(), float(w2_j[0, -1]), scaler)
         val_mape = mape(val_rows.y, predict_prices(model, val_rows)) if n_val else math.nan
         fitted[run.hidden] = model, TrainReport(
             epoch_mse=np.array(run.epoch_mse),
@@ -377,29 +418,30 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
                    batch: int = 16, step: float = 1e-6) -> float:
     """Largest relative gap between analytic and central-difference gradients.
 
-    Checks the training kernel's own batched gradient, on a stack of one
-    network.  Uses freshly initialised weights on the first ``batch`` scaled
-    rows, with biases nudged off zero so every parameter sits at a generic
-    point.  Meant for verification, not training.
+    Checks the training kernel's own step: one `_step` at learning rate 1
+    on a stack of one network moves each weight by exactly its gradient.
+    Uses freshly initialised weights on the first ``batch`` scaled rows,
+    with biases nudged off zero so every parameter sits at a generic point.
+    Meant for verification, not training.
     """
     scaler = fit_scaler(m)
-    xs = scaler.apply_x(m.x[:batch])
+    x1 = _with_ones(scaler.apply_x(m.x[:batch]))
     ys = scaler.apply_y(m.y[:batch])
     rng = np.random.default_rng(seed)
-    w_hidden, _, w_out, _ = _init_params(xs.shape[1], hidden, rng)
-    b_hidden = rng.uniform(-0.1, 0.1, hidden)
-    b_out = rng.uniform(-0.1, 0.1)
-
-    params = [w_hidden[None], b_hidden[None], w_out[None], np.array([b_out])]
-    shapes = [p.shape for p in params]
-    cuts = np.cumsum([p.size for p in params])[:-1]
+    w_hidden, w_out = _init_params(x1.shape[1] - 1, hidden, rng)
+    w1 = np.column_stack([w_hidden, rng.uniform(-0.1, 0.1, hidden)])[None]
+    w2 = np.append(w_out, rng.uniform(-0.1, 0.1))[None, None]
+    cut = w1.size
+    act = np.ones((1, hidden + 1, len(ys)))
 
     def loss(vec: np.ndarray) -> float:
-        parts = [part.reshape(shape) for part, shape in zip(np.split(vec, cuts), shapes)]
-        return float(np.mean((_forward(xs, *parts)[2] - ys)**2))
+        out = _outputs(vec[:cut].reshape(w1.shape), vec[cut:].reshape(w2.shape), x1.T, act)
+        return float(np.mean((out[0, 0] - ys)**2))
 
-    vec = np.concatenate([p.ravel() for p in params])
-    grad = np.concatenate([g.ravel() for g in _batch_gradients(xs, ys, *params)])
+    vec = np.concatenate([w1.ravel(), w2.ravel()])
+    _step(w1, w2, w2[:, :, :-1].transpose(0, 2, 1), x1[None], ys[None, None],
+          np.full((1, 1, 1), 2.0 / len(ys)), _step_buffers(1, hidden, x1.shape[1], len(ys)))
+    grad = vec - np.concatenate([w1.ravel(), w2.ravel()])
 
     worst = 0.0
     for j in range(vec.size):

@@ -105,20 +105,6 @@ class PipelineConfig:
                              f"got {self.stationarity_threshold}")
 
 
-def _parse_date(value: str, key: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(value)
-    except ValueError:
-        raise DataFormatError(f"config key '{key}': bad date {value!r}") from None
-
-
-def _parse_number(value: str, key: str, cast):
-    try:
-        return cast(value)
-    except ValueError:
-        raise DataFormatError(f"config key '{key}': bad number {value!r}") from None
-
-
 def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | None = None,
                       source: str = "<config>") -> PipelineConfig:
     """Build a config from key-value text.
@@ -129,6 +115,7 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
     resolved against the config file's directory.
     """
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -143,66 +130,59 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
             raise DataFormatError(f"{source}, line {line_no}: duplicate key {key!r}")
         if not value:
             raise DataFormatError(f"{source}, line {line_no}: empty value for {key!r}")
-        values[key] = value
+        values[key], line_of[key] = value, line_no
     for key in _REQUIRED:
         if key not in values:
             raise DataFormatError(f"{source}: missing required key {key!r}")
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    if overrides:
-        merged.update(overrides)
+    merged = {**_DEFAULTS, **values, **(overrides or {})}
 
     def path_of(key: str) -> Path:
         p = Path(merged[key])
         return p if p.is_absolute() else base_dir / p
 
-    split_spec = SplitSpec(
-        train_start=_parse_date(merged["train_start"], "train_start"),
-        train_end=_parse_date(merged["train_end"], "train_end"),
-        test_start=_parse_date(merged["test_start"], "test_start"),
-        test_end=_parse_date(merged["test_end"], "test_end"),
-    )
-    try:
-        ema_periods = tuple(int(x) for x in merged["ema_periods"].split(","))
-    except ValueError:
-        raise DataFormatError(
-            f"config key 'ema_periods': bad list {merged['ema_periods']!r}"
-        ) from None
+    def parsed(key: str, cast, kind: str = "number"):
+        """``cast`` of a value; a bad one names the line it came from."""
+        try:
+            return cast(merged[key])
+        except ValueError:
+            where = (f"{source}, line {line_of[key]}: "
+                     if key in line_of and key not in (overrides or {}) else "")
+            raise DataFormatError(
+                f"{where}config key '{key}': bad {kind} {merged[key]!r}") from None
+
+    split_spec = SplitSpec(*(parsed(key, datetime.date.fromisoformat, "date") for key in
+                             ("train_start", "train_end", "test_start", "test_end")))
     params = indicators.IndicatorParams(
-        ema_periods=ema_periods,
-        rsi_period=_parse_number(merged["rsi_period"], "rsi_period", int),
-        stoch_period=_parse_number(merged["stoch_period"], "stoch_period", int),
-        stoch_d_period=_parse_number(merged["stoch_d_period"], "stoch_d_period", int),
+        ema_periods=parsed("ema_periods", lambda v: tuple(int(x) for x in v.split(",")), "list"),
+        rsi_period=parsed("rsi_period", int),
+        stoch_period=parsed("stoch_period", int),
+        stoch_d_period=parsed("stoch_d_period", int),
     )
-    seed = _parse_number(merged["seed"], "seed", int)
+    seed = parsed("seed", int)
     nn_train = neuralnet.TrainConfig(
-        epochs=_parse_number(merged["nn_epochs"], "nn_epochs", int),
-        learning_rate=_parse_number(merged["nn_learning_rate"], "nn_learning_rate", float),
-        batch_size=_parse_number(merged["nn_batch_size"], "nn_batch_size", int),
+        epochs=parsed("nn_epochs", int),
+        learning_rate=parsed("nn_learning_rate", float),
+        batch_size=parsed("nn_batch_size", int),
         seed=seed,
-        validation_fraction=_parse_number(
-            merged["nn_validation_fraction"], "nn_validation_fraction", float),
-        plateau_patience=_parse_number(
-            merged["nn_plateau_patience"], "nn_plateau_patience", int),
+        validation_fraction=parsed("nn_validation_fraction", float),
+        plateau_patience=parsed("nn_plateau_patience", int),
     )
-    hidden_raw = merged["nn_hidden"]
-    nn_hidden = None if hidden_raw == "sweep" else _parse_number(hidden_raw, "nn_hidden", int)
+    nn_hidden = None if merged["nn_hidden"] == "sweep" else parsed("nn_hidden", int)
     return PipelineConfig(
         gold_csv=path_of("gold_csv"),
         eurusd_csv=path_of("eurusd_csv"),
         oil_csv=path_of("oil_csv"),
         csv_format=merged["csv_format"],
         split=split_spec,
-        stationarity_threshold=_parse_number(
-            merged["stationarity_threshold"], "stationarity_threshold", float),
-        arima_max_p=_parse_number(merged["arima_max_p"], "arima_max_p", int),
-        arima_max_q=_parse_number(merged["arima_max_q"], "arima_max_q", int),
+        stationarity_threshold=parsed("stationarity_threshold", float),
+        arima_max_p=parsed("arima_max_p", int),
+        arima_max_q=parsed("arima_max_q", int),
         arima_criterion=merged["arima_criterion"],
         indicator_params=params,
         stepwise_direction=merged["stepwise_direction"],
         stepwise_criterion=merged["stepwise_criterion"],
         nn_hidden=nn_hidden,
-        nn_max_hidden=_parse_number(merged["nn_max_hidden"], "nn_max_hidden", int),
+        nn_max_hidden=parsed("nn_max_hidden", int),
         nn_train=nn_train,
         seed=seed,
         out_dir=path_of("out_dir"),
@@ -214,7 +194,7 @@ def load_config(path, overrides: dict[str, str] | None = None) -> PipelineConfig
     """Read a config file; ``overrides`` replace file values (CLI flags)."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, path.parent.resolve(), overrides, source=str(path))
@@ -424,7 +404,8 @@ def run(config: PipelineConfig) -> PipelineReport:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    body: dict = {"config": {k: v for k, v in sorted(config.raw.items())}}
+    # the output directory is where the report goes, not what produced it
+    body: dict = {"config": {k: v for k, v in sorted(config.raw.items()) if k != "out_dir"}}
     try:
         _run_stages(config, out, body, timings)
     except StageError:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chaincast import pipeline
 from chaincast.errors import DivergenceError, FitError
 from chaincast.metrics import mape
 from chaincast.neuralnet import (
@@ -455,6 +456,18 @@ def test_lockstep_matches_reference_when_one_size_diverges():
     result = assert_sweep_matches_reference(linear_matrix(), config, max_hidden=6)
     assert set(result.failures) == {4}
     assert set(result.reports) == {1, 2, 3, 5, 6}
+
+
+def test_lockstep_matches_reference_at_bundled_scale(demo_bundle):
+    """The bundled fixture's network matrix: k = 5 inputs and 652 fitting
+    rows, so each epoch ends on a ragged batch of 12."""
+    train_m, _ = pipeline.feature_windows(demo_bundle["config"])
+    m = train_m.with_columns(tuple(demo_bundle["report"].body["neural_net"]["columns"]))
+    config = replace(demo_bundle["config"].nn_train, epochs=20)
+    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
+    assert (len(m.columns), n_fit, n_fit % config.batch_size) == (5, 652, 12)
+    result = assert_sweep_matches_reference(m, config, max_hidden=10)
+    assert not result.failures
 
 
 def test_lockstep_every_size_diverging_is_a_fit_error():

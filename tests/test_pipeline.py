@@ -1,9 +1,11 @@
 import dataclasses
 import datetime
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincast import arima, neuralnet, pipeline
 from chaincast.errors import DataFormatError, StageError
@@ -158,6 +160,84 @@ def test_config_missing_csv_named(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="cannot read"):
         load_config(tmp_path / "nope.cfg")
+
+
+def test_load_config_ignores_byte_order_mark(tmp_path):
+    write_trio(tmp_path)
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(("\ufeff" + BASE + "seed = 4\n").encode("utf-8"))
+    config = load_config(path)
+    assert config.gold_csv == tmp_path / "gold.csv"
+    assert config.seed == 4
+
+
+@pytest.mark.parametrize("line, kind", [
+    ("nn_epochs = ten", "number"),
+    ("train_end = 2018-02-30", "date"),
+    ("ema_periods = 5,x", "list"),
+])
+def test_load_config_bad_value_names_file_and_line(tmp_path, line, kind):
+    write_trio(tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\n\n" + BASE + line + "\n")
+    key = line.split()[0]
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}, line 6: config key '{key}': bad {kind}")):
+        load_config(path)
+
+
+def test_bad_override_names_key_but_no_file_line(tmp_path):
+    write_trio(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE + "seed = 3\n")
+    with pytest.raises(DataFormatError, match="^config key 'seed': bad number 'x'$"):
+        load_config(path, overrides={"seed": "x"})
+
+
+_VALID_OPTIONAL = ["seed = 3", "nn_epochs = 40", "ema_periods = 5,10",
+                   "train_start = 2015-01-01", "nn_learning_rate = 0.05",
+                   "arima_criterion = aic", "out_dir = elsewhere"]
+_FILLERS = ["", "   ", "\t", "# comment", "  # key = value in a comment"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
+    """Valid lines in any order behind a random BOM, CRLF endings, blank
+    and comment lines, plus one injected fault: the error names the file
+    and the line the fault sits on."""
+    body = data.draw(st.permutations(
+        BASE.splitlines() + data.draw(st.lists(st.sampled_from(_VALID_OPTIONAL),
+                                               unique=True), label="optional")), label="body")
+    fault = data.draw(st.sampled_from(["duplicate", "unknown", "no_equals", "empty",
+                                       "bad_number"]), label="fault")
+    if fault == "duplicate":
+        first = data.draw(st.integers(0, len(body) - 1), label="first")
+        at = data.draw(st.integers(first + 1, len(body)), label="at")
+        bad, message = body[first], "duplicate key"
+    else:
+        at = data.draw(st.integers(0, len(body)), label="at")
+        bad, message = {"unknown": ("glod_csv = gold.csv", "unknown key"),
+                        "no_equals": ("just some words", "expected 'key = value'"),
+                        "empty": ("rsi_period =", "empty value"),
+                        "bad_number": ("nn_batch_size = many", "bad number")}[fault]
+    body.insert(at, bad)
+    lines, bad_line = [], None
+    for i, line in enumerate(body):
+        lines += data.draw(st.lists(st.sampled_from(_FILLERS), max_size=2), label="fill")
+        if i == at:
+            bad_line = len(lines) + 1
+        lines.append(line)
+    lines += data.draw(st.lists(st.sampled_from(_FILLERS), max_size=2), label="fill")
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    bom = data.draw(st.booleans(), label="bom")
+
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode("utf-8"))
+    with pytest.raises(DataFormatError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}, line {bad_line}: ")
+    assert message in str(info.value)
 
 
 # --- artifact helpers -----------------------------------------------------
