@@ -10,12 +10,19 @@ The vendor layout matches common price-history exports: quoted fields named
 ``Date, Price, Open, High, Low, Vol., Change %``, dates like ``Jan 02, 2015``,
 thousands separators inside numbers, and rows listed newest first.  Volume
 and percent-change columns are ignored; rows are re-sorted oldest first.
+
+Every bar obeys one rule: all four prices finite, the low positive, and
+open and close within [low, high].  `PriceFrame` enforces it over whole
+columns, for parsed and generated frames alike; `OhlcBar` and the parser
+take the error text for a broken bar from the same function.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +36,29 @@ VENDOR_HEADER = ("Date", "Price", "Open", "High", "Low", "Vol.", "Change %")
 FORMATS = ("plain", "vendor", "auto")
 
 
+def _bar_fault(date, open, high, low, close) -> str | None:
+    """Why one bar breaks the bar rule, or None if it keeps it."""
+    if not all(math.isfinite(p) and p > 0.0 for p in (open, high, low, close)):
+        return f"{date}: prices must be finite and positive"
+    if not (low <= open <= high):
+        return f"{date}: open {open} outside [{low}, {high}]"
+    if not (low <= close <= high):
+        return f"{date}: close {close} outside [{low}, {high}]"
+    return None
+
+
+def _broken_bars(opens, highs, lows, closes) -> np.ndarray:
+    """Indices of the rows that break the bar rule, over whole columns.
+
+    A finite high above a positive low bounds the other three prices, and
+    every comparison with a NaN is false, so testing the high alone for
+    finiteness covers all four.
+    """
+    ok = np.isfinite(highs) & (lows > 0.0)
+    ok &= (lows <= opens) & (opens <= highs) & (lows <= closes) & (closes <= highs)
+    return np.flatnonzero(~ok)
+
+
 @dataclass(frozen=True)
 class OhlcBar:
     """One trading day.  High and low must bracket both open and close."""
@@ -40,22 +70,18 @@ class OhlcBar:
     close: float
 
     def __post_init__(self):
-        prices = (self.open, self.high, self.low, self.close)
-        if not all(np.isfinite(p) and p > 0.0 for p in prices):
-            raise ValueError(f"{self.date}: prices must be finite and positive")
-        if not (self.low <= self.open <= self.high):
-            raise ValueError(
-                f"{self.date}: open {self.open} outside [{self.low}, {self.high}]"
-            )
-        if not (self.low <= self.close <= self.high):
-            raise ValueError(
-                f"{self.date}: close {self.close} outside [{self.low}, {self.high}]"
-            )
+        fault = _bar_fault(self.date, self.open, self.high, self.low, self.close)
+        if fault:
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True)
 class PriceFrame:
-    """A contiguous run of daily bars for one asset, oldest first."""
+    """A contiguous run of daily bars for one asset, oldest first.
+
+    Construction checks the bar rule (see the module docstring) once, over
+    whole columns.
+    """
 
     asset: str
     dates: tuple[datetime.date, ...]
@@ -74,31 +100,15 @@ class PriceFrame:
             raise ValueError(f"price frame '{self.asset}' has mismatched column lengths")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError(f"price frame '{self.asset}' dates must strictly increase")
-        ok = (
-            (self.lows <= self.opens) & (self.opens <= self.highs)
-            & (self.lows <= self.closes) & (self.closes <= self.highs)
-            & (self.lows > 0.0)
-        )
-        if not np.all(ok):
-            bad = self.dates[int(np.argmin(ok))]
-            raise ValueError(f"price frame '{self.asset}': bar invariants violated on {bad}")
+        broken = _broken_bars(self.opens, self.highs, self.lows, self.closes)
+        if broken.size:
+            i = int(broken[0])
+            fault = _bar_fault(self.dates[i], float(self.opens[i]), float(self.highs[i]),
+                               float(self.lows[i]), float(self.closes[i]))
+            raise ValueError(f"price frame '{self.asset}': {fault}")
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    @classmethod
-    def from_bars(cls, asset: str, bars) -> "PriceFrame":
-        bars = list(bars)
-        if not bars:
-            raise ValueError(f"no bars given for '{asset}'")
-        return cls(
-            asset=asset,
-            dates=tuple(b.date for b in bars),
-            opens=np.array([b.open for b in bars]),
-            highs=np.array([b.high for b in bars]),
-            lows=np.array([b.low for b in bars]),
-            closes=np.array([b.close for b in bars]),
-        )
 
     def bar(self, i: int) -> OhlcBar:
         return OhlcBar(self.dates[i], float(self.opens[i]), float(self.highs[i]),
@@ -123,12 +133,20 @@ class PriceFrame:
 
     def window(self, start: datetime.date, end: datetime.date) -> "PriceFrame":
         """Sub-frame with start <= date <= end."""
-        keep = {d for d in self.dates if start <= d <= end}
-        if not keep:
+        lo = bisect.bisect_left(self.dates, start)
+        hi = bisect.bisect_right(self.dates, end)
+        if lo >= hi:
             raise ValueError(
                 f"'{self.asset}' has no rows between {start} and {end}"
             )
-        return self.restrict(keep)
+        return PriceFrame(  # copies, so a window never shares memory with its frame
+            asset=self.asset,
+            dates=self.dates[lo:hi],
+            opens=self.opens[lo:hi].copy(),
+            highs=self.highs[lo:hi].copy(),
+            lows=self.lows[lo:hi].copy(),
+            closes=self.closes[lo:hi].copy(),
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +193,34 @@ def _detect_format(header: list[str]) -> str:
     raise DataFormatError(f"unrecognised header: {header!r}")
 
 
+def _plain_row(row: list[str], path: Path, line_no: int) -> tuple[datetime.date, tuple]:
+    raw_date, raw_close, raw_open, raw_high, raw_low = row
+    try:
+        day = datetime.date.fromisoformat(raw_date.strip())
+    except ValueError:
+        raise DataFormatError(
+            f"{path}, line {line_no}: cannot parse date {raw_date!r}"
+        ) from None
+    try:
+        return day, (float(raw_open), float(raw_high), float(raw_low), float(raw_close))
+    except ValueError:
+        raise DataFormatError(
+            f"{path}, line {line_no}: cannot parse price fields"
+        ) from None
+
+
+def _vendor_row(row: list[str], path: Path, line_no: int) -> tuple[datetime.date, tuple]:
+    raw_date, raw_close, raw_open, raw_high, raw_low = row[:5]
+    try:
+        day = datetime.datetime.strptime(raw_date.strip(), "%b %d, %Y").date()
+    except ValueError:
+        raise DataFormatError(
+            f"{path}, line {line_no}: cannot parse date {raw_date!r}"
+        ) from None
+    return day, tuple(_parse_vendor_number(raw, path, line_no)
+                      for raw in (raw_open, raw_high, raw_low, raw_close))
+
+
 def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     """Read one asset's daily bars from a CSV file.
 
@@ -182,7 +228,10 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     the header row.  Any malformed or invariant-violating row aborts the
     parse with an error naming the file and line; bad bars are never
     repaired or silently dropped, because downstream indicators would
-    inherit the corruption.
+    inherit the corruption.  Lines end only at ``\\n``, ``\\r\\n`` or
+    ``\\r``.  Field counts, dates, numbers and duplicate dates are checked
+    row by row as the rows are read, the bar rule by `PriceFrame` over
+    whole columns; the error names the first faulty row in file order.
     """
     if format_hint not in FORMATS:
         raise ValueError(f"format_hint must be one of {FORMATS}, got {format_hint!r}")
@@ -192,12 +241,15 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
-    # blank rows are skipped, but each row keeps its physical line number
-    reader = csv.reader(text.splitlines())
-    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
-    if not rows:
+    # read_text turned every \r\n and \r into \n, so splitting at \n ends
+    # lines exactly there (str.splitlines would also split at form feeds and
+    # Unicode separators); blank rows are skipped, but each row keeps its
+    # physical line number
+    reader = csv.reader(text.split("\n"))
+    rows = ((reader.line_num, r) for r in reader if "".join(r).strip())
+    _, header = next(rows, (None, None))
+    if header is None:
         raise DataFormatError(f"{path}: file has no header row")
-    header = rows[0][1]
     try:
         fmt = _detect_format(header)
     except DataFormatError as exc:
@@ -207,54 +259,46 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
             f"{path}: header is {fmt!r} format but {format_hint!r} was requested"
         )
 
-    bars = []
+    parse_row = _plain_row if fmt == "plain" else _vendor_row
+    dates, prices = [], []
     seen: dict[datetime.date, int] = {}
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}, line {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        if fmt == "plain":
-            raw_date, raw_close, raw_open, raw_high, raw_low = row
-            try:
-                day = datetime.date.fromisoformat(raw_date.strip())
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}, line {line_no}: cannot parse date {raw_date!r}"
-                ) from None
-            try:
-                o, h, lo, c = (float(raw_open), float(raw_high),
-                               float(raw_low), float(raw_close))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}, line {line_no}: cannot parse price fields"
-                ) from None
-        else:
-            raw_date, raw_close, raw_open, raw_high, raw_low = row[:5]
-            try:
-                day = datetime.datetime.strptime(raw_date.strip(), "%b %d, %Y").date()
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}, line {line_no}: cannot parse date {raw_date!r}"
-                ) from None
-            o = _parse_vendor_number(raw_open, path, line_no)
-            h = _parse_vendor_number(raw_high, path, line_no)
-            lo = _parse_vendor_number(raw_low, path, line_no)
-            c = _parse_vendor_number(raw_close, path, line_no)
-        if day in seen:
-            raise DataFormatError(
-                f"{path}, line {line_no}: duplicate date {day} (first at line {seen[day]})"
-            )
-        seen[day] = line_no
-        try:
-            bars.append(OhlcBar(day, o, h, lo, c))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}, line {line_no}: {exc}") from None
 
-    if not bars:
+    def check_bars():
+        """Raise for the first row so far, in file order, that breaks the bar rule."""
+        broken = _broken_bars(*np.array(prices, float).reshape(-1, 4).T)
+        if broken.size:
+            i = int(broken[0])
+            raise DataFormatError(
+                f"{path}, line {seen[dates[i]]}: {_bar_fault(dates[i], *prices[i])}"
+            ) from None
+
+    try:
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}, line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            day, bar = parse_row(row, path, line_no)
+            first = seen.setdefault(day, line_no)
+            if first != line_no:
+                raise DataFormatError(
+                    f"{path}, line {line_no}: duplicate date {day} (first at line {first})"
+                )
+            dates.append(day)
+            prices.append(bar)
+    except DataFormatError:
+        check_bars()  # a broken bar above the faulty row comes first
+        raise
+
+    if not dates:
         raise DataFormatError(f"{path}: no data rows")
-    bars.sort(key=lambda b: b.date)
-    return PriceFrame.from_bars(path.stem, bars)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    opens, highs, lows, closes = np.array(prices, float).T[:, order]
+    try:
+        return PriceFrame(path.stem, tuple(dates[i] for i in order), opens, highs, lows, closes)
+    except ValueError:
+        check_bars()  # the frame holds a broken bar; name the first in file order
+        raise
 
 
 def serialize(frame: PriceFrame) -> str:

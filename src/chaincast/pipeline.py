@@ -16,6 +16,7 @@ Accuracies for every stage are measured on the identical test window, as
 from __future__ import annotations
 
 import datetime
+import io
 import json
 import time
 from contextlib import contextmanager
@@ -109,14 +110,15 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
                       source: str = "<config>") -> PipelineConfig:
     """Build a config from key-value text.
 
-    Grammar: one ``key = value`` per line; blank lines and lines starting
-    with ``#`` are ignored; keys may appear once.  Unknown keys are errors
+    Grammar: one ``key = value`` per line, where lines end only at
+    ``\\n``, ``\\r\\n`` or ``\\r``; blank lines and lines starting with ``#``
+    are ignored; keys may appear once.  Unknown keys are errors
     so typos cannot silently fall back to defaults.  Relative paths are
     resolved against the config file's directory.
     """
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -5,7 +5,8 @@ and for generating demonstration inputs with known structure.  The fixture
 builder writes three aligned daily CSV files, one per asset, in which the
 target asset's next-day close is driven by the current day's open, its
 moving average and a partly non-linear function of its oscillator state,
-so every stage of the model chain has something real to find.
+so every stage of the model chain has something real to find.  Generated
+prices go to `PriceFrame` as whole columns, which checks the bar rule once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .indicators import _RsiState, _Smoother
-from .ingest import OhlcBar, PriceFrame, write_csv
+from .ingest import PriceFrame, write_csv
 
 
 def simulate_arma(phi, theta, mu: float, n: int, sigma: float = 1.0,
@@ -87,9 +88,7 @@ def random_frame(n: int, seed: int = 0, start_price: float = 100.0,
     spread = np.abs(rng.normal(0.0, 0.006, n)) * closes
     highs = np.maximum(opens, closes) + spread
     lows = np.minimum(opens, closes) - spread
-    bars = [OhlcBar(dates[i], float(opens[i]), float(highs[i]),
-                    float(lows[i]), float(closes[i])) for i in range(n)]
-    return PriceFrame.from_bars(f"random{seed}", bars)
+    return PriceFrame(f"random{seed}", tuple(dates), opens, highs, lows, closes)
 
 
 def _ohlc_around(rng: np.random.Generator, opens: np.ndarray,
@@ -210,10 +209,7 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
         ("oil", oil_open, oil_high, oil_low, oil_close),
         ("eurusd", eur_open, eur_high, eur_low, eurusd_close),
     ):
-        bars = [OhlcBar(dates[i], float(o[i]), float(h[i]),
-                        float(lo[i]), float(c[i])) for i in range(n)]
-        frame = PriceFrame.from_bars(asset, bars)
         path = out_dir / f"{asset}.csv"
-        write_csv(frame, path)
+        write_csv(PriceFrame(asset, tuple(dates), o, h, lo, c), path)
         paths[asset] = path
     return paths

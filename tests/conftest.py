@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chaincast import pipeline, synthetic
-from chaincast.ingest import OhlcBar, PriceFrame
+from chaincast.ingest import PriceFrame
 
 
 def weekdays(n, start=datetime.date(2020, 1, 6)):
@@ -22,18 +22,12 @@ def weekdays(n, start=datetime.date(2020, 1, 6)):
 def doji_frame(closes, asset="test", start=datetime.date(2020, 1, 6)):
     """Frame where open = high = low = close, so range logic is transparent."""
     closes = np.asarray(closes, float)
-    dates = weekdays(len(closes), start)
-    bars = [OhlcBar(d, float(c), float(c), float(c), float(c))
-            for d, c in zip(dates, closes)]
-    return PriceFrame.from_bars(asset, bars)
+    return PriceFrame(asset, tuple(weekdays(len(closes), start)), closes, closes, closes, closes)
 
 
 def ohlc_frame(opens, highs, lows, closes, asset="test",
                start=datetime.date(2020, 1, 6)):
-    dates = weekdays(len(closes), start)
-    bars = [OhlcBar(d, float(o), float(h), float(lo), float(c))
-            for d, o, h, lo, c in zip(dates, opens, highs, lows, closes)]
-    return PriceFrame.from_bars(asset, bars)
+    return PriceFrame(asset, tuple(weekdays(len(closes), start)), opens, highs, lows, closes)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
+import csv
 import datetime
 import re
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from chaincast.errors import DataFormatError
 from chaincast.ingest import (
     DEFAULT_SPLIT,
+    FORMATS,
     OhlcBar,
     PriceFrame,
     SplitSpec,
+    _detect_format,
+    _parse_vendor_number,
     align_calendars,
     parse_csv,
     serialize,
@@ -124,19 +130,30 @@ def test_error_line_counts_blank_rows(tmp_path):
         parse_csv(p)
 
 
+def test_form_feed_in_a_field_ends_no_line(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("date,close,open,high,low\n2015-01-02,10,10,11\x0c,9\n"
+                 "2015-01-05,ten,10,11,9\n")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{p}, line 3: cannot parse price fields")):
+        parse_csv(p)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_bad_field_error_names_file_and_physical_line(tmp_path_factory, data):
-    """One bad field among valid rows, behind a random BOM, CRLF endings,
-    blank rows and (in the vendor layout) quoted thousands separators: the
+    """One bad field among valid rows, behind a random BOM, CRLF or CR
+    endings, blank rows (some of form feeds and other characters that end
+    no line) and (in the vendor layout) quoted thousands separators: the
     error names the file and the line the bad row sits on."""
     vendor = data.draw(st.booleans(), label="vendor")
     n_rows = data.draw(st.integers(1, 6), label="rows")
     bad_row = data.draw(st.integers(0, n_rows - 1), label="bad_row")
     bad_field = data.draw(st.sampled_from(["date", "close", "high"]), label="bad_field")
-    blanks = data.draw(st.lists(st.lists(st.sampled_from(["", "   ", ",,,,"]), max_size=2),
+    blanks = data.draw(st.lists(st.lists(st.sampled_from(["", "   ", ",,,,", "\x0c", "\x0b\x85"]),
+                                         max_size=2),
                                 min_size=n_rows + 2, max_size=n_rows + 2), label="blanks")
-    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
     bom = data.draw(st.booleans(), label="bom")
 
     if vendor:
@@ -271,6 +288,21 @@ def test_bar_invariants():
         OhlcBar(datetime.date(2020, 1, 6), open=2.0, high=4.0, low=1.0, close=0.5)
 
 
+@pytest.mark.parametrize("fields, day, value, message", [
+    (("opens", "highs"), 1, np.inf, "prices must be finite and positive"),
+    (("closes",), 2, np.nan, "prices must be finite and positive"),
+    (("opens",), 0, 3.0, "open 3.0 outside [1.0, 2.0]"),
+])
+def test_frame_rejects_broken_bars(fields, day, value, message):
+    days = weekdays(3)
+    columns = {"opens": np.ones(3), "highs": np.full(3, 2.0), "lows": np.ones(3),
+               "closes": np.ones(3)}
+    for field in fields:
+        columns[field][day] = value
+    with pytest.raises(ValueError, match=re.escape(f"price frame 'x': {days[day]}: {message}")):
+        PriceFrame(asset="x", dates=tuple(days), **columns)
+
+
 def test_frame_rejects_unsorted_dates():
     days = weekdays(3)
     with pytest.raises(ValueError):
@@ -286,3 +318,192 @@ def test_close_series_carries_asset_name():
     s = frame.close_series()
     assert s.name == "oil_close"
     np.testing.assert_array_equal(s.values, [1.0, 2.0])
+
+
+# --- equivalence with the row-by-row parser ---------------------------------
+
+
+@dataclass(frozen=True)
+class _ReferenceBar:
+    """The bar type the reference parser below was written against."""
+
+    date: datetime.date
+    open: float
+    high: float
+    low: float
+    close: float
+
+    def __post_init__(self):
+        prices = (self.open, self.high, self.low, self.close)
+        if not all(np.isfinite(p) and p > 0.0 for p in prices):
+            raise ValueError(f"{self.date}: prices must be finite and positive")
+        if not (self.low <= self.open <= self.high):
+            raise ValueError(
+                f"{self.date}: open {self.open} outside [{self.low}, {self.high}]"
+            )
+        if not (self.low <= self.close <= self.high):
+            raise ValueError(
+                f"{self.date}: close {self.close} outside [{self.low}, {self.high}]"
+            )
+
+
+def _reference_parse_csv(path, format_hint: str = "auto") -> PriceFrame:
+    """The row-by-row parser that built and checked one bar per row."""
+    if format_hint not in FORMATS:
+        raise ValueError(f"format_hint must be one of {FORMATS}, got {format_hint!r}")
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+    # blank rows are skipped, but each row keeps its physical line number
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    if not rows:
+        raise DataFormatError(f"{path}: file has no header row")
+    header = rows[0][1]
+    try:
+        fmt = _detect_format(header)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if format_hint != "auto" and fmt != format_hint:
+        raise DataFormatError(
+            f"{path}: header is {fmt!r} format but {format_hint!r} was requested"
+        )
+
+    bars = []
+    seen: dict[datetime.date, int] = {}
+    for line_no, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}, line {line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        if fmt == "plain":
+            raw_date, raw_close, raw_open, raw_high, raw_low = row
+            try:
+                day = datetime.date.fromisoformat(raw_date.strip())
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}, line {line_no}: cannot parse date {raw_date!r}"
+                ) from None
+            try:
+                o, h, lo, c = (float(raw_open), float(raw_high),
+                               float(raw_low), float(raw_close))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}, line {line_no}: cannot parse price fields"
+                ) from None
+        else:
+            raw_date, raw_close, raw_open, raw_high, raw_low = row[:5]
+            try:
+                day = datetime.datetime.strptime(raw_date.strip(), "%b %d, %Y").date()
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}, line {line_no}: cannot parse date {raw_date!r}"
+                ) from None
+            o = _parse_vendor_number(raw_open, path, line_no)
+            h = _parse_vendor_number(raw_high, path, line_no)
+            lo = _parse_vendor_number(raw_low, path, line_no)
+            c = _parse_vendor_number(raw_close, path, line_no)
+        if day in seen:
+            raise DataFormatError(
+                f"{path}, line {line_no}: duplicate date {day} (first at line {seen[day]})"
+            )
+        seen[day] = line_no
+        try:
+            bars.append(_ReferenceBar(day, o, h, lo, c))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}, line {line_no}: {exc}") from None
+
+    if not bars:
+        raise DataFormatError(f"{path}: no data rows")
+    bars.sort(key=lambda b: b.date)
+    return PriceFrame(
+        asset=path.stem,
+        dates=tuple(b.date for b in bars),
+        opens=np.array([b.open for b in bars]),
+        highs=np.array([b.high for b in bars]),
+        lows=np.array([b.low for b in bars]),
+        closes=np.array([b.close for b in bars]),
+    )
+
+
+# Faults injected into one row: (kind, price field or None, replacement).
+_FAULTS = [
+    ("fields", None, "extra"), ("fields", None, "missing"),
+    ("date", None, "2015-02-30"), ("date", None, "n/a"),
+    ("duplicate", None, None), ("number", "open", "n/a"), ("number", "low", "1.2.3"),
+    ("price", "close", "nan"), ("price", "high", "inf"), ("price", "open", "-inf"),
+    ("price", "low", "0"), ("price", "low", "-3.5"), ("price", "close", "0"),
+    ("price", "open", "1e9"), ("price", "close", "0.001"),
+]
+
+
+def _parse_outcome(parse, path):
+    try:
+        frame = parse(path)
+    except (DataFormatError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (frame.asset, frame.dates,
+            [(col.dtype, col.tobytes()) for col in (frame.opens, frame.highs,
+                                                     frame.lows, frame.closes)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_parse_csv_matches_row_by_row_reference(tmp_path_factory, data):
+    """Random plain and vendor files behind a random BOM, CRLF endings and
+    blank rows, vendor rows newest first, with up to two injected faults:
+    the frame is bit-identical to the row-by-row reference parser's, or
+    both fail with the same error."""
+    vendor = data.draw(st.booleans(), label="vendor")
+    n_rows = data.draw(st.integers(1, 8), label="rows")
+    offsets = sorted(data.draw(st.lists(st.integers(0, 60), min_size=n_rows,
+                                        max_size=n_rows, unique=True), label="days"))
+    price = st.floats(0.5, 5000.0, allow_nan=False)
+    rows = []
+    for offset in offsets:
+        day = datetime.date(2015, 1, 2) + datetime.timedelta(days=offset)
+        close, open_ = data.draw(price, label="close"), data.draw(price, label="open")
+        spread = data.draw(st.floats(0.0, 0.2), label="spread") * min(close, open_)
+        bar = {"date": day.strftime("%b %d, %Y") if vendor else day.isoformat(),
+               "open": open_, "high": max(open_, close) + spread,
+               "low": min(open_, close) - spread, "close": close}
+        for key in ("open", "high", "low", "close"):
+            bar[key] = f"{bar[key]:,.2f}" if vendor else repr(bar[key])
+        rows.append(bar)
+    faults = data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.sampled_from(_FAULTS)),
+                                max_size=2), label="faults")
+    for i, (kind, key, value) in faults:
+        if kind == "fields":
+            rows[i][value] = True
+        elif kind == "duplicate":
+            rows[i]["date"] = rows[(i + 1) % n_rows]["date"]
+        elif kind == "date":
+            rows[i]["date"] = value
+        else:
+            rows[i][key] = value
+
+    if vendor:
+        lines = ['"Date","Price","Open","High","Low","Vol.","Change %"']
+        rows.reverse()
+    else:
+        lines = ["date,close,open,high,low"]
+    for bar in rows:
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", ",,,,"]), max_size=2),
+                           label="blanks")
+        fields = [bar[k] for k in ("date", "close", "open", "high", "low")]
+        fields += ["", "0.10%"] if vendor else []
+        fields = fields + ["1"] if "extra" in bar else fields
+        fields = fields[:-1] if "missing" in bar else fields
+        lines.append(",".join(f'"{v}"' for v in fields) if vendor else ",".join(fields))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    bom = data.draw(st.booleans(), label="bom")
+
+    path = tmp_path_factory.mktemp("csv") / "asset.csv"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode("utf-8"))
+    outcome = _parse_outcome(parse_csv, path)
+    assert outcome == _parse_outcome(_reference_parse_csv, path)
+    if not faults:
+        assert outcome[0] == "asset"

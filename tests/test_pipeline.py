@@ -197,15 +197,18 @@ def test_bad_override_names_key_but_no_file_line(tmp_path):
 _VALID_OPTIONAL = ["seed = 3", "nn_epochs = 40", "ema_periods = 5,10",
                    "train_start = 2015-01-01", "nn_learning_rate = 0.05",
                    "arima_criterion = aic", "out_dir = elsewhere"]
-_FILLERS = ["", "   ", "\t", "# comment", "  # key = value in a comment"]
+# The last four hold characters that str.splitlines also breaks at (form
+# feed, vertical tab, \x1c-\x1e, NEL, U+2028/2029); they end no line.
+_FILLERS = ["", "   ", "\t", "# comment", "  # key = value in a comment",
+            "# note\x0c", "\x0b\x1c\x1d\x1e", "# one\x85two", "# a\u2028b = c\u2029"]
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
-    """Valid lines in any order behind a random BOM, CRLF endings, blank
-    and comment lines, plus one injected fault: the error names the file
-    and the line the fault sits on."""
+    """Valid lines in any order behind a random BOM, CRLF or CR endings,
+    blank and comment lines, plus one injected fault: the error names the
+    file and the line the fault sits on."""
     body = data.draw(st.permutations(
         BASE.splitlines() + data.draw(st.lists(st.sampled_from(_VALID_OPTIONAL),
                                                unique=True), label="optional")), label="body")
@@ -229,7 +232,7 @@ def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
             bad_line = len(lines) + 1
         lines.append(line)
     lines += data.draw(st.lists(st.sampled_from(_FILLERS), max_size=2), label="fill")
-    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
     bom = data.draw(st.booleans(), label="bom")
 
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from chaincast.synthetic import make_fixture
+from chaincast.synthetic import make_fixture, random_frame
 
 # sha256 of the CSVs that make_fixture wrote before it carried its moving
 # average and RSI from day to day (it used to recompute both over the whole
@@ -45,3 +45,22 @@ def test_make_fixture_bytes_are_pinned(seed, start_year, tmp_path):
     digests = {asset: hashlib.sha256(path.read_bytes()).hexdigest()
                for asset, path in paths.items()}
     assert digests == FIXTURE_SHA256[(seed, start_year)]
+
+
+# sha256 of random_frame's asset, dates and price columns from when it built
+# one OhlcBar per row; building the frame from columns must not move a bit.
+RANDOM_FRAME_SHA256 = {
+    (1, 0): "20cafe9e23acabc227156a71ab954abb8fa80d0c14acc9583fa0bad35e7bea35",
+    (60, 7): "1ef47d97b01f42226c26f50a85a2dbc47beac9db18c9bf2a060d92ef5c8ae6c1",
+    (400, 123): "6c04b93c6c3dad4f47fecea988ec8ca80989f39317e7cc10e5476f0e0e6008cf",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(RANDOM_FRAME_SHA256))
+def test_random_frame_is_pinned(n, seed):
+    frame = random_frame(n, seed=seed)
+    digest = hashlib.sha256(frame.asset.encode())
+    digest.update(",".join(d.isoformat() for d in frame.dates).encode())
+    for column in (frame.opens, frame.highs, frame.lows, frame.closes):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == RANDOM_FRAME_SHA256[(n, seed)]
