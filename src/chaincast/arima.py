@@ -24,9 +24,11 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError
-from .series import Series, _durbin_levinson, difference, integrate
+from .metrics import _criteria
+from .series import Series, _durbin_levinson, acf, difference, integrate
 
 MAX_ORDER = 5  # cap on p + q; larger models are never competitive on ~1000 days
 ROOT_MARGIN = 1e-6
@@ -301,10 +303,9 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     shocks = np.zeros(n)
     if q:
         m = int(min(n // 4, max(2 * (p + q), np.log(n) ** 2)))
-        x = w - w.mean()
-        acov = np.array([x[:n - k] @ x[k:] for k in range(m + 1)])
-        ar = _durbin_levinson(acov / acov[0], m)[1]
-        shocks[m:] = np.convolve(x, np.concatenate([[1.0], -ar]))[m:n]
+        rho = np.concatenate([[1.0], acf(Series(w), m).coefficients])
+        ar = _durbin_levinson(rho, m)[1]
+        shocks[m:] = np.convolve(w - w.mean(), np.concatenate([[1.0], -ar]))[m:n]
         start = m + q
     else:
         start = p
@@ -384,13 +385,6 @@ def _roots_outside(coeffs: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
         return True
     roots = np.roots(np.concatenate([-coeffs[::-1], [1.0]]))
     return bool(np.all(np.abs(roots) > 1.0 + margin))
-
-
-def _criteria(sigma2: float, n_eff: int, k: int) -> tuple[float, float]:
-    if sigma2 <= 0.0:
-        return -np.inf, -np.inf
-    base = n_eff * np.log(sigma2)
-    return float(base + 2 * k), float(base + k * np.log(n_eff))
 
 
 def fit(train: Series, spec: ArimaSpec,
@@ -489,9 +483,23 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
         raise FitError(
             f"no candidate order at d={d} could be fitted: " + "; ".join(failures)
         )
-    key = (lambda f: (f.sic, f.spec.p + f.spec.q, f.spec.p)) if criterion == "sic" \
-        else (lambda f: (f.aic, f.spec.p + f.spec.q, f.spec.p))
-    return min(candidates, key=key)
+    return min(candidates,
+               key=lambda f: (getattr(f, criterion), f.spec.p + f.spec.q, f.spec.p))
+
+
+def _anchor_levels(fitted: ArimaFit, anchors) -> np.ndarray:
+    """``anchors`` as a float array, checked to hold at least ``p + d`` (and
+    at least one) finite training levels."""
+    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
+    anchors = np.asarray(anchors, dtype=float)
+    need = max(p + d, 1)
+    if anchors.ndim != 1 or anchors.size < need:
+        raise ValueError(
+            f"need at least {need} anchor levels for ({p},{d},{q}), got {anchors.size}"
+        )
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError("anchors must be finite")
+    return anchors
 
 
 def forecast(fitted: ArimaFit, anchors, horizon: int) -> Forecast:
@@ -505,15 +513,7 @@ def forecast(fitted: ArimaFit, anchors, horizon: int) -> Forecast:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = np.asarray(anchors, dtype=float)
-    need = p + d
-    if anchors.ndim != 1 or anchors.size < max(need, d, 1):
-        raise ValueError(
-            f"need at least {max(need, d, 1)} anchor levels for "
-            f"({p},{d},{q}), got {anchors.size}"
-        )
-    if not np.all(np.isfinite(anchors)):
-        raise ValueError("anchors must be finite")
+    anchors = _anchor_levels(fitted, anchors)
 
     w_hist = list(np.diff(anchors, n=d)[-p:]) if p else []
     eps_hist = list(fitted.residuals[-q:]) if q else []
@@ -539,9 +539,11 @@ def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.nd
 
     The shocks come from one pass of the MA filter over the differenced
     values minus their mean-plus-AR part, and each prediction adds the MA
-    terms of the shocks before it, so no prediction reads its own day's
-    value.  ``shocks`` holds the ``q`` shocks before the first prediction,
-    oldest first.  Differenced predictions are re-integrated on the previous
+    terms of the shocks before it in one product with the lagged shocks.
+    (The actual value minus its shock is the same number in exact
+    arithmetic, but through rounding it would read its own day's value.)
+    ``shocks`` holds the ``q`` shocks before the first prediction, oldest
+    first.  Differenced predictions are re-integrated on the previous
     actual levels.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
@@ -551,10 +553,8 @@ def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.nd
     for i in range(1, p + 1):
         steps += fitted.phi[i - 1] * w[p - i:n - i]
     if q:
-        e = _InverseMA(fitted.theta)(w[p:] - steps, past=shocks)
-        e = np.concatenate([shocks, e])
-        for j in range(1, q + 1):
-            steps += fitted.theta[j - 1] * e[q - j:e.size - j]
+        e = np.concatenate([shocks, _InverseMA(fitted.theta)(w[p:] - steps, past=shocks)])
+        steps += sliding_window_view(e[:-1], q) @ fitted.theta[::-1]
     if d == 0:
         return steps
     start = p + d
@@ -573,14 +573,7 @@ def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
     training levels so the recursion continues where `fit` left off.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = np.asarray(anchors, dtype=float)
-    need = max(p + d, d, 1)
-    if anchors.ndim != 1 or anchors.size < need:
-        raise ValueError(
-            f"need at least {need} anchor levels for ({p},{d},{q}), got {anchors.size}"
-        )
-    if not np.all(np.isfinite(anchors)):
-        raise ValueError("anchors must be finite")
+    anchors = _anchor_levels(fitted, anchors)
     tail = anchors[-(p + d):] if p + d else np.empty(0)
     levels = np.concatenate([tail, test.values])
     shocks = fitted.residuals[-q:] if q else np.empty(0)

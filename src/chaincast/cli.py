@@ -63,8 +63,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     print(f"differencing order: {d}" + ("" if args.d is None else " (forced)"))
     print(f"confidence band: +/-{a.band:.4f}")
     print(f"{'lag':>4} {'acf':>9} {'pacf':>9}")
+    significant = a.significant()
     for i in range(max_lag):
-        mark = "*" if abs(a.coefficients[i]) > a.band else " "
+        mark = "*" if significant[i] else " "
         print(f"{a.lags[i]:>4} {a.coefficients[i]:>9.4f} {p.coefficients[i]:>9.4f} {mark}")
     return 0
 

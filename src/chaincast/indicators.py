@@ -224,5 +224,6 @@ def compute(frame: PriceFrame, params: IndicatorParams = IndicatorParams()) -> I
     place("stoch_k", k, params.stoch_period - 1)
     place("stoch_d", stochastic_d(k, params.stoch_d_period),
           params.stoch_period - 1 + params.stoch_d_period - 1)
-    place("williams_r", williams_r(frame, params.stoch_period), params.stoch_period - 1)
+    # %R is the complement of the %K at hand, as `williams_r` computes it
+    place("williams_r", Series(100.0 - k.values), params.stoch_period - 1)
     return IndicatorSet(dates=tuple(frame.dates), columns=columns, params=params)

@@ -221,6 +221,23 @@ def _vendor_row(row: list[str], path: Path, line_no: int) -> tuple[datetime.date
                       for raw in (raw_open, raw_high, raw_low, raw_close))
 
 
+def _csv_rows(path: Path, text: str):
+    """Non-blank rows of ``text`` with their physical line numbers.
+
+    `Path.read_text` turned every ``\\r\\n`` and ``\\r`` into ``\\n``, so
+    splitting at ``\\n`` ends lines exactly there (`str.splitlines` would
+    also split at form feeds).  A quoted field that runs past its line
+    fails, because `csv.reader` would drop the line break inside it.
+    """
+    reader = csv.reader(text.split("\n"))
+    for line_no, row in enumerate(reader, start=1):
+        if reader.line_num != line_no:
+            raise DataFormatError(
+                f"{path}, line {line_no}: quoted field runs past the end of the line")
+        if "".join(row).strip():
+            yield line_no, row
+
+
 def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     """Read one asset's daily bars from a CSV file.
 
@@ -229,9 +246,10 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     parse with an error naming the file and line; bad bars are never
     repaired or silently dropped, because downstream indicators would
     inherit the corruption.  Lines end only at ``\\n``, ``\\r\\n`` or
-    ``\\r``.  Field counts, dates, numbers and duplicate dates are checked
-    row by row as the rows are read, the bar rule by `PriceFrame` over
-    whole columns; the error names the first faulty row in file order.
+    ``\\r``, and a quoted field must end on its own line.  Field counts,
+    dates, numbers and duplicate dates are checked row by row as the rows
+    are read, the bar rule by `PriceFrame` over whole columns; the error
+    names the first faulty row in file order.
     """
     if format_hint not in FORMATS:
         raise ValueError(f"format_hint must be one of {FORMATS}, got {format_hint!r}")
@@ -241,12 +259,7 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
-    # read_text turned every \r\n and \r into \n, so splitting at \n ends
-    # lines exactly there (str.splitlines would also split at form feeds and
-    # Unicode separators); blank rows are skipped, but each row keeps its
-    # physical line number
-    reader = csv.reader(text.split("\n"))
-    rows = ((reader.line_num, r) for r in reader if "".join(r).strip())
+    rows = _csv_rows(path, text)
     _, header = next(rows, (None, None))
     if header is None:
         raise DataFormatError(f"{path}: file has no header row")
@@ -307,12 +320,12 @@ def serialize(frame: PriceFrame) -> str:
     Floats are written with `repr`, so parsing the output reproduces the
     frame bit for bit.
     """
+    # a memoryview yields each cell as a Python float, one at a time
+    rows = zip(frame.dates, memoryview(frame.closes), memoryview(frame.opens),
+               memoryview(frame.highs), memoryview(frame.lows))
     lines = [",".join(PLAIN_HEADER)]
-    for i, day in enumerate(frame.dates):
-        lines.append(
-            f"{day.isoformat()},{float(frame.closes[i])!r},{float(frame.opens[i])!r},"
-            f"{float(frame.highs[i])!r},{float(frame.lows[i])!r}"
-        )
+    lines += [f"{day.isoformat()},{close!r},{open_!r},{high!r},{low!r}"
+              for day, close, open_, high, low in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Forecast accuracy measures shared by every stage of the chain."""
+"""Accuracy measures and information criteria shared by the stages of the chain."""
 
 from __future__ import annotations
 
@@ -28,3 +28,14 @@ def mape(actual, forecast) -> float:
 def accuracy(actual, forecast) -> float:
     """Percent accuracy: 100 minus the MAPE."""
     return 100.0 - mape(actual, forecast)
+
+
+def _criteria(mean_square: float, n: int, k: int) -> tuple[float, float]:
+    """AIC and BIC of a Gaussian model with ``k`` coefficients fitted to
+    ``n`` residuals of mean square ``mean_square``.  A perfect fit gets minus
+    infinity, so it wins any comparison outright instead of tripping a log
+    of zero."""
+    if mean_square <= 0.0:
+        return -np.inf, -np.inf
+    base = n * np.log(mean_square)
+    return float(base + 2 * k), float(base + k * np.log(n))

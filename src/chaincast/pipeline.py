@@ -483,7 +483,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
                 "steps": [{"action": s.action, "column": s.column,
                            "criterion": s.criterion} for s in trace.steps],
                 "criterion": criterion,
-                "final_criterion": regression._criterion_value(trace.fit, criterion),
+                "final_criterion": getattr(trace.fit, criterion),
             } for direction, trace in traces.items()
         }
 

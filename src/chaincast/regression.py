@@ -10,7 +10,6 @@ names (``x1`` .. ``x9``) with a legend mapping them to their meaning.
 from __future__ import annotations
 
 import datetime
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import RankDeficiencyError
 from .indicators import IndicatorSet
 from .ingest import PriceFrame
-from .metrics import mape
+from .metrics import _criteria, mape
 
 # A column whose part orthogonal to the columns before it has a norm at most
 # this share of the largest column norm so far counts as dependent.
@@ -229,47 +228,32 @@ def build_features(target: PriceFrame, indicators: IndicatorSet,
     )
 
 
-def _criteria(sse: float, n: int, n_coeffs: int) -> tuple[float, float]:
-    """AIC and BIC for a Gaussian regression with ``n_coeffs`` coefficients
-    (intercept included).  A perfect fit gets minus infinity so it wins any
-    comparison outright instead of tripping a log-of-zero."""
-    if sse <= 0.0:
-        return -np.inf, -np.inf
-    base = n * np.log(sse / n)
-    return float(base + 2 * n_coeffs), float(base + n_coeffs * np.log(n))
-
-
 def _householder(design: np.ndarray,
                  y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """One left-to-right Householder QR pass that skips dependent columns.
+    """QR of the design that skips dependent columns, left to right.
 
-    Column ``j`` is reflected into the factorisation when its part
-    orthogonal to the columns kept before it has a norm above `RANK_TOL`
-    times the largest norm among those columns and itself (Businger and
-    Golub 1965, with rejection in place of pivoting, so the dependent
-    columns are named in the caller's order).  ``y`` goes through the same
-    reflections.  Returns the kept column indices, the square upper
+    Column ``j`` fails when its part orthogonal to the columns kept before
+    it, whose norm is ``|R[j, j]|``, is at most `RANK_TOL` times the largest
+    norm among those columns and itself (Businger and Golub 1965, with
+    rejection in place of pivoting, so the dependent columns are named in
+    the caller's order).  Each pass is one LAPACK QR of the kept columns
+    with ``y`` appended; the first failing column is deleted and the pass
+    repeats, so a full-rank design takes one pass.  Past the last row every
+    column fails.  Returns the kept column indices, the square upper
     triangular ``R`` on them, and the matching leading entries of ``Q'y``.
     """
-    k = design.shape[1]
-    work = np.column_stack([design, y])
     norms = np.linalg.norm(design, axis=0)
-    kept: list[int] = []
-    scale = 0.0
-    for j in range(k):
-        r = len(kept)
-        col = work[r:, j]
-        alpha = float(np.linalg.norm(col))
-        if not alpha > RANK_TOL * max(scale, norms[j]):
-            continue
-        v = col.copy()
-        v[0] += math.copysign(alpha, col[0])
-        v /= np.linalg.norm(v)
-        work[r:, j:] -= np.outer(2.0 * v, v @ work[r:, j:])
-        kept.append(j)
-        scale = max(scale, norms[j])
-    rank = len(kept)
-    return kept, np.triu(work[:rank, kept]), work[:rank, k]
+    kept = list(range(design.shape[1]))
+    while True:
+        r = np.linalg.qr(np.column_stack([design[:, kept], y]), mode="r")
+        rank = len(kept)
+        # past the last row a column has no orthogonal part left
+        diag = np.zeros(rank)
+        diag[:len(r)] = np.abs(np.diagonal(r))[:rank]
+        failed = np.flatnonzero(~(diag > RANK_TOL * np.maximum.accumulate(norms[kept])))
+        if not failed.size:
+            return kept, r[:rank, :rank], r[:rank, rank]
+        del kept[failed[0]]
 
 
 def ols(m: FeatureMatrix, subset) -> RegressionFit:
@@ -301,15 +285,11 @@ def ols(m: FeatureMatrix, subset) -> RegressionFit:
     coef = np.linalg.solve(r, qty)
     resid = m.y - design @ coef
     sse = float(np.dot(resid, resid))
-    aic, bic = _criteria(sse, n, len(subset) + 1)
+    aic, bic = _criteria(sse / n, n, len(subset) + 1)
     return RegressionFit(
         included=subset, intercept=float(coef[0]), coefficients=coef[1:],
         sse=sse, aic=aic, bic=bic, n=n,
     )
-
-
-def _criterion_value(fit: RegressionFit, criterion: str) -> float:
-    return fit.bic if criterion == "bic" else fit.aic
 
 
 def stepwise(m: FeatureMatrix, direction: str, criterion: str = "bic") -> StepwiseTrace:
@@ -343,13 +323,13 @@ def stepwise(m: FeatureMatrix, direction: str, criterion: str = "bic") -> Stepwi
                 trial = ols(m, candidate)
             except RankDeficiencyError:
                 continue
-            value = _criterion_value(trial, criterion)
+            value = getattr(trial, criterion)
             if best_move is None or (value, col) < (best_move[0], best_move[1]):
                 best_move = (value, col, trial)
         if best_move is None:
             break
         value, col, trial = best_move
-        if not value < _criterion_value(fit, criterion):
+        if not value < getattr(fit, criterion):
             break
         action = "add" if direction == "forward" else "drop"
         steps.append(StepwiseStep(action, col, value))

@@ -365,6 +365,24 @@ def test_one_step_predictors_match_reference_loops():
             rtol=1e-12, atol=0.0, err_msg=f"history ({p},{d},{q})")
 
 
+@pytest.mark.parametrize("order", [(0, 0, 1), (2, 0, 1), (1, 1, 2), (1, 2, 1)])
+def test_one_step_prediction_ignores_its_own_day(order):
+    """Bit for bit, a one-step prediction is unchanged when the value it
+    predicts is replaced, also with MA terms (the actual value minus its
+    shock would move in the last bits)."""
+    p, d, q = order
+    levels = simulate_arima([0.4] * p, [0.3] * q, 0.1, d, 420, seed=41 + p + q,
+                            start_level=1800.0)
+    fitted = fit(Series(levels[:340]), ArimaSpec(p, d, q))
+    hist = one_step_history(fitted, Series(levels))
+    rolled = rolling_one_step(fitted, Series(levels[340:]), anchors=levels[:340])
+    for pos in (350, 377, 419):
+        dummied = np.append(levels[:pos], levels[pos] + 999.0)
+        assert one_step_history(fitted, Series(dummied))[pos] == hist[pos]
+        late = rolling_one_step(fitted, Series(dummied[340:]), anchors=levels[:340])
+        assert late.values[-1] == rolled.values[pos - 340]
+
+
 # Simulated series with known orders, about 800 observations each.
 KNOWN_ORDERS = {
     "arma11": (ArimaSpec(1, 0, 1),

@@ -191,6 +191,13 @@ def test_compute_custom_params_offsets():
     assert out.first_valid("stoch_d") == 5 + 3
 
 
+def test_compute_columns_equal_the_indicator_functions():
+    frame = random_frame(60, seed=4)
+    out = compute(frame, IndicatorParams(stoch_period=9))
+    np.testing.assert_array_equal(out.columns["stoch_k"][8:], stochastic_k(frame, 9).values)
+    np.testing.assert_array_equal(out.columns["williams_r"][8:], williams_r(frame, 9).values)
+
+
 def test_compute_nan_before_first_valid():
     frame = random_frame(40, seed=3)
     out = compute(frame)

@@ -139,6 +139,21 @@ def test_form_feed_in_a_field_ends_no_line(tmp_path):
         parse_csv(p)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_quoted_field_across_lines_names_its_first_line(tmp_path, newline):
+    """A price split over two lines inside its quotes would be read as
+    1186.20 with the line break dropped; the row fails instead."""
+    p = tmp_path / "x.csv"
+    lines = ['"Date","Price","Open","High","Low","Vol.","Change %"',
+             '"Jan 05, 2015","1,186.25","1,184.25","1,191.25","1,180.25","","0.10%"',
+             '"Jan 06, 2015","1,18', '6.20","1,184.25","1,191.25","1,180.25","","0.10%"',
+             '"Jan 07, 2015","1,187.25","1,184.25","1,191.25","1,180.25","","0.10%"']
+    p.write_bytes((newline.join(lines) + newline).encode())
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{p}, line 3: quoted field runs past the end of the line")):
+        parse_csv(p)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_bad_field_error_names_file_and_physical_line(tmp_path_factory, data):

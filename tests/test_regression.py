@@ -1,7 +1,9 @@
 import datetime
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 from chaincast import pipeline
@@ -9,8 +11,10 @@ from chaincast.errors import RankDeficiencyError
 from chaincast.indicators import IndicatorParams, compute
 from chaincast.regression import (
     COLUMN_LEGEND,
+    RANK_TOL,
     FeatureMatrix,
     RegressionFit,
+    _householder,
     build_features,
     evaluate,
     full_rank_subset,
@@ -380,3 +384,102 @@ def test_full_rank_subset_matches_pivoted_qr_on_bundled_fixture(demo_bundle):
     kept, dropped = full_rank_subset(train_m)
     assert (kept, dropped) == _reference_full_rank_subset(train_m)
     assert dropped == ("x7",)
+
+
+# The rank pass before it ran on LAPACK: one left-to-right Householder pass
+# in Python, kept verbatim as the oracle for the kept columns and the solve.
+
+def _reference_householder(design: np.ndarray,
+                           y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    k = design.shape[1]
+    work = np.column_stack([design, y])
+    norms = np.linalg.norm(design, axis=0)
+    kept: list[int] = []
+    scale = 0.0
+    for j in range(k):
+        r = len(kept)
+        col = work[r:, j]
+        alpha = float(np.linalg.norm(col))
+        if not alpha > RANK_TOL * max(scale, norms[j]):
+            continue
+        v = col.copy()
+        v[0] += math.copysign(alpha, col[0])
+        v /= np.linalg.norm(v)
+        work[r:, j:] -= np.outer(2.0 * v, v @ work[r:, j:])
+        kept.append(j)
+        scale = max(scale, norms[j])
+    rank = len(kept)
+    return kept, np.triu(work[:rank, kept]), work[:rank, k]
+
+
+def _random_design(rng, n_rows: int, kinds: list[str]) -> np.ndarray:
+    """An intercept, then one column per kind: ``noise`` (scale up to 1e3),
+    ``big`` and ``tiny`` (noise times 1e6 and 1e-6, so a tiny column after a
+    big one fails on the running norm), ``combo`` (an integer combination of
+    earlier columns), ``complement`` (100 minus an earlier column, as
+    Williams %R is to %K), ``constant``, ``copy`` or ``zero``."""
+    cols = [np.ones(n_rows)]
+    for kind in kinds:
+        pick = cols[int(rng.integers(len(cols)))]
+        if kind == "noise":
+            col = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n_rows)
+        elif kind in ("big", "tiny"):
+            col = (1e6 if kind == "big" else 1e-6) * rng.normal(0.0, 1.0, n_rows)
+        elif kind == "combo":
+            weights = rng.integers(-3, 4, len(cols)).astype(float)
+            col = np.column_stack(cols) @ weights
+        elif kind == "complement":
+            col = 100.0 - pick
+        elif kind == "constant":
+            col = np.full(n_rows, float(rng.integers(1, 9)))
+        elif kind == "copy":
+            col = pick.copy()
+        else:
+            col = np.zeros(n_rows)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+# The coefficients differ by rounding alone.  In units of their column's
+# norm the gap is bounded by a multiple of the condition number of the
+# column-scaled design times the larger of the scaled coefficients and y; over
+# 120,000 designs drawn like the test's the multiple was at most 1.7e-15.
+_COEF_TOL = 1e-13
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_rows=st.integers(2, 40),
+       kinds=st.lists(st.sampled_from(["noise", "noise", "big", "tiny", "combo",
+                                       "complement", "constant", "copy", "zero"]),
+                      min_size=1, max_size=10))
+def test_rank_pass_keeps_the_reference_columns(seed, n_rows, kinds):
+    """The LAPACK rank pass keeps the columns the Householder loop kept,
+    including designs with fewer rows than columns, and solves to the same
+    coefficients."""
+    rng = np.random.default_rng(seed)
+    design = _random_design(rng, n_rows, kinds)
+    y = rng.normal(0.0, 1.0, n_rows) + design @ rng.normal(0.0, 1.0, design.shape[1])
+    kept, r, qty = _householder(design, y)
+    ref_kept, ref_r, ref_qty = _reference_householder(design, y)
+    assert kept == ref_kept
+    assert r.shape == (len(kept), len(kept)) and qty.shape == (len(kept),)
+    assert np.array_equal(r, np.triu(r))
+    if kept:
+        norms = np.linalg.norm(design[:, kept], axis=0)
+        ref = np.linalg.solve(ref_r, ref_qty)
+        gap = np.abs(np.linalg.solve(r, qty) - ref) * norms
+        kappa = np.linalg.cond(design[:, kept] / norms)
+        size = max(np.linalg.norm(ref * norms), np.linalg.norm(y))
+        assert gap.max() <= _COEF_TOL * kappa * size
+
+
+def test_full_rank_subset_with_fewer_rows_than_columns():
+    """Five rows hold at most five independent columns, the intercept and
+    x1..x4; every later column is dropped, as the Householder loop did."""
+    m = noise_matrix(5, 9, seed=31)
+    kept, dropped = full_rank_subset(m)
+    assert kept == ("x1", "x2", "x3", "x4")
+    assert dropped == ("x5", "x6", "x7", "x8", "x9")
+    design = np.column_stack([np.ones(len(m)), m.x])
+    assert _reference_householder(design, m.y)[0] == [0, 1, 2, 3, 4]
