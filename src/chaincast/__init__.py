@@ -7,13 +7,13 @@ network on the selected subset.  Each stage is importable on its own; the
 ``chaincast`` executable wraps both.
 """
 
-from .arima import ArimaFit, ArimaSpec, FitConfig, Forecast, fit, forecast, \
-    rolling_one_step, select_order
+from .arima import ArimaFit, ArimaSpec, FitConfig, fit, rolling_one_step, \
+    select_order
 from .errors import ChaincastError, DataFormatError, DivergenceError, FitError, \
     RankDeficiencyError, StageError
 from .indicators import IndicatorParams, IndicatorSet, compute, ema, rsi, \
     stochastic_d, stochastic_k, williams_r
-from .ingest import DEFAULT_SPLIT, OhlcBar, PriceFrame, SplitSpec, \
+from .ingest import DEFAULT_SPLIT, PriceFrame, SplitSpec, \
     align_calendars, parse_csv, serialize, split, write_csv
 from .metrics import accuracy, mape
 from .neuralnet import MlpModel, Scaler, SweepResult, TrainConfig, TrainReport, \

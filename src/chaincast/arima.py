@@ -1,4 +1,4 @@
-"""ARIMA estimation, order selection, and forecasting.
+"""ARIMA estimation, order selection, and one-step-ahead prediction.
 
 Models are fitted by conditional sum of squares (CSS) on the differenced
 series: residuals are recursed with pre-sample shocks at zero, the first
@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError
 from .metrics import _criteria
-from .series import Series, _durbin_levinson, acf, difference, integrate
+from .series import Series, _durbin_levinson, acf, difference
 
 MAX_ORDER = 5  # cap on p + q; larger models are never competitive on ~1000 days
 ROOT_MARGIN = 1e-6
@@ -121,15 +121,6 @@ class MinimizeResult:
     nit: int
     success: bool
     message: str
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """Multi-step path on the original (undifferenced) scale."""
-
-    values: np.ndarray
-    horizon: int
-    spec: ArimaSpec
 
 
 def ar_from_pacf(pac: np.ndarray) -> np.ndarray:
@@ -487,53 +478,6 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
                key=lambda f: (getattr(f, criterion), f.spec.p + f.spec.q, f.spec.p))
 
 
-def _anchor_levels(fitted: ArimaFit, anchors) -> np.ndarray:
-    """``anchors`` as a float array, checked to hold at least ``p + d`` (and
-    at least one) finite training levels."""
-    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = np.asarray(anchors, dtype=float)
-    need = max(p + d, 1)
-    if anchors.ndim != 1 or anchors.size < need:
-        raise ValueError(
-            f"need at least {need} anchor levels for ({p},{d},{q}), got {anchors.size}"
-        )
-    if not np.all(np.isfinite(anchors)):
-        raise ValueError("anchors must be finite")
-    return anchors
-
-
-def forecast(fitted: ArimaFit, anchors, horizon: int) -> Forecast:
-    """Iterated multi-step forecast from the end of the training data.
-
-    ``anchors`` must hold at least the last ``p + d`` training levels (in
-    chronological order); future shocks are set to zero and recent shocks
-    come from the fit's residual tail, so the path continues the training
-    recursion exactly.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = _anchor_levels(fitted, anchors)
-
-    w_hist = list(np.diff(anchors, n=d)[-p:]) if p else []
-    eps_hist = list(fitted.residuals[-q:]) if q else []
-    path = np.empty(horizon)
-    for h in range(horizon):
-        step = fitted.mu
-        for i in range(1, p + 1):
-            step += fitted.phi[i - 1] * w_hist[-i]
-        for j in range(1, q + 1):
-            step += fitted.theta[j - 1] * (eps_hist[-j] if j <= len(eps_hist) else 0.0)
-        path[h] = step
-        if p:
-            w_hist.append(step)
-        if q:
-            eps_hist.append(0.0)
-    if d == 0:
-        return Forecast(path, horizon, fitted.spec)
-    return Forecast(integrate(path, anchors[-d:]), horizon, fitted.spec)
-
-
 def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.ndarray:
     """One-step predictions of ``levels[p + d:]``, parameters frozen.
 
@@ -573,7 +517,14 @@ def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
     training levels so the recursion continues where `fit` left off.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = _anchor_levels(fitted, anchors)
+    anchors = np.asarray(anchors, dtype=float)
+    need = max(p + d, 1)
+    if anchors.ndim != 1 or anchors.size < need:
+        raise ValueError(
+            f"need at least {need} anchor levels for ({p},{d},{q}), got {anchors.size}"
+        )
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError("anchors must be finite")
     tail = anchors[-(p + d):] if p + d else np.empty(0)
     levels = np.concatenate([tail, test.values])
     shocks = fitted.residuals[-q:] if q else np.empty(0)
@@ -586,8 +537,10 @@ def one_step_history(fitted: ArimaFit, full: Series) -> np.ndarray:
 
     Returns an array aligned with ``full``; the first ``p + d`` positions are
     NaN (no complete lag window yet).  On the stretch past the training data
-    this agrees exactly with `rolling_one_step`, because both run the same
-    recursion over the same differenced values.
+    it runs the recursion of `rolling_one_step` over the same differenced
+    values.  With q = 0 the two agree exactly.  With q > 0 the shocks reach
+    that stretch through the whole history here and through the fit's
+    residuals there, so the two agree only to rounding.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
     start = p + d

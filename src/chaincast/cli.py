@@ -147,7 +147,8 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_nn(args: argparse.Namespace) -> int:
-    config = pipeline.load_config(args.config)
+    # the config's checks apply to the size this command trains
+    config = pipeline.load_config(args.config, {"nn_hidden": str(args.hidden)})
     train_m, test_m = pipeline.feature_windows(config)
     direction = config.stepwise_direction
     _, _, traces = pipeline.select_columns(train_m, (direction,), config.stepwise_criterion)

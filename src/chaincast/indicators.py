@@ -58,14 +58,6 @@ class IndicatorSet:
             if np.asarray(col).shape != (n,):
                 raise ValueError(f"column '{name}' does not match the calendar length")
 
-    def first_valid(self, name: str) -> int:
-        """Index of the first defined cell of a column."""
-        col = self.columns[name]
-        idx = np.flatnonzero(np.isfinite(col))
-        if idx.size == 0:
-            raise ValueError(f"column '{name}' has no defined cells")
-        return int(idx[0])
-
 
 class _Smoother:
     """Running first-order smoother ``y[t] = gain * x[t] + decay * y[t-1]``.

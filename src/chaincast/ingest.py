@@ -13,8 +13,8 @@ and percent-change columns are ignored; rows are re-sorted oldest first.
 
 Every bar obeys one rule: all four prices finite, the low positive, and
 open and close within [low, high].  `PriceFrame` enforces it over whole
-columns, for parsed and generated frames alike; `OhlcBar` and the parser
-take the error text for a broken bar from the same function.
+columns, for parsed and generated frames alike, and takes the error text
+for a broken bar from `_bar_fault`, as the parser does.
 """
 
 from __future__ import annotations
@@ -60,22 +60,6 @@ def _broken_bars(opens, highs, lows, closes) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OhlcBar:
-    """One trading day.  High and low must bracket both open and close."""
-
-    date: datetime.date
-    open: float
-    high: float
-    low: float
-    close: float
-
-    def __post_init__(self):
-        fault = _bar_fault(self.date, self.open, self.high, self.low, self.close)
-        if fault:
-            raise ValueError(fault)
-
-
-@dataclass(frozen=True)
 class PriceFrame:
     """A contiguous run of daily bars for one asset, oldest first.
 
@@ -109,10 +93,6 @@ class PriceFrame:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def bar(self, i: int) -> OhlcBar:
-        return OhlcBar(self.dates[i], float(self.opens[i]), float(self.highs[i]),
-                       float(self.lows[i]), float(self.closes[i]))
 
     def close_series(self) -> Series:
         return Series(self.closes, name=f"{self.asset}_close")

@@ -28,7 +28,6 @@ from .regression import FeatureMatrix
 class Scaler:
     """Column-wise min-max map onto [0, 1], parameters from training rows only."""
 
-    columns: tuple[str, ...]
     x_min: np.ndarray
     x_max: np.ndarray
     y_min: float
@@ -58,7 +57,7 @@ def fit_scaler(m: FeatureMatrix) -> Scaler:
     y_min, y_max = float(m.y.min()), float(m.y.max())
     if y_max <= y_min:
         raise ValueError("target is constant; cannot scale")
-    return Scaler(m.columns, x_min, x_max, y_min, y_max)
+    return Scaler(x_min, x_max, y_min, y_max)
 
 
 @dataclass(frozen=True)
@@ -193,16 +192,6 @@ def _model_output(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     w2 = np.append(model.w_out, model.b_out)[None, None]
     act = np.ones((1, model.hidden_size + 1, len(xs)))
     return _outputs(w1, w2, _with_ones(xs).T, act)[0, 0]
-
-
-def forward(model: MlpModel, features: np.ndarray) -> float:
-    """Network output for one already-scaled feature row."""
-    x = np.asarray(features, float)
-    if x.shape != (model.w_hidden.shape[1],):
-        raise ValueError(
-            f"expected {model.w_hidden.shape[1]} features, got shape {x.shape}"
-        )
-    return float(_model_output(model, x[None, :])[0])
 
 
 def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
@@ -477,16 +466,14 @@ def model_to_json(model: MlpModel) -> str:
 def model_from_json(text: str) -> MlpModel:
     """Inverse of `model_to_json`."""
     raw = json.loads(text)
-    columns = tuple(raw["columns"])
     scaler = Scaler(
-        columns=columns,
         x_min=np.array(raw["scaler"]["x_min"], float),
         x_max=np.array(raw["scaler"]["x_max"], float),
         y_min=float(raw["scaler"]["y_min"]),
         y_max=float(raw["scaler"]["y_max"]),
     )
     return MlpModel(
-        columns=columns,
+        columns=tuple(raw["columns"]),
         w_hidden=np.array(raw["w_hidden"], float),
         b_hidden=np.array(raw["b_hidden"], float),
         w_out=np.array(raw["w_out"], float),

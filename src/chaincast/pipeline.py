@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
-from .ingest import PriceFrame, SplitSpec, align_calendars, parse_csv, split
+from .ingest import FORMATS, PriceFrame, SplitSpec, align_calendars, parse_csv, split
 from .metrics import accuracy
 from .series import Series, acf, difference, ljung_box, pacf, suggest_d
 
@@ -104,6 +104,12 @@ class PipelineConfig:
         if not 0 < self.stationarity_threshold <= 1:
             raise ValueError("config key 'stationarity_threshold': must be in (0, 1], "
                              f"got {self.stationarity_threshold}")
+        if self.csv_format not in FORMATS:
+            raise ValueError(f"config key 'csv_format': must be one of {', '.join(FORMATS)}, "
+                             f"got {self.csv_format!r}")
+        if self.nn_hidden is None and not self.nn_train.validation_fraction:
+            raise ValueError("config key 'nn_validation_fraction': the sweep "
+                             "(nn_hidden = sweep) needs a non-zero value")
 
 
 def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | None = None,

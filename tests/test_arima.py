@@ -11,7 +11,6 @@ from chaincast.arima import (
     FitConfig,
     ar_from_pacf,
     fit,
-    forecast,
     one_step_history,
     rolling_one_step,
     select_order,
@@ -267,44 +266,14 @@ def test_select_order_criterion_validation():
         select_order(s, d=0, criterion="bic")
 
 
-def test_forecast_drift_walk_closed_form():
-    levels = Series(100.0 + 0.5 * np.arange(40.0)
-                    + np.random.default_rng(11).normal(0, 0.1, 40))
-    fitted = fit(levels, ArimaSpec(0, 1, 0))
-    fc = forecast(fitted, levels.values[-1:], horizon=5)
-    expected = levels.values[-1] + fitted.mu * np.arange(1, 6)
-    np.testing.assert_allclose(fc.values, expected, atol=1e-12)
-    assert fc.horizon == 5
-
-
-def test_forecast_ar1_matches_hand_recursion():
-    s = Series(simulate_arma([0.6], [], 2.0, 1000, seed=12))
-    fitted = fit(s, ArimaSpec(1, 0, 0))
-    fc = forecast(fitted, s.values[-1:], horizon=4)
-    prev = s.values[-1]
-    expected = []
-    for _ in range(4):
-        prev = fitted.mu + fitted.phi[0] * prev
-        expected.append(prev)
-    np.testing.assert_allclose(fc.values, expected, atol=1e-12)
-
-
-def test_forecast_ma_flattens_to_constant_after_q_steps():
-    s = Series(simulate_arma([], [0.5], 3.0, 1000, seed=13))
-    fitted = fit(s, ArimaSpec(0, 0, 1))
-    fc = forecast(fitted, s.values[-1:], horizon=5)
-    np.testing.assert_array_equal(fc.values[1:], np.full(4, fitted.mu))
-
-
-def test_forecast_validation():
-    s = Series(simulate_arma([0.5], [], 0.0, 500, seed=14))
-    fitted = fit(s, ArimaSpec(1, 0, 0))
-    with pytest.raises(ValueError):
-        forecast(fitted, s.values[-1:], horizon=0)
-    fitted2 = fit(Series(simulate_arima([0.5], [], 0.0, 1, 500, seed=14)),
-                  ArimaSpec(2, 1, 0))
-    with pytest.raises(ValueError, match="anchor"):
-        forecast(fitted2, np.ones(2), horizon=3)
+def test_rolling_one_step_anchor_validation():
+    levels = simulate_arima([0.5], [], 0.0, 1, 500, seed=14)
+    fitted = fit(Series(levels), ArimaSpec(2, 1, 0))
+    test = Series(levels[-5:])
+    with pytest.raises(ValueError, match=r"need at least 3 anchor levels for \(2,1,0\), got 2"):
+        rolling_one_step(fitted, test, anchors=np.ones(2))
+    with pytest.raises(ValueError, match="anchors must be finite"):
+        rolling_one_step(fitted, test, anchors=[1.0, np.nan, 2.0, 3.0])
 
 
 def test_rolling_one_step_random_walk_is_previous_plus_drift():

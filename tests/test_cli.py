@@ -184,6 +184,15 @@ def test_fit_arima_config_supplies_search_settings(demo_bundle, tmp_path, capsys
     assert "by sic" in capsys.readouterr().out
 
 
+def test_train_nn_fixed_size_needs_no_validation_rows(demo_bundle, tmp_path, capsys):
+    cfg = _config_with(tmp_path, demo_bundle["paths"],
+                       "nn_validation_fraction = 0\nnn_epochs = 5\n")
+    assert main(["train-nn", "--config", str(cfg), "--hidden", "2"]) == 0
+    assert "hidden 2:" in capsys.readouterr().out
+    assert main(["train-nn", "--config", str(cfg)]) == 2
+    assert "config key 'nn_validation_fraction'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("hidden", ["abc", "0"])
 def test_train_nn_rejects_bad_hidden_before_any_work(demo_bundle, monkeypatch, capsys,
                                                      hidden):

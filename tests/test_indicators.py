@@ -169,26 +169,20 @@ def test_oscillators_bounded():
             assert np.all(vals >= 0.0) and np.all(vals <= 100.0)
 
 
-def test_compute_offsets():
-    frame = random_frame(40, seed=1)
-    out = compute(frame)
-    assert out.first_valid("ema5") == 0
-    assert out.first_valid("ema10") == 0
-    assert out.first_valid("rsi14") == 14
-    assert out.first_valid("stoch_k") == 13
-    assert out.first_valid("stoch_d") == 13 + 2
-    assert out.first_valid("williams_r") == 13
-
-
-def test_compute_custom_params_offsets():
-    frame = random_frame(40, seed=2)
-    params = IndicatorParams(ema_periods=(3,), rsi_period=5,
-                             stoch_period=6, stoch_d_period=4)
-    out = compute(frame, params)
-    assert set(out.columns) == {"ema3", "rsi5", "stoch_k", "stoch_d", "williams_r"}
-    assert out.first_valid("rsi5") == 5
-    assert out.first_valid("stoch_k") == 5
-    assert out.first_valid("stoch_d") == 5 + 3
+@pytest.mark.parametrize("seed, params, offsets", [
+    (1, IndicatorParams(),
+     {"ema5": 0, "ema10": 0, "rsi14": 14, "stoch_k": 13, "stoch_d": 13 + 2,
+      "williams_r": 13}),
+    (2, IndicatorParams(ema_periods=(3,), rsi_period=5, stoch_period=6, stoch_d_period=4),
+     {"ema3": 0, "rsi5": 5, "stoch_k": 5, "stoch_d": 5 + 3, "williams_r": 5}),
+], ids=["default", "custom"])
+def test_compute_offsets(seed, params, offsets):
+    out = compute(random_frame(40, seed=seed), params)
+    assert set(out.columns) == set(offsets)
+    for name, offset in offsets.items():
+        col = out.columns[name]
+        assert np.all(np.isnan(col[:offset])), name
+        assert np.all(np.isfinite(col[offset:])), name
 
 
 def test_compute_columns_equal_the_indicator_functions():

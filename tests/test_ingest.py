@@ -12,7 +12,6 @@ from chaincast.errors import DataFormatError
 from chaincast.ingest import (
     DEFAULT_SPLIT,
     FORMATS,
-    OhlcBar,
     PriceFrame,
     SplitSpec,
     _detect_format,
@@ -43,12 +42,11 @@ def test_plain_parse_example_row(tmp_path):
     p = tmp_path / "gold.csv"
     p.write_text(PLAIN_SAMPLE)
     frame = parse_csv(p)
-    b = frame.bar(0)
-    assert b.date == datetime.date(2015, 1, 2)
-    assert b.close == 1186.20
-    assert b.open == 1184.10
-    assert b.high == 1194.50
-    assert b.low == 1180.00
+    assert frame.dates[0] == datetime.date(2015, 1, 2)
+    assert frame.closes[0] == 1186.20
+    assert frame.opens[0] == 1184.10
+    assert frame.highs[0] == 1194.50
+    assert frame.lows[0] == 1180.00
     assert frame.asset == "gold"
 
 
@@ -294,19 +292,12 @@ def test_window_empty_error():
         frame.window(datetime.date(1999, 1, 1), datetime.date(1999, 2, 1))
 
 
-def test_bar_invariants():
-    with pytest.raises(ValueError):
-        OhlcBar(datetime.date(2020, 1, 6), open=5.0, high=4.0, low=1.0, close=2.0)
-    with pytest.raises(ValueError):
-        OhlcBar(datetime.date(2020, 1, 6), open=2.0, high=4.0, low=1.0, close=-2.0)
-    with pytest.raises(ValueError):
-        OhlcBar(datetime.date(2020, 1, 6), open=2.0, high=4.0, low=1.0, close=0.5)
-
-
 @pytest.mark.parametrize("fields, day, value, message", [
     (("opens", "highs"), 1, np.inf, "prices must be finite and positive"),
     (("closes",), 2, np.nan, "prices must be finite and positive"),
     (("opens",), 0, 3.0, "open 3.0 outside [1.0, 2.0]"),
+    (("closes",), 1, -2.0, "prices must be finite and positive"),
+    (("closes",), 2, 0.5, "close 0.5 outside [1.0, 2.0]"),
 ])
 def test_frame_rejects_broken_bars(fields, day, value, message):
     days = weekdays(3)

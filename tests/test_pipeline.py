@@ -151,6 +151,16 @@ def test_config_number_out_of_range_names_key(tmp_path, line, key):
         parse_config_text(BASE + line + "\n", tmp_path)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("csv_format = xml", "csv_format"),
+    ("nn_validation_fraction = 0", "nn_validation_fraction"),
+])
+def test_config_value_that_would_fail_a_late_stage_names_key(tmp_path, line, key):
+    write_trio(tmp_path)
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        parse_config_text(BASE + line + "\n", tmp_path)
+
+
 def test_config_missing_csv_named(tmp_path):
     (tmp_path / "gold.csv").write_text("date,close,open,high,low\n2015-01-02,10,10,11,9\n")
     with pytest.raises(DataFormatError, match="eurusd_csv does not exist"):

@@ -48,7 +48,7 @@ def test_make_fixture_bytes_are_pinned(seed, start_year, tmp_path):
 
 
 # sha256 of random_frame's asset, dates and price columns from when it built
-# one OhlcBar per row; building the frame from columns must not move a bit.
+# one bar object per row; building the frame from columns must not move a bit.
 RANDOM_FRAME_SHA256 = {
     (1, 0): "20cafe9e23acabc227156a71ab954abb8fa80d0c14acc9583fa0bad35e7bea35",
     (60, 7): "1ef47d97b01f42226c26f50a85a2dbc47beac9db18c9bf2a060d92ef5c8ae6c1",
