@@ -18,7 +18,7 @@ from .ingest import DEFAULT_SPLIT, PriceFrame, SplitSpec, \
 from .metrics import accuracy, mape
 from .neuralnet import MlpModel, Scaler, SweepResult, TrainConfig, TrainReport, \
     fit_scaler, gradient_check, sweep, train
-from .pipeline import PipelineConfig, PipelineReport, emit_plot_data, load_config, run
+from .pipeline import PipelineConfig, PipelineReport, load_config, run
 from .regression import FeatureMatrix, RegressionFit, StepwiseTrace, \
     build_features, ols, stepwise
 from .series import Correlogram, Series, WhitenessReport, acf, difference, \

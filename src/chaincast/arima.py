@@ -85,6 +85,10 @@ class FitConfig:
     xatol: float = 1e-6
     fatol: float = 1e-10
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 DEFAULT_FIT_CONFIG = FitConfig()
 

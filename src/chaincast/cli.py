@@ -18,11 +18,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import arima, indicators, neuralnet, pipeline, regression, synthetic
+from . import arima, indicators, neuralnet, pipeline, synthetic
 from .errors import ChaincastError
-from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame
+from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, write_table
 from .metrics import accuracy
 from .series import acf, difference, pacf, suggest_d
 
@@ -43,6 +41,17 @@ def _hidden_size(text: str) -> str | int:
         raise argparse.ArgumentTypeError(
             f"expected 'sweep' or a positive integer, got {text!r}")
     return size
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, checked before any work."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
@@ -101,7 +110,7 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
     acc = accuracy(test.closes, preds.values)
     print(f"rolling one-step accuracy on {len(test)} held-out days: {acc:.2f}%")
     if args.out:
-        pipeline.write_predictions(Path(args.out), test.dates, test.closes, preds.values)
+        write_table(args.out, pipeline.PREDICTION_HEADER, test.dates, test.closes, preds.values)
         print(f"predictions written to {args.out}")
     return 0
 
@@ -109,15 +118,7 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
 def _cmd_indicators(args: argparse.Namespace) -> int:
     frame = parse_csv(args.input, args.format)
     result = indicators.compute(frame)
-    names = list(result.columns)
-    lines = ["date," + ",".join(names)]
-    for i, day in enumerate(result.dates):
-        cells = []
-        for name in names:
-            v = result.columns[name][i]
-            cells.append("" if np.isnan(v) else repr(float(v)))
-        lines.append(day.isoformat() + "," + ",".join(cells))
-    text = "\n".join(lines) + "\n"
+    text = table_text(("date", *result.columns), result.dates, *result.columns.values())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"indicator table written to {args.out}")
@@ -141,8 +142,8 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
         print("no move improved the criterion; model unchanged")
     print(f"selected: {', '.join(trace.fit.included) or '(intercept only)'}")
     print(trace.fit.equation())
-    report = regression.evaluate(trace.fit, test_m)
-    print(f"test accuracy on {report.n} days: {report.accuracy:.2f}%")
+    acc = accuracy(test_m.y, trace.fit.predict(test_m))
+    print(f"test accuracy on {len(test_m)} days: {acc:.2f}%")
     return 0
 
 
@@ -173,8 +174,8 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
         print(f"hidden {model.hidden_size}: train MAPE {report.train_mape:.4f}%, "
               f"validation MAPE {report.validation_mape:.4f}%, "
               f"{report.epochs_run} epochs")
-    test_mape, _ = neuralnet.evaluate(model, nn_test)
-    print(f"test accuracy on {len(nn_test)} days: {100.0 - test_mape:.2f}%")
+    acc = accuracy(nn_test.y, neuralnet.predict_prices(model, nn_test))
+    print(f"test accuracy on {len(nn_test)} days: {acc:.2f}%")
     if args.out:
         Path(args.out).write_text(neuralnet.model_to_json(model) + "\n", encoding="utf-8")
         print(f"model written to {args.out}")
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--hidden", default="sweep", type=_hidden_size,
                    help="'sweep' or a hidden-layer size (default: sweep)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None, help="write model JSON here")
     p.set_defaults(func=_cmd_train_nn)
 
@@ -272,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_subs = p.add_subparsers(dest="pipeline_command", required=True)
     pr = pipe_subs.add_parser("run", help="execute the configured chain")
     pr.add_argument("--config", required=True)
-    pr.add_argument("--seed", type=int, default=None, help="override config seed")
+    pr.add_argument("--seed", type=_seed, default=None, help="override config seed")
     pr.add_argument("--out", default=None, help="override output directory")
     pr.set_defaults(func=_cmd_pipeline)
 
     p = subs.add_parser("make-fixture", help="write deterministic demo data")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=synthetic.FIXTURE_SEED)
+    p.add_argument("--seed", type=_seed, default=synthetic.FIXTURE_SEED)
     p.set_defaults(func=_cmd_make_fixture)
     return parser
 

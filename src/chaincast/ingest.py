@@ -15,6 +15,9 @@ Every bar obeys one rule: all four prices finite, the low positive, and
 open and close within [low, high].  `PriceFrame` enforces it over whole
 columns, for parsed and generated frames alike, and takes the error text
 for a broken bar from `_bar_fault`, as the parser does.
+
+`table_text` renders every other table the package writes, one key column
+(a date or an integer) followed by float columns.
 """
 
 from __future__ import annotations
@@ -311,6 +314,25 @@ def serialize(frame: PriceFrame) -> str:
 
 def write_csv(frame: PriceFrame, path) -> None:
     Path(path).write_text(serialize(frame), encoding="utf-8")
+
+
+def table_text(header, keys, *columns) -> str:
+    """Render a keyed table (predictions, correlograms, indicators) as CSV.
+
+    ``header`` names every column, the key first; each key becomes an ISO
+    date or an integer.  Cells are written with `repr`, so parsing the
+    output reproduces them bit for bit, and a NaN cell is left empty.
+    """
+    cells = [["" if math.isnan(v) else repr(v) for v in np.asarray(c, dtype=float).tolist()]
+             for c in columns]
+    key_cells = [k.isoformat() if isinstance(k, datetime.date) else str(int(k)) for k in keys]
+    lines = [",".join(header)]
+    lines += [",".join(row) for row in zip(key_cells, *cells, strict=True)]
+    return "\n".join(lines) + "\n"
+
+
+def write_table(path, header, keys, *columns) -> None:
+    Path(path).write_text(table_text(header, keys, *columns), encoding="utf-8")
 
 
 def align_calendars(frames: list[PriceFrame]) -> list[PriceFrame]:

@@ -92,8 +92,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.plateau_patience < 1:
             raise ValueError("epochs, batch_size and plateau_patience must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:  # also refuses NaN
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation fraction must be in [0, 0.5)")
 
@@ -395,12 +398,6 @@ def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
     return SweepResult(reports=reports,
                        failures={h: str(exc) for h, exc in diverged.items()},
                        chosen=chosen, model=fitted[chosen][0])
-
-
-def evaluate(model: MlpModel, test: FeatureMatrix) -> tuple[float, np.ndarray]:
-    """(MAPE, price predictions) on held-out rows with matching schema."""
-    preds = predict_prices(model, test)
-    return mape(test.y, preds), preds
 
 
 def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
-from .ingest import FORMATS, PriceFrame, SplitSpec, align_calendars, parse_csv, split
+from .ingest import FORMATS, PriceFrame, SplitSpec, align_calendars, parse_csv, split, \
+    write_table
 from .metrics import accuracy
 from .series import Series, acf, difference, ljung_box, pacf, suggest_d
 
@@ -97,10 +98,13 @@ class PipelineConfig:
         if self.arima_criterion not in ("aic", "sic"):
             raise ValueError(f"bad arima_criterion {self.arima_criterion!r}")
         for key, low in (("nn_hidden", 1), ("nn_max_hidden", 1),
-                         ("arima_max_p", 0), ("arima_max_q", 0)):
+                         ("arima_max_p", 0), ("arima_max_q", 0), ("seed", 0)):
             value = getattr(self, key)
             if value is not None and value < low:  # nn_hidden None means sweep
                 raise ValueError(f"config key '{key}': must be at least {low}, got {value}")
+        if len(self.indicator_params.ema_periods) != 2:
+            raise ValueError("config key 'ema_periods': exactly two smoothing periods are "
+                             f"required, got {self.indicator_params.ema_periods}")
         if not 0 < self.stationarity_threshold <= 1:
             raise ValueError("config key 'stationarity_threshold': must be in (0, 1], "
                              f"got {self.stationarity_threshold}")
@@ -227,23 +231,8 @@ class PipelineReport:
         return self.body["stage_accuracies"]
 
 
-def write_predictions(path: Path, dates, actual: np.ndarray,
-                       predicted: np.ndarray) -> None:
-    lines = ["date,actual,predicted"]
-    for day, a, p in zip(dates, actual, predicted):
-        lines.append(f"{day.isoformat()},{float(a)!r},{float(p)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_correlogram(path: Path, train_diff: Series, max_lag: int = 24) -> None:
-    lag_cap = min(max_lag, len(train_diff) - 1)
-    a = acf(train_diff, lag_cap)
-    p = pacf(train_diff, lag_cap)
-    lines = ["lag,acf,pacf,band"]
-    for i in range(lag_cap):
-        lines.append(f"{int(a.lags[i])},{float(a.coefficients[i])!r},"
-                     f"{float(p.coefficients[i])!r},{float(a.band)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+PREDICTION_HEADER = ("date", "actual", "predicted")
+_CORRELOGRAM_LAGS = 24
 
 
 def _fit_asset(train: Series, config: PipelineConfig, d: int | None = None
@@ -340,7 +329,11 @@ def feature_windows(config: PipelineConfig
 
 
 def _arima_entry(fitted: arima.ArimaFit, train: Series, correlogram: Path) -> dict:
-    _write_correlogram(correlogram, difference(train, fitted.spec.d))
+    w = difference(train, fitted.spec.d)
+    lag_cap = min(_CORRELOGRAM_LAGS, len(w) - 1)
+    a, p = acf(w, lag_cap), pacf(w, lag_cap)
+    write_table(correlogram, ("lag", "acf", "pacf", "band"), a.lags, a.coefficients,
+                p.coefficients, np.full(lag_cap, a.band))
     return {
         "order": [fitted.spec.p, fitted.spec.d, fitted.spec.q],
         "mu": fitted.mu,
@@ -353,22 +346,21 @@ def _arima_entry(fitted: arima.ArimaFit, train: Series, correlogram: Path) -> di
     }
 
 
-def _regression_entry(fit: regression.RegressionFit, test_m: regression.FeatureMatrix,
-                      predictions: Path) -> dict:
-    result = regression.evaluate(fit, test_m)
-    write_predictions(predictions, test_m.target_dates, test_m.y, result.predictions)
+def _regression_entry(fit: regression.RegressionFit, test_accuracy: float) -> dict:
     return {
         "included": list(fit.included),
         "intercept": fit.intercept,
         "coefficients": {c: float(v) for c, v in zip(fit.included, fit.coefficients)},
         "equation": fit.equation(),
-        "test_accuracy": result.accuracy,
+        "test_accuracy": test_accuracy,
     }
 
 
 def _neural_net(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
                 test_m: regression.FeatureMatrix, config: PipelineConfig,
-                out: Path) -> dict:
+                out: Path) -> tuple[dict, np.ndarray]:
+    """The report entry and the test-window predictions of the network
+    trained on ``subset``; writes its weights to ``out``."""
     if not subset:
         raise ValueError("selected subset is empty; nothing to train on")
     nn_train_m = train_m.with_columns(subset)
@@ -393,13 +385,9 @@ def _neural_net(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
             "seed": r.seed,
         } for h, r in sorted(reports.items())
     }
-    nn_mape, nn_preds = neuralnet.evaluate(model, nn_test_m)
-    write_predictions(out / "predictions_hybrid_nn.csv", nn_test_m.target_dates,
-                       nn_test_m.y, nn_preds)
     (out / "model_nn.json").write_text(
         neuralnet.model_to_json(model) + "\n", encoding="utf-8")
-    entry["test_accuracy"] = 100.0 - nn_mape
-    return entry
+    return entry, neuralnet.predict_prices(model, nn_test_m)
 
 
 def run(config: PipelineConfig) -> PipelineReport:
@@ -444,6 +432,16 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
             "train_rows": len(train["gold"]),
             "test_rows": len(test["gold"]),
         }
+    window = test["gold"]
+    predicted: dict[str, np.ndarray] = {}
+
+    def scored(name: str, values: np.ndarray) -> float:
+        """Keep and write one stage's test-window predictions; return
+        their accuracy."""
+        predicted[name] = values
+        write_table(out / f"predictions_{name}.csv", PREDICTION_HEADER,
+                    window.dates, window.closes, values)
+        return accuracy(window.closes, values)
 
     body["assets"] = {}
     tracks: dict[str, np.ndarray] = {}
@@ -453,11 +451,8 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
             fitted = _fit_asset(train_series, config)
             entry = _arima_entry(fitted, train_series, out / f"correlogram_{name}.csv")
             if name == "gold":
-                preds = arima.rolling_one_step(fitted, test[name].close_series(),
-                                               train[name].closes)
-                write_predictions(out / "predictions_arima_gold.csv",
-                                   test[name].dates, test[name].closes, preds.values)
-                entry["test_accuracy"] = accuracy(test[name].closes, preds.values)
+                preds = arima.rolling_one_step(fitted, window.close_series(), train[name].closes)
+                entry["test_accuracy"] = scored("arima_gold", preds.values)
             else:
                 # one-step forecast track across the whole calendar, used as
                 # a regression feature on both windows
@@ -468,7 +463,8 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         indicator_set = indicators.compute(aligned["gold"], config.indicator_params)
     with stage("features", timings):
         train_m, test_m = _windows(aligned, indicator_set, tracks, config.split)
-        if test_m.target_dates != test["gold"].dates:
+        # so every stage is scored against the same days and closes
+        if test_m.target_dates != window.dates:
             raise ValueError("feature rows do not cover the test window exactly")
         body["feature_rows"] = {"train": len(train_m), "test": len(test_m),
                                 "columns": list(train_m.columns)}
@@ -478,14 +474,14 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         kept, dropped, traces = select_columns(train_m, ("forward", "backward"), criterion)
         full_fit = regression.ols(train_m, kept)
         body["full_ols"] = {
-            **_regression_entry(full_fit, test_m, out / "predictions_ols_full.csv"),
+            **_regression_entry(full_fit, scored("ols_full", full_fit.predict(test_m))),
             "dropped_collinear": list(dropped),
             "bic": full_fit.bic,
         }
         body["stepwise"] = {
             direction: {
-                **_regression_entry(trace.fit, test_m,
-                                    out / f"predictions_stepwise_{direction}.csv"),
+                **_regression_entry(trace.fit, scored(f"stepwise_{direction}",
+                                                      trace.fit.predict(test_m))),
                 "steps": [{"action": s.action, "column": s.column,
                            "criterion": s.criterion} for s in trace.steps],
                 "criterion": criterion,
@@ -494,8 +490,10 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         }
 
     with stage("neural_net", timings):
-        body["neural_net"] = _neural_net(traces[config.stepwise_direction].fit.included,
-                                         train_m, test_m, config, out)
+        entry, nn_preds = _neural_net(traces[config.stepwise_direction].fit.included,
+                                      train_m, test_m, config, out)
+        entry["test_accuracy"] = scored("hybrid_nn", nn_preds)
+        body["neural_net"] = entry
     with stage("report", timings):
         body["stage_accuracies"] = {
             "arima_gold": body["assets"]["gold"]["test_accuracy"],
@@ -506,43 +504,6 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         }
         body["seed"] = config.seed
     with stage("plot_data", timings):
-        emit_plot_data(out, regression_direction=config.stepwise_direction)
-
-
-def _read_predictions(path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    if not path.is_file():
-        raise DataFormatError(f"missing stage artifact: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    dates, actual, predicted = [], [], []
-    for line in lines[1:]:
-        day, a, p = line.split(",")
-        dates.append(day)
-        actual.append(float(a))
-        predicted.append(float(p))
-    return dates, np.array(actual), np.array(predicted)
-
-
-def emit_plot_data(out_dir, regression_direction: str = "backward") -> Path:
-    """Merge per-stage prediction CSVs into one plot-ready comparison file.
-
-    Writes ``comparison.csv`` with columns date, actual, arima, regression,
-    hybrid over the test window.  Reads the prediction artifacts back from
-    disk, so it can be re-run standalone after a pipeline run; rewriting is
-    idempotent.
-    """
-    out = Path(out_dir)
-    dates, actual, arima_preds = _read_predictions(out / "predictions_arima_gold.csv")
-    r_dates, r_actual, reg_preds = _read_predictions(
-        out / f"predictions_stepwise_{regression_direction}.csv")
-    h_dates, _, nn_preds = _read_predictions(out / "predictions_hybrid_nn.csv")
-    if r_dates != dates or h_dates != dates:
-        raise DataFormatError("prediction artifacts cover different date ranges")
-    if not np.array_equal(actual, r_actual):
-        raise DataFormatError("prediction artifacts disagree on actual closes")
-    lines = ["date,actual,arima,regression,hybrid"]
-    for i, day in enumerate(dates):
-        lines.append(f"{day},{float(actual[i])!r},{float(arima_preds[i])!r},"
-                     f"{float(reg_preds[i])!r},{float(nn_preds[i])!r}")
-    path = out / "comparison.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        write_table(out / "comparison.csv", ("date", "actual", "arima", "regression", "hybrid"),
+                    window.dates, window.closes, predicted["arima_gold"],
+                    predicted[f"stepwise_{config.stepwise_direction}"], predicted["hybrid_nn"])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RankDeficiencyError
 from .indicators import IndicatorSet
 from .ingest import PriceFrame
-from .metrics import _criteria, mape
+from .metrics import _criteria
 
 # A column whose part orthogonal to the columns before it has a norm at most
 # this share of the largest column norm so far counts as dependent.
@@ -142,16 +142,6 @@ class StepwiseTrace:
     direction: str
     steps: tuple[StepwiseStep, ...]
     fit: RegressionFit
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """Out-of-sample evaluation of a fitted equation."""
-
-    mape: float
-    accuracy: float
-    predictions: np.ndarray
-    n: int
 
 
 def build_features(target: PriceFrame, indicators: IndicatorSet,
@@ -336,17 +326,6 @@ def stepwise(m: FeatureMatrix, direction: str, criterion: str = "bic") -> Stepwi
         current = trial.included
         fit = trial
     return StepwiseTrace(direction=direction, steps=tuple(steps), fit=fit)
-
-
-def evaluate(fit: RegressionFit, test: FeatureMatrix) -> RegressionReport:
-    """Accuracy of a fitted equation on held-out rows."""
-    missing = [c for c in fit.included if c not in test.columns]
-    if missing:
-        raise ValueError(f"evaluation matrix lacks column(s): {', '.join(missing)}")
-    preds = fit.predict(test)
-    err = mape(test.y, preds)
-    return RegressionReport(mape=err, accuracy=100.0 - err,
-                            predictions=preds, n=len(test))
 
 
 def full_rank_subset(m: FeatureMatrix) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -426,6 +426,13 @@ def test_css_gradient_matches_central_differences():
     np.testing.assert_allclose(gradient, numeric, rtol=1e-6)
 
 
+def test_fit_config_rejects_negative_seed():
+    # numpy's generator refuses it inside every cell with p + q > 0, and the
+    # order search would skip those cells as failed fits
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        FitConfig(seed=-1)
+
+
 def test_fit_budget_exhausted_names_cell_and_attempts():
     levels = simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, 1, 800, seed=22)
     with pytest.raises(FitError, match=r"\(2,1,2\).*2 attempts"):

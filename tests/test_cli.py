@@ -207,6 +207,29 @@ def test_train_nn_rejects_bad_hidden_before_any_work(demo_bundle, monkeypatch, c
     assert "--hidden" in err and repr(hidden) in err
 
 
+@pytest.mark.parametrize("command", [["train-nn"], ["pipeline", "run"]],
+                         ids=["train-nn", "pipeline-run"])
+def test_negative_seed_rejected_before_any_work(demo_bundle, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a stage ran before --seed was checked")
+
+    monkeypatch.setattr(pipeline, "feature_windows", no_work)
+    monkeypatch.setattr(pipeline, "run", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(demo_bundle["cfg_path"]), "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "'-1'" in err
+
+
+def test_make_fixture_rejects_negative_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["make-fixture", "--out", str(tmp_path / "fx"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "fx").exists()
+
+
 def test_pipeline_run_prints_stage_accuracies(demo_bundle, tmp_path, capsys):
     out_dir = tmp_path / "cli_out"
     code = main(["pipeline", "run", "--config", str(demo_bundle["cfg_path"]),
@@ -217,9 +240,14 @@ def test_pipeline_run_prints_stage_accuracies(demo_bundle, tmp_path, capsys):
     for stage in ("arima_gold", "full_ols", "stepwise_forward",
                   "stepwise_backward", "hybrid_nn"):
         assert stage in out
-    assert (out_dir / "report.json").is_file()
-    # same inputs and seed: the same report bytes, whatever the output directory
-    assert (out_dir / "report.json").read_bytes() == demo_bundle["report_bytes"][0]
+    # same inputs and seed: the same bytes in every artifact but the wall
+    # times, whatever the output directory
+    baseline = demo_bundle["out_dir"]
+    names = sorted(p.name for p in baseline.iterdir() if p.name != "timings.json")
+    assert len(names) == 11
+    assert names == sorted(p.name for p in out_dir.iterdir() if p.name != "timings.json")
+    for name in names:
+        assert (out_dir / name).read_bytes() == (baseline / name).read_bytes(), name
 
 
 def test_make_fixture_is_deterministic(demo_bundle, tmp_path, capsys):

@@ -20,6 +20,7 @@ from chaincast.ingest import (
     parse_csv,
     serialize,
     split,
+    table_text,
     write_csv,
 )
 
@@ -238,6 +239,23 @@ def test_serialize_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(getattr(back, field), getattr(frame, field))
     # serializing the reparse reproduces the file byte for byte
     assert serialize(back) == p.read_text()
+
+
+def test_table_text_keys_empty_nan_and_repr_round_trip():
+    rng = np.random.default_rng(5)
+    values = rng.normal(0, 1e3, 3) / 7.0
+    values[1] = np.nan
+    days = [datetime.date(2020, 2, 28), datetime.date(2020, 2, 29), datetime.date(2020, 3, 2)]
+    text = table_text(("date", "v", "w"), days, values, np.array([0.1, -0.0, 2.0]))
+    lines = text.splitlines()
+    assert text.endswith("\n") and lines[0] == "date,v,w"
+    assert lines[2] == "2020-02-29,,-0.0"
+    cells = [line.split(",") for line in lines[1:]]
+    assert [c[0] for c in cells] == [d.isoformat() for d in days]
+    assert [float(c[1]) for c in cells if c[1]] == [values[0], values[2]]
+    assert table_text(("lag", "x"), np.arange(1, 3), [0.5, 1e-17]) == "lag,x\n1,0.5\n2,1e-17\n"
+    with pytest.raises(ValueError):
+        table_text(("lag", "x"), [1, 2], [0.5])
 
 
 def test_align_calendars_intersection():

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from chaincast import pipeline
 from chaincast.errors import DivergenceError, FitError
-from chaincast.metrics import mape
+from chaincast.metrics import accuracy, mape
 from chaincast.neuralnet import (
     MlpModel,
     Scaler,
     TrainConfig,
     TrainReport,
-    evaluate,
     fit_scaler,
     gradient_check,
     model_from_json,
@@ -140,6 +139,13 @@ def test_train_config_validation():
         TrainConfig(validation_fraction=0.5)
 
 
+@pytest.mark.parametrize("field, value", [("learning_rate", math.nan),
+                                          ("learning_rate", math.inf), ("seed", -1)])
+def test_train_config_rejects_rate_or_seed_training_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        TrainConfig(**{field: value})
+
+
 def test_train_input_validation():
     m = linear_matrix()
     with pytest.raises(ValueError):
@@ -248,10 +254,11 @@ def test_evaluate_returns_price_space_mape():
     model, _ = train(m, hidden=3,
                      config=TrainConfig(epochs=100, learning_rate=0.1))
     test = linear_matrix(seed=42)
-    err, preds = evaluate(model, test)
-    from chaincast.metrics import mape
-    assert err == mape(test.y, preds)
+    preds = predict_prices(model, test)
     assert preds.shape == test.y.shape
+    # scaled outputs would sit near [-1, 1], about 100% off targets above 100
+    assert accuracy(test.y, preds) > 90.0
+    assert accuracy(test.y, preds) == 100.0 - mape(test.y, preds)
 
 
 def test_model_json_round_trip_bit_exact():

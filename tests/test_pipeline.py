@@ -10,16 +10,11 @@ from hypothesis import given, settings, strategies as st
 from chaincast import arima, neuralnet, pipeline
 from chaincast.errors import DataFormatError, StageError
 from chaincast.indicators import compute
-from chaincast.ingest import align_calendars, parse_csv, split as split_frame, write_csv
+from chaincast.ingest import align_calendars, parse_csv, split as split_frame, write_csv, \
+    write_table
 from chaincast.metrics import mape
 from chaincast.neuralnet import model_from_json, predict_prices
-from chaincast.pipeline import (
-    emit_plot_data,
-    load_config,
-    parse_config_text,
-    run,
-    write_predictions,
-)
+from chaincast.pipeline import PREDICTION_HEADER, load_config, parse_config_text, run
 from chaincast.series import Series
 
 from conftest import doji_frame
@@ -154,11 +149,31 @@ def test_config_number_out_of_range_names_key(tmp_path, line, key):
 @pytest.mark.parametrize("line, key", [
     ("csv_format = xml", "csv_format"),
     ("nn_validation_fraction = 0", "nn_validation_fraction"),
+    ("ema_periods = 5", "ema_periods"),
+    ("ema_periods = 5,10,20", "ema_periods"),
 ])
 def test_config_value_that_would_fail_a_late_stage_names_key(tmp_path, line, key):
     write_trio(tmp_path)
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         parse_config_text(BASE + line + "\n", tmp_path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be non-negative, got -1"),
+    ("nn_learning_rate = nan", "learning rate must be finite and positive, got nan"),
+    ("nn_learning_rate = inf", "learning rate must be finite and positive, got inf"),
+])
+def test_config_rejects_seed_or_rate_at_load(tmp_path, line, message):
+    write_trio(tmp_path)
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(BASE + line + "\n", tmp_path)
+
+
+def test_config_object_rejects_negative_seed(tmp_path):
+    write_trio(tmp_path)
+    config = parse_config_text(BASE, tmp_path)
+    with pytest.raises(ValueError, match="config key 'seed': must be at least 0, got -1"):
+        dataclasses.replace(config, seed=-1)
 
 
 def test_config_missing_csv_named(tmp_path):
@@ -259,38 +274,11 @@ def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
 def test_write_predictions_round_trip(tmp_path):
     days = [datetime.date(2020, 1, 6), datetime.date(2020, 1, 7)]
     path = tmp_path / "p.csv"
-    write_predictions(path, days, np.array([1.25, 2.5]), np.array([1.0, 2.75]))
+    write_table(path, PREDICTION_HEADER, days, np.array([1.25, 2.5]), np.array([1.0, 2.75]))
     dates, actual, predicted = read_predictions(path)
     assert dates == ["2020-01-06", "2020-01-07"]
     np.testing.assert_array_equal(actual, [1.25, 2.5])
     np.testing.assert_array_equal(predicted, [1.0, 2.75])
-
-
-def test_emit_plot_data_missing_artifact(tmp_path):
-    with pytest.raises(DataFormatError, match="missing stage artifact"):
-        emit_plot_data(tmp_path)
-
-
-def test_emit_plot_data_date_mismatch(tmp_path):
-    (tmp_path / "predictions_arima_gold.csv").write_text(
-        "date,actual,predicted\n2020-01-06,10.0,11.0\n")
-    (tmp_path / "predictions_stepwise_backward.csv").write_text(
-        "date,actual,predicted\n2020-01-07,10.0,11.0\n")
-    (tmp_path / "predictions_hybrid_nn.csv").write_text(
-        "date,actual,predicted\n2020-01-06,10.0,11.0\n")
-    with pytest.raises(DataFormatError, match="different date ranges"):
-        emit_plot_data(tmp_path)
-
-
-def test_emit_plot_data_actual_disagreement(tmp_path):
-    (tmp_path / "predictions_arima_gold.csv").write_text(
-        "date,actual,predicted\n2020-01-06,10.0,11.0\n")
-    (tmp_path / "predictions_stepwise_backward.csv").write_text(
-        "date,actual,predicted\n2020-01-06,10.5,11.0\n")
-    (tmp_path / "predictions_hybrid_nn.csv").write_text(
-        "date,actual,predicted\n2020-01-06,10.0,11.0\n")
-    with pytest.raises(DataFormatError, match="disagree on actual"):
-        emit_plot_data(tmp_path)
 
 
 # --- stage failures -------------------------------------------------------
@@ -448,11 +436,15 @@ def test_comparison_csv_merges_stage_predictions(demo_bundle):
     np.testing.assert_array_equal(np.array([float(r[4]) for r in got]), nn_preds)
 
 
-def test_emit_plot_data_regeneration_is_idempotent(demo_bundle):
-    out = demo_bundle["out_dir"]
-    before = (out / "comparison.csv").read_bytes()
-    emit_plot_data(out)
-    assert (out / "comparison.csv").read_bytes() == before
+def test_comparison_regression_column_follows_stepwise_direction(demo_bundle, tmp_path):
+    config = demo_bundle["config"]
+    run(dataclasses.replace(config, stepwise_direction="forward", nn_hidden=2,
+                            nn_train=dataclasses.replace(config.nn_train, epochs=20),
+                            out_dir=tmp_path))
+    _, _, forward = read_predictions(tmp_path / "predictions_stepwise_forward.csv")
+    rows = [line.split(",") for line in
+            (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
+    np.testing.assert_array_equal(np.array([float(r[3]) for r in rows]), forward)
 
 
 def test_correlogram_artifact_shape(demo_bundle):

@@ -9,6 +9,7 @@ from scipy import linalg
 from chaincast import pipeline
 from chaincast.errors import RankDeficiencyError
 from chaincast.indicators import IndicatorParams, compute
+from chaincast.metrics import accuracy, mape
 from chaincast.regression import (
     COLUMN_LEGEND,
     RANK_TOL,
@@ -16,7 +17,6 @@ from chaincast.regression import (
     RegressionFit,
     _householder,
     build_features,
-    evaluate,
     full_rank_subset,
     ols,
     stepwise,
@@ -296,11 +296,10 @@ def test_evaluate_worked_example_rates():
                         coefficients=np.array([1.0]), sse=0.0,
                         aic=-np.inf, bic=-np.inf, n=3)
     test = matrix({"x1": [110.0, 180.0, 330.0]}, [100.0, 200.0, 300.0])
-    report = evaluate(fit, test)
-    assert report.mape == pytest.approx(10.0)
-    assert report.accuracy == pytest.approx(90.0)
-    np.testing.assert_array_equal(report.predictions, [110.0, 180.0, 330.0])
-    assert report.n == 3
+    preds = fit.predict(test)
+    np.testing.assert_array_equal(preds, [110.0, 180.0, 330.0])
+    assert mape(test.y, preds) == pytest.approx(10.0)
+    assert accuracy(test.y, preds) == pytest.approx(90.0)
 
 
 def test_evaluate_missing_column_rejected():
@@ -308,7 +307,7 @@ def test_evaluate_missing_column_rejected():
     fit = ols(m, ("x1", "x2"))
     test = matrix({"x1": np.arange(10.0)}, np.arange(1.0, 11.0))
     with pytest.raises(ValueError, match="x2"):
-        evaluate(fit, test)
+        fit.predict(test)
 
 
 # The rank check the Householder pass replaced: pivoted QR of the whole
