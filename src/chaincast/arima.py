@@ -456,9 +456,11 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
                  config: FitConfig = DEFAULT_FIT_CONFIG) -> ArimaFit:
     """Grid search over (p, q) at fixed d, returning the best fit.
 
-    Ranking is by the requested information criterion; exact ties go to the
-    smaller total order p + q, then to the smaller p.  Grid cells whose
-    estimation fails are skipped; if every cell fails, so does the search.
+    Cells with p + q > `MAX_ORDER` (5) are skipped, so the default 3 x 3
+    grid never fits (3, 3).  Ranking is by the requested information
+    criterion; exact ties go to the smaller total order p + q, then to the
+    smaller p.  Grid cells whose estimation fails are skipped; if every cell
+    fails, so does the search.
     """
     if criterion not in ("aic", "sic"):
         raise ValueError(f"criterion must be 'aic' or 'sic', got {criterion!r}")

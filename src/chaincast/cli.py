@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -23,10 +25,6 @@ from .errors import ChaincastError
 from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, write_table
 from .metrics import accuracy
 from .series import acf, difference, pacf, suggest_d
-
-
-# fit-arima's order search without --config
-_ARIMA_SEARCH = {"max_p": 3, "max_q": 3, "criterion": "sic"}
 
 
 def _hidden_size(text: str) -> str | int:
@@ -89,15 +87,16 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
         config = pipeline.load_config(
             args.config, {f"arima_{key}": str(value) for key, value in given.items()})
         train, test = split_frame(frame, config.split)
-        fitted = pipeline._fit_asset(train.close_series(), config, args.d)
+        fitted = pipeline.fit_asset(train.close_series(), config, args.d)
         criterion = config.arima_criterion
     else:
-        search = {**_ARIMA_SEARCH, **given}
+        # what no flag gives is select_order's default, which is the config's
         train, test = split_frame(frame, DEFAULT_SPLIT)
         closes = train.close_series()
         d = args.d if args.d is not None else suggest_d(closes)
-        fitted = arima.select_order(closes, d, **search)
-        criterion = search["criterion"]
+        fitted = arima.select_order(closes, d, **given)
+        search = inspect.signature(arima.select_order).parameters
+        criterion = given.get("criterion", search["criterion"].default)
     spec = fitted.spec
     print(f"selected order: ({spec.p},{spec.d},{spec.q}) by {criterion}")
     print(f"mu = {fitted.mu:.6g}")
@@ -150,32 +149,28 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 def _cmd_train_nn(args: argparse.Namespace) -> int:
     # the config's checks apply to the size this command trains
     config = pipeline.load_config(args.config, {"nn_hidden": str(args.hidden)})
+    if args.seed is not None:
+        config = dataclasses.replace(
+            config, nn_train=dataclasses.replace(config.nn_train, seed=args.seed))
     train_m, test_m = pipeline.feature_windows(config)
     direction = config.stepwise_direction
     _, _, traces = pipeline.select_columns(train_m, (direction,), config.stepwise_criterion)
     subset = traces[direction].fit.included
     print(f"training on {direction}-selected columns: {', '.join(subset)}")
-    nn_train = train_m.with_columns(subset)
-    nn_test = test_m.with_columns(subset)
-    train_config = (config.nn_train if args.seed is None
-                    else dataclasses.replace(config.nn_train, seed=args.seed))
-    if args.hidden == "sweep":
-        result = neuralnet.sweep(nn_train, train_config, config.nn_max_hidden)
-        for h in sorted(result.reports):
-            r = result.reports[h]
-            flag = " (early stop)" if r.early_stopped else ""
-            print(f"hidden {h:>2}: validation MAPE {r.validation_mape:.4f}%{flag}")
-        for h in sorted(result.failures):
+    entry, model, preds = pipeline.train_network(subset, train_m, test_m, config)
+    if config.nn_hidden is None:
+        for h, r in entry["sweep"].items():
+            flag = " (early stop)" if r["early_stopped"] else ""
+            print(f"hidden {h:>2}: validation MAPE {r['validation_mape']:.4f}%{flag}")
+        for h in entry.get("diverged", {}):
             print(f"hidden {h:>2}: diverged")
-        print(f"chosen hidden size: {result.chosen}")
-        model = result.model
+        print(f"chosen hidden size: {entry['chosen_hidden']}")
     else:
-        model, report = neuralnet.train(nn_train, args.hidden, train_config)
-        print(f"hidden {model.hidden_size}: train MAPE {report.train_mape:.4f}%, "
-              f"validation MAPE {report.validation_mape:.4f}%, "
-              f"{report.epochs_run} epochs")
-    acc = accuracy(nn_test.y, neuralnet.predict_prices(model, nn_test))
-    print(f"test accuracy on {len(nn_test)} days: {acc:.2f}%")
+        r = entry["sweep"][str(config.nn_hidden)]
+        print(f"hidden {config.nn_hidden}: train MAPE {r['train_mape']:.4f}%, "
+              f"validation MAPE {r['validation_mape']:.4f}%, {r['epochs_run']} epochs")
+    acc = accuracy(test_m.y, preds)
+    print(f"test accuracy on {len(test_m)} days: {acc:.2f}%")
     if args.out:
         Path(args.out).write_text(neuralnet.model_to_json(model) + "\n", encoding="utf-8")
         print(f"model written to {args.out}")
@@ -239,10 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config file supplying the train/test split and the "
                         "search settings (arima_*, stationarity_threshold, seed)")
     p.add_argument("--d", type=int, default=None)
+    skipped = f"; cells with p + q > {arima.MAX_ORDER} are skipped"
     p.add_argument("--max-p", type=int, default=None,
-                   help="default: the config's arima_max_p, else 3")
+                   help="default: the config's arima_max_p, else 3" + skipped)
     p.add_argument("--max-q", type=int, default=None,
-                   help="default: the config's arima_max_q, else 3")
+                   help="default: the config's arima_max_q, else 3" + skipped)
     p.add_argument("--criterion", default=None, choices=["aic", "sic"],
                    help="default: the config's arima_criterion, else sic")
     p.add_argument("--out", default=None, help="write predictions CSV here")
@@ -288,8 +284,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ChaincastError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left fails here, not at exit
+        return code
+    except (ChaincastError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader left: send what is still buffered nowhere, so the
+            # flush at exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

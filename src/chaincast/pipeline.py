@@ -22,6 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,33 +35,39 @@ from .series import Series, acf, difference, ljung_box, pacf, suggest_d
 
 ASSETS = ("gold", "eurusd", "oil")  # target first, then companions (x2, x3 order)
 
-_DEFAULTS: dict[str, str] = {
-    "csv_format": "auto",
-    "train_start": "2015-01-01",
-    "train_end": "2018-01-01",
-    "test_start": "2018-01-02",
-    "test_end": "2019-01-01",
-    "stationarity_threshold": "0.95",
-    "arima_max_p": "3",
-    "arima_max_q": "3",
-    "arima_criterion": "sic",
-    "ema_periods": "5,10",
-    "rsi_period": "14",
-    "stoch_period": "14",
-    "stoch_d_period": "3",
-    "stepwise_direction": "backward",
-    "stepwise_criterion": "bic",
-    "nn_hidden": "sweep",
-    "nn_max_hidden": "10",
-    "nn_epochs": "500",
-    "nn_learning_rate": "0.01",
-    "nn_batch_size": "32",
-    "nn_validation_fraction": "0.15",
-    "nn_plateau_patience": "50",
-    "seed": "0",
-    "out_dir": "out",
+
+# Every config key, in the order values are parsed: its default (None: the
+# key is required and must come from the file), its parser (paths resolve
+# against the config's directory) and what a value it rejects is called.
+_KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
+    "gold_csv": (None, Path, "path"),
+    "eurusd_csv": (None, Path, "path"),
+    "oil_csv": (None, Path, "path"),
+    "csv_format": ("auto", str, "text"),
+    "train_start": ("2015-01-01", datetime.date.fromisoformat, "date"),
+    "train_end": ("2018-01-01", datetime.date.fromisoformat, "date"),
+    "test_start": ("2018-01-02", datetime.date.fromisoformat, "date"),
+    "test_end": ("2019-01-01", datetime.date.fromisoformat, "date"),
+    "ema_periods": ("5,10", lambda v: tuple(int(x) for x in v.split(",")), "list"),
+    "rsi_period": ("14", int, "number"),
+    "stoch_period": ("14", int, "number"),
+    "stoch_d_period": ("3", int, "number"),
+    "seed": ("0", int, "number"),
+    "nn_epochs": ("500", int, "number"),
+    "nn_learning_rate": ("0.01", float, "number"),
+    "nn_batch_size": ("32", int, "number"),
+    "nn_validation_fraction": ("0.15", float, "number"),
+    "nn_plateau_patience": ("50", int, "number"),
+    "nn_hidden": ("sweep", lambda v: None if v == "sweep" else int(v), "number"),
+    "nn_max_hidden": ("10", int, "number"),
+    "stationarity_threshold": ("0.95", float, "number"),
+    "arima_max_p": ("3", int, "number"),
+    "arima_max_q": ("3", int, "number"),
+    "arima_criterion": ("sic", str, "text"),
+    "stepwise_direction": ("backward", str, "text"),
+    "stepwise_criterion": ("bic", str, "text"),
+    "out_dir": ("out", Path, "path"),
 }
-_REQUIRED = ("gold_csv", "eurusd_csv", "oil_csv")
 
 
 @dataclass(frozen=True)
@@ -136,69 +143,42 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
             raise DataFormatError(f"{source}, line {line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS and key not in _REQUIRED:
+        if key not in _KEYS:
             raise DataFormatError(f"{source}, line {line_no}: unknown key {key!r}")
         if key in values:
             raise DataFormatError(f"{source}, line {line_no}: duplicate key {key!r}")
         if not value:
             raise DataFormatError(f"{source}, line {line_no}: empty value for {key!r}")
         values[key], line_of[key] = value, line_no
-    for key in _REQUIRED:
-        if key not in values:
+    for key, (default, _, _) in _KEYS.items():
+        if default is None and key not in values:
             raise DataFormatError(f"{source}: missing required key {key!r}")
-    merged = {**_DEFAULTS, **values, **(overrides or {})}
-
-    def path_of(key: str) -> Path:
-        p = Path(merged[key])
-        return p if p.is_absolute() else base_dir / p
-
-    def parsed(key: str, cast, kind: str = "number"):
-        """``cast`` of a value; a bad one names the line it came from."""
+    merged = {**{key: row[0] for key, row in _KEYS.items() if row[0] is not None},
+              **values, **(overrides or {})}
+    parsed: dict = {}
+    for key, (_, cast, kind) in _KEYS.items():
         try:
-            return cast(merged[key])
+            parsed[key] = base_dir / merged[key] if cast is Path else cast(merged[key])
         except ValueError:
             where = (f"{source}, line {line_of[key]}: "
                      if key in line_of and key not in (overrides or {}) else "")
             raise DataFormatError(
                 f"{where}config key '{key}': bad {kind} {merged[key]!r}") from None
-
-    split_spec = SplitSpec(*(parsed(key, datetime.date.fromisoformat, "date") for key in
-                             ("train_start", "train_end", "test_start", "test_end")))
-    params = indicators.IndicatorParams(
-        ema_periods=parsed("ema_periods", lambda v: tuple(int(x) for x in v.split(",")), "list"),
-        rsi_period=parsed("rsi_period", int),
-        stoch_period=parsed("stoch_period", int),
-        stoch_d_period=parsed("stoch_d_period", int),
-    )
-    seed = parsed("seed", int)
-    nn_train = neuralnet.TrainConfig(
-        epochs=parsed("nn_epochs", int),
-        learning_rate=parsed("nn_learning_rate", float),
-        batch_size=parsed("nn_batch_size", int),
-        seed=seed,
-        validation_fraction=parsed("nn_validation_fraction", float),
-        plateau_patience=parsed("nn_plateau_patience", int),
-    )
-    nn_hidden = None if merged["nn_hidden"] == "sweep" else parsed("nn_hidden", int)
     return PipelineConfig(
-        gold_csv=path_of("gold_csv"),
-        eurusd_csv=path_of("eurusd_csv"),
-        oil_csv=path_of("oil_csv"),
-        csv_format=merged["csv_format"],
-        split=split_spec,
-        stationarity_threshold=parsed("stationarity_threshold", float),
-        arima_max_p=parsed("arima_max_p", int),
-        arima_max_q=parsed("arima_max_q", int),
-        arima_criterion=merged["arima_criterion"],
-        indicator_params=params,
-        stepwise_direction=merged["stepwise_direction"],
-        stepwise_criterion=merged["stepwise_criterion"],
-        nn_hidden=nn_hidden,
-        nn_max_hidden=parsed("nn_max_hidden", int),
-        nn_train=nn_train,
-        seed=seed,
-        out_dir=path_of("out_dir"),
+        split=SplitSpec(*(parsed.pop(key) for key in
+                          ("train_start", "train_end", "test_start", "test_end"))),
+        indicator_params=indicators.IndicatorParams(*(parsed.pop(key) for key in (
+            "ema_periods", "rsi_period", "stoch_period", "stoch_d_period"))),
+        nn_train=neuralnet.TrainConfig(
+            epochs=parsed.pop("nn_epochs"),
+            learning_rate=parsed.pop("nn_learning_rate"),
+            batch_size=parsed.pop("nn_batch_size"),
+            seed=parsed["seed"],
+            validation_fraction=parsed.pop("nn_validation_fraction"),
+            plateau_patience=parsed.pop("nn_plateau_patience"),
+        ),
         raw=merged,
+        **parsed,
     )
 
 
@@ -235,7 +215,7 @@ PREDICTION_HEADER = ("date", "actual", "predicted")
 _CORRELOGRAM_LAGS = 24
 
 
-def _fit_asset(train: Series, config: PipelineConfig, d: int | None = None
+def fit_asset(train: Series, config: PipelineConfig, d: int | None = None
                ) -> arima.ArimaFit:
     """Order search under the config's settings; ``d`` forces the
     differencing order instead of suggesting one."""
@@ -321,7 +301,7 @@ def feature_windows(config: PipelineConfig
     """
     aligned = _align(_read_frames(config))
     train, _ = _split(aligned, config.split)
-    tracks = {name: arima.one_step_history(_fit_asset(train[name].close_series(), config),
+    tracks = {name: arima.one_step_history(fit_asset(train[name].close_series(), config),
                                            aligned[name].close_series())
               for name in ASSETS[1:]}
     return _windows(aligned, indicators.compute(aligned["gold"], config.indicator_params),
@@ -356,15 +336,15 @@ def _regression_entry(fit: regression.RegressionFit, test_accuracy: float) -> di
     }
 
 
-def _neural_net(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
-                test_m: regression.FeatureMatrix, config: PipelineConfig,
-                out: Path) -> tuple[dict, np.ndarray]:
-    """The report entry and the test-window predictions of the network
-    trained on ``subset``; writes its weights to ``out``."""
+def train_network(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
+                  test_m: regression.FeatureMatrix, config: PipelineConfig
+                  ) -> tuple[dict, neuralnet.MlpModel, np.ndarray]:
+    """The report entry, the model and the test-window predictions of the
+    network trained on ``subset``: the sweep when ``config.nn_hidden`` is
+    None, else that one size.  Writes nothing."""
     if not subset:
         raise ValueError("selected subset is empty; nothing to train on")
     nn_train_m = train_m.with_columns(subset)
-    nn_test_m = test_m.with_columns(subset)
     entry: dict = {"subset_source": f"{config.stepwise_direction} stepwise",
                    "columns": list(subset)}
     if config.nn_hidden is None:
@@ -385,9 +365,7 @@ def _neural_net(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
             "seed": r.seed,
         } for h, r in sorted(reports.items())
     }
-    (out / "model_nn.json").write_text(
-        neuralnet.model_to_json(model) + "\n", encoding="utf-8")
-    return entry, neuralnet.predict_prices(model, nn_test_m)
+    return entry, model, neuralnet.predict_prices(model, test_m.with_columns(subset))
 
 
 def run(config: PipelineConfig) -> PipelineReport:
@@ -448,7 +426,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
     for name in ASSETS:
         with stage(f"arima_{name}", timings):
             train_series = train[name].close_series()
-            fitted = _fit_asset(train_series, config)
+            fitted = fit_asset(train_series, config)
             entry = _arima_entry(fitted, train_series, out / f"correlogram_{name}.csv")
             if name == "gold":
                 preds = arima.rolling_one_step(fitted, window.close_series(), train[name].closes)
@@ -490,8 +468,10 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         }
 
     with stage("neural_net", timings):
-        entry, nn_preds = _neural_net(traces[config.stepwise_direction].fit.included,
-                                      train_m, test_m, config, out)
+        entry, model, nn_preds = train_network(
+            traces[config.stepwise_direction].fit.included, train_m, test_m, config)
+        (out / "model_nn.json").write_text(
+            neuralnet.model_to_json(model) + "\n", encoding="utf-8")
         entry["test_accuracy"] = scored("hybrid_nn", nn_preds)
         body["neural_net"] = entry
     with stage("report", timings):

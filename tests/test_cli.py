@@ -146,6 +146,20 @@ def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path):
     assert model_path.read_bytes() == (tmp_path / "out" / "model_nn.json").read_bytes()
 
 
+def test_train_nn_sweep_prints_the_pipeline_sweep(demo_bundle, capsys):
+    assert main(["train-nn", "--config", str(demo_bundle["cfg_path"])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    body = demo_bundle["report"].body
+    printed = dict(re.match(r"hidden +(\d+): validation MAPE ([\d.]+)%", line).groups()
+                   for line in lines if line.startswith("hidden "))
+    assert printed == {h: f"{entry['validation_mape']:.4f}"
+                       for h, entry in body["neural_net"]["sweep"].items()}
+    assert len(printed) == 10
+    assert f"chosen hidden size: {body['neural_net']['chosen_hidden']}" in lines
+    assert lines[-1] == (f"test accuracy on {body['feature_rows']['test']} days: "
+                         f"{body['stage_accuracies']['hybrid_nn']:.2f}%")
+
+
 def _config_with(tmp_path, paths, extra):
     cfg = tmp_path / "extra.cfg"
     cfg.write_text("".join(f"{name}_csv = {paths[name]}\n" for name in ("gold", "eurusd", "oil"))
@@ -248,6 +262,50 @@ def test_pipeline_run_prints_stage_accuracies(demo_bundle, tmp_path, capsys):
     assert names == sorted(p.name for p in out_dir.iterdir() if p.name != "timings.json")
     for name in names:
         assert (out_dir / name).read_bytes() == (baseline / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["indicators", "--input", "{walk}", "--out", "{missing}/x.csv"],
+    ["fit-arima", "--input", "{walk}", "--d", "1", "--max-p", "1", "--max-q", "0",
+     "--out", "{missing}/p.csv"],
+    ["train-nn", "--config", "{cfg}", "--hidden", "2", "--out", "{missing}/m.json"],
+    ["make-fixture", "--out", "{file}"],
+    ["pipeline", "run", "--config", "{cfg}", "--out", "{file}/run"],
+], ids=["indicators", "fit-arima", "train-nn", "make-fixture", "pipeline-run"])
+def test_unwritable_output_is_an_error_not_a_traceback(walk_csv, demo_bundle, tmp_path,
+                                                       capsys, argv):
+    cfg = _config_with(tmp_path, demo_bundle["paths"], "nn_hidden = 2\nnn_epochs = 5\n")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    fields = {"walk": walk_csv, "cfg": cfg, "missing": tmp_path / "nodir", "file": a_file}
+    assert main([arg.format(**fields) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_an_error_not_a_traceback(demo_bundle, buffered):
+    """`chaincast diagnose` into a pipe whose reader has already gone: the
+    write fails, and the CLI says so on one line and exits 2, whether stdout
+    is flushed as it goes or only at the end."""
+    script = (
+        "import sys\n"
+        "sys.stdin.read()  # start once the test has closed the pipe's read end\n"
+        "from chaincast.cli import main\n"
+        f"sys.exit(main(['diagnose', '--input', {str(demo_bundle['paths']['gold'])!r}]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(chaincast.__file__).resolve().parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_make_fixture_is_deterministic(demo_bundle, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+from chaincast import pipeline
 from chaincast.synthetic import make_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -16,3 +17,21 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["preds"]) == 260
+
+
+def test_config_table_matches_the_loader():
+    """Each key of `pipeline._KEYS` is on the README's "Required keys" line
+    (no default) or in its `| key | default |` table with its default, and
+    no other key is documented, so a default changed in one place fails."""
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys, defaults = (re.findall(r"`([^`]+)`", cell) for cell in line.split(" | ")[:2])
+            assert len(keys) == len(defaults), line
+            documented += zip(keys, defaults)
+    required = re.search(r"^Required keys: (.*)\.$", section, re.MULTILINE).group(1)
+    documented += [(key, None) for key in re.findall(r"`([^`]+)`", required)]
+    assert len(documented) == len(dict(documented))
+    assert dict(documented) == {key: row[0] for key, row in pipeline._KEYS.items()}
