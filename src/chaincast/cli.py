@@ -24,7 +24,7 @@ from . import arima, indicators, neuralnet, pipeline, synthetic
 from .errors import ChaincastError
 from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, write_table
 from .metrics import accuracy
-from .series import acf, difference, pacf, suggest_d
+from .series import STATIONARITY_THRESHOLD, acf, difference, pacf, suggest_d
 
 
 def _hidden_size(text: str) -> str | int:
@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("diagnose", help="stationarity and correlogram tables")
     _add_input_args(p)
     p.add_argument("--d", type=int, default=None, help="force a differencing order")
-    p.add_argument("--threshold", type=float, default=0.95,
-                   help="lag-1 autocorrelation threshold for suggesting d")
+    p.add_argument("--threshold", type=float, default=STATIONARITY_THRESHOLD,
+                   help="lag-1 autocorrelation threshold for suggesting d "
+                        "(default %(default)s)")
     p.add_argument("--max-lag", type=int, default=20)
     p.set_defaults(func=_cmd_diagnose)
 

@@ -149,8 +149,8 @@ class SplitSpec:
             )
 
 
-# Windows used throughout the worked examples: three years of training data
-# followed by one year of evaluation data.
+# Three years of training data followed by one year of evaluation data: the
+# default of the config keys train_start, train_end, test_start and test_end.
 DEFAULT_SPLIT = SplitSpec(
     train_start=datetime.date(2015, 1, 1),
     train_end=datetime.date(2018, 1, 1),

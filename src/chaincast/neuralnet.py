@@ -7,8 +7,9 @@ from one base seed, so a training run is reproducible to the bit.
 
 Training folds each bias into its weights (the inputs and the hidden layer
 each gain a unit fixed at 1) and keeps the batch axis innermost, so one
-minibatch step of a whole stack of networks is about a dozen in-place
-numpy calls; `MlpModel` keeps the weights and biases apart.
+minibatch step of a whole stack of networks is eleven in-place numpy calls
+on views built before the first step; `MlpModel` keeps the weights and
+biases apart.
 """
 
 from __future__ import annotations
@@ -158,35 +159,71 @@ def _outputs(w1, w2, x1t, act, z=None, out=None):
     return np.matmul(w2, act, out=out)
 
 
-def _step_buffers(stack: int, hidden: int, width: int, batch: int):
-    """Buffers `_step` writes into, for ``stack`` networks and ``batch`` rows
-    of ``width`` = k+1 inputs."""
+def _stack(params: np.ndarray, grads: np.ndarray, stack: int, hidden: int, width: int):
+    """Weight and gradient views of ``stack`` folded networks.
+
+    The weights fill the front of the flat array ``params``: every
+    network's ``w1`` (S, H, k+1) first, then every ``w2`` (S, 1, H+1), with
+    ``width`` = k+1.  ``grads`` has the same layout, so one subtraction
+    applies a step.  Returns (params, grads, w1, w2, w_out, g1, g2): the
+    used fronts of the two arrays, the weight views, the (S, H, 1) view
+    ``w_out`` of ``w2``'s unit weights, and the views of ``grads`` that
+    match ``w1`` and ``w2``.
+    """
+    cut = stack * hidden * width
+    end = cut + stack * (hidden + 1)
+    w1 = params[:cut].reshape(stack, hidden, width)
+    w2 = params[cut:end].reshape(stack, 1, hidden + 1)
+    return (params[:end], grads[:end], w1, w2, w2[:, :, :-1].transpose(0, 2, 1),
+            grads[:cut].reshape(stack, hidden, width),
+            grads[cut:end].reshape(stack, 1, hidden + 1))
+
+
+def _step_buffers(stack: int, hidden: int, batch: int):
+    """Buffers `_step` writes into, for ``stack`` networks and ``batch`` rows:
+    the pre-activations, the ReLU mask, the activations above a row of
+    ones, the output error and the pre-activation error."""
     return (np.empty((stack, hidden, batch)), np.empty((stack, hidden, batch), bool),
             np.ones((stack, hidden + 1, batch)), np.empty((stack, 1, batch)),
-            np.empty((stack, hidden, batch)), np.empty((stack, hidden, width)),
-            np.empty((stack, 1, hidden + 1)))
+            np.empty((stack, hidden, batch)))
 
 
-def _step(w1, w2, w_out, x, y, rate, buffers) -> None:
+def _batch(x: np.ndarray, y: np.ndarray, rate: np.ndarray, buffers):
+    """One minibatch as `_step` reads it, with views of `_step_buffers`.
+
+    ``x`` is (S, b, k+1) with its ones column, ``y`` is (S, 1, b) and
+    ``rate`` is (S, 1, 1), holding each network's learning rate times 2/b.
+    """
+    z, mask, act, err, d_z = buffers
+    return (x, x.transpose(0, 2, 1), y, rate, z, mask, act, act[:, :-1],
+            act.transpose(0, 2, 1), err, d_z)
+
+
+# zero as an array: numpy resolves a Python float operand on every call,
+# which costs about as much as the comparison itself on a minibatch
+_ZERO = np.zeros(())
+
+
+def _step(net, batch) -> None:
     """One minibatch gradient step of S folded networks, in place.
 
-    ``x`` is (S, b, k+1) with its ones column, ``y`` is (S, 1, b), ``rate``
-    is (S, 1, 1) holding each network's learning rate times 2/b, and
-    ``w_out`` is the (S, H, 1) view of ``w2``'s unit weights.  The batch
-    axis is innermost throughout, so every call is one batched matmul or
-    one elementwise pass, and nothing is allocated.
+    ``net`` comes from `_stack` and ``batch`` from `_batch`.  The batch axis
+    is innermost throughout, so every call is one batched matmul or one
+    elementwise pass, and nothing is allocated.
     """
-    z, mask, act, err, d_z, g1, g2 = buffers
-    _outputs(w1, w2, x.transpose(0, 2, 1), act, z, err)
-    np.greater(z, 0.0, out=mask)
+    params, grads, w1, w2, w_out, g1, g2 = net
+    x, xt, y, rate, z, mask, act, act_units, act_t, err, d_z = batch
+    np.matmul(w1, xt, out=z)
+    np.maximum(z, _ZERO, out=act_units)
+    np.matmul(w2, act, out=err)
+    np.greater(z, _ZERO, out=mask)
     np.subtract(err, y, out=err)
     np.multiply(err, rate, out=err)  # rate times dMSE/dprediction
     np.multiply(mask, err, out=d_z)
     np.matmul(d_z, x, out=g1)
     np.multiply(g1, w_out, out=g1)
-    np.matmul(err, act.transpose(0, 2, 1), out=g2)
-    w1 -= g1
-    w2 -= g2
+    np.matmul(err, act_t, out=g2)
+    np.subtract(params, grads, out=params)
 
 
 def _model_output(model: MlpModel, xs: np.ndarray) -> np.ndarray:
@@ -264,10 +301,12 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
     (S, 1, H+1) with the output bias last, and the inputs carry a ones
     column.  Every size is padded to the largest; a padded unit starts at
     zero and stays zero, since its pre-activation is 0, so its ReLU mask
-    is false and its output and gradient are 0.  Each epoch gathers every
-    size's permuted rows into one buffer, and each step (`_step`) writes
-    into buffers allocated once per batch width.  Each size draws from its
-    own generator exactly what a lone run of it draws (initial weights,
+    is false and its output and gradient are 0.  All weights live in one
+    flat array (`_stack`) with a gradient twin, so a step ends in one
+    subtraction.  Each epoch gathers every size's permuted rows into one
+    buffer; the views each step (`_step`) reads and the buffers it writes
+    into are built once per stack size, not per step.  Each size draws from
+    its own generator exactly what a lone run of it draws (initial weights,
     then one permutation per epoch), so it sees the same batches and ends
     with the same weights up to summation order over the padding.  A size
     leaves the stack when it stops early or diverges.  Returns (model,
@@ -289,35 +328,51 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
     runs = [_Run(h, s, np.random.default_rng(s), config.learning_rate)
             for h, s in zip(sizes, seeds)]
     inputs, top, stack = xs.shape[1], max(sizes), len(runs)
-    w1, w2 = np.zeros((stack, top, inputs + 1)), np.zeros((stack, 1, top + 1))
+    width = inputs + 1
+    params = np.zeros(stack * (top * width + top + 1))
+    grads = np.empty_like(params)
+    _, _, w1, w2, *_ = _stack(params, grads, stack, top, width)
     for j, run in enumerate(runs):
         w1[j, :run.hidden, :inputs], w2[j, 0, :run.hidden] = _init_params(
             inputs, run.hidden, run.rng)
 
     x1 = _with_ones(xs)
-    x_epoch, y_epoch = np.empty((stack, n_fit, inputs + 1)), np.empty((stack, 1, n_fit))
+    x_epoch, y_epoch = np.empty((stack, n_fit, width)), np.empty((stack, 1, n_fit))
     act_all, err_all = np.ones((stack, top + 1, n_fit)), np.empty((stack, 1, n_fit))
-    batches = [(lo, min(config.batch_size, n_fit - lo))
-               for lo in range(0, n_fit, config.batch_size)]
-    per_width = {b: _step_buffers(stack, top, inputs + 1, b) for _, b in batches}
+    # each row starts every epoch as arange and is shuffled in place, which
+    # draws what `Generator.permutation(n_fit)` draws
+    rows, order = np.arange(n_fit), np.empty((stack, n_fit), int)
+    spans = [(lo, min(config.batch_size, n_fit - lo))
+             for lo in range(0, n_fit, config.batch_size)]
+    lr, rates = np.empty((stack, 1, 1)), {b: np.empty((stack, 1, 1)) for _, b in spans}
+    per_width = {b: _step_buffers(stack, top, b) for b in rates}
+
+    def views(s: int):
+        """The views of the first ``s`` networks, and of every batch."""
+        return (_stack(params, grads, s, top, width),
+                [_batch(x_epoch[:s, lo:lo + b], y_epoch[:s, :, lo:lo + b], rates[b][:s],
+                        [buf[:s] for buf in per_width[b]])
+                 for lo, b in spans])
+
     active = runs
+    net, batches = views(stack)
     # overflow during a diverging run is expected and reported as an error,
     # so the intermediate inf/nan arithmetic must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             s = len(active)
-            order = np.stack([run.rng.permutation(n_fit) for run in active])
-            x_ep, y_ep = x_epoch[:s], y_epoch[:s]
+            order[:s] = rows
+            for run, row in zip(active, order):
+                run.rng.shuffle(row)
             # the indices are in range; "clip" writes into out without a buffer
-            np.take(x1, order, axis=0, out=x_ep, mode="clip")
-            np.take(ys, order, out=y_ep[:, 0], mode="clip")
-            lr = np.array([run.lr for run in active])[:, None, None]
-            rates = {b: lr * (2.0 / b) for b in per_width}
-            bufs = {b: [buf[:s] for buf in bs] for b, bs in per_width.items()}
-            w_out = w2[:, :, :top].transpose(0, 2, 1)
-            for lo, b in batches:
-                _step(w1, w2, w_out, x_ep[:, lo:lo + b], y_ep[:, :, lo:lo + b],
-                      rates[b], bufs[b])
+            np.take(x1, order[:s], axis=0, out=x_epoch[:s], mode="clip")
+            np.take(ys, order[:s], out=y_epoch[:s, 0], mode="clip")
+            lr[:s, 0, 0] = [run.lr for run in active]
+            for b, rate in rates.items():
+                np.multiply(lr[:s], 2.0 / b, out=rate[:s])
+            for batch in batches:
+                _step(net, batch)
+            w1, w2 = net[2], net[3]
             # the pre-activations go straight into the rows ReLU overwrites
             act = act_all[:s]
             err = _outputs(w1, w2, x1.T, act, act[:, :-1], err_all[:s])
@@ -330,12 +385,14 @@ def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
                               for run, e, ok in zip(active, mse, finite)])
             if not going.all():
                 for j in np.flatnonzero(~going):
-                    active[j].weights = w1[j], w2[j]
-                w1, w2 = w1[going], w2[going]
+                    active[j].weights = w1[j].copy(), w2[j].copy()
                 active = [run for run, g in zip(active, going) if g]
                 if not active:
                     break
-    for run, w1_j, w2_j in zip(active, w1, w2):
+                kept = w1[going], w2[going]
+                net, batches = views(len(active))
+                net[2][...], net[3][...] = kept
+    for run, w1_j, w2_j in zip(active, net[2], net[3]):
         run.weights = w1_j, w2_j
 
     val_rows = FeatureMatrix(m.dates[n_fit:], m.target_dates[n_fit:],
@@ -413,21 +470,22 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
     scaler = fit_scaler(m)
     x1 = _with_ones(scaler.apply_x(m.x[:batch]))
     ys = scaler.apply_y(m.y[:batch])
+    width, n = x1.shape[1], len(ys)
     rng = np.random.default_rng(seed)
-    w_hidden, w_out = _init_params(x1.shape[1] - 1, hidden, rng)
-    w1 = np.column_stack([w_hidden, rng.uniform(-0.1, 0.1, hidden)])[None]
-    w2 = np.append(w_out, rng.uniform(-0.1, 0.1))[None, None]
-    cut = w1.size
-    act = np.ones((1, hidden + 1, len(ys)))
+    params = np.empty(hidden * width + hidden + 1)
+    net = _stack(params, np.empty_like(params), 1, hidden, width)
+    w1, w2 = net[2][0], net[3][0]
+    w1[:, :-1], w2[0, :-1] = _init_params(width - 1, hidden, rng)
+    w1[:, -1], w2[0, -1] = rng.uniform(-0.1, 0.1, hidden), rng.uniform(-0.1, 0.1)
+    vec = params.copy()
+    _step(net, _batch(x1[None], ys[None, None], np.full((1, 1, 1), 2.0 / n),
+                      _step_buffers(1, hidden, n)))
+    grad = vec - params
+    act = np.ones((1, hidden + 1, n))
 
-    def loss(vec: np.ndarray) -> float:
-        out = _outputs(vec[:cut].reshape(w1.shape), vec[cut:].reshape(w2.shape), x1.T, act)
-        return float(np.mean((out[0, 0] - ys)**2))
-
-    vec = np.concatenate([w1.ravel(), w2.ravel()])
-    _step(w1, w2, w2[:, :, :-1].transpose(0, 2, 1), x1[None], ys[None, None],
-          np.full((1, 1, 1), 2.0 / len(ys)), _step_buffers(1, hidden, x1.shape[1], len(ys)))
-    grad = vec - np.concatenate([w1.ravel(), w2.ravel()])
+    def loss(v: np.ndarray) -> float:
+        _, _, v1, v2, *_ = _stack(v, v, 1, hidden, width)
+        return float(np.mean((_outputs(v1, v2, x1.T, act)[0, 0] - ys)**2))
 
     worst = 0.0
     for j in range(vec.size):

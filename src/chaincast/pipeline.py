@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime
 import io
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,10 +29,11 @@ import numpy as np
 
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
-from .ingest import FORMATS, PriceFrame, SplitSpec, align_calendars, parse_csv, split, \
-    write_table
+from .ingest import DEFAULT_SPLIT, FORMATS, PriceFrame, SplitSpec, align_calendars, \
+    parse_csv, split, write_table
 from .metrics import accuracy
-from .series import Series, acf, difference, ljung_box, pacf, suggest_d
+from .series import STATIONARITY_THRESHOLD, Series, acf, difference, ljung_box, pacf, \
+    suggest_d
 
 ASSETS = ("gold", "eurusd", "oil")  # target first, then companions (x2, x3 order)
 
@@ -39,15 +41,15 @@ ASSETS = ("gold", "eurusd", "oil")  # target first, then companions (x2, x3 orde
 # Every config key, in the order values are parsed: its default (None: the
 # key is required and must come from the file), its parser (paths resolve
 # against the config's directory) and what a value it rejects is called.
+# The split and threshold defaults are the library's own, which the CLI
+# uses without a config.
 _KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
     "gold_csv": (None, Path, "path"),
     "eurusd_csv": (None, Path, "path"),
     "oil_csv": (None, Path, "path"),
     "csv_format": ("auto", str, "text"),
-    "train_start": ("2015-01-01", datetime.date.fromisoformat, "date"),
-    "train_end": ("2018-01-01", datetime.date.fromisoformat, "date"),
-    "test_start": ("2018-01-02", datetime.date.fromisoformat, "date"),
-    "test_end": ("2019-01-01", datetime.date.fromisoformat, "date"),
+    **{key: (getattr(DEFAULT_SPLIT, key).isoformat(), datetime.date.fromisoformat, "date")
+       for key in ("train_start", "train_end", "test_start", "test_end")},
     "ema_periods": ("5,10", lambda v: tuple(int(x) for x in v.split(",")), "list"),
     "rsi_period": ("14", int, "number"),
     "stoch_period": ("14", int, "number"),
@@ -60,13 +62,21 @@ _KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
     "nn_plateau_patience": ("50", int, "number"),
     "nn_hidden": ("sweep", lambda v: None if v == "sweep" else int(v), "number"),
     "nn_max_hidden": ("10", int, "number"),
-    "stationarity_threshold": ("0.95", float, "number"),
+    "stationarity_threshold": (repr(STATIONARITY_THRESHOLD), float, "number"),
     "arima_max_p": ("3", int, "number"),
     "arima_max_q": ("3", int, "number"),
     "arima_criterion": ("sic", str, "text"),
     "stepwise_direction": ("backward", str, "text"),
     "stepwise_criterion": ("bic", str, "text"),
     "out_dir": ("out", Path, "path"),
+}
+
+# Range checks a parsed value meets at load, so that a bad value is named
+# with its line; the library classes it reaches (`TrainConfig`,
+# `FitConfig`) check it again for their own callers.
+_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "seed": ("at least 0", lambda v: v >= 0),
+    "nn_learning_rate": ("finite and positive", lambda v: 0.0 < v < math.inf),
 }
 
 
@@ -157,13 +167,16 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
               **values, **(overrides or {})}
     parsed: dict = {}
     for key, (_, cast, kind) in _KEYS.items():
+        where = (f"{source}, line {line_of[key]}: "
+                 if key in line_of and key not in (overrides or {}) else "")
         try:
             parsed[key] = base_dir / merged[key] if cast is Path else cast(merged[key])
         except ValueError:
-            where = (f"{source}, line {line_of[key]}: "
-                     if key in line_of and key not in (overrides or {}) else "")
             raise DataFormatError(
                 f"{where}config key '{key}': bad {kind} {merged[key]!r}") from None
+        if key in _RANGES and not _RANGES[key][1](parsed[key]):
+            raise DataFormatError(f"{where}config key '{key}': must be {_RANGES[key][0]}, "
+                                  f"got {merged[key]}")
     return PipelineConfig(
         split=SplitSpec(*(parsed.pop(key) for key in
                           ("train_start", "train_end", "test_start", "test_end"))),

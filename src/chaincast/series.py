@@ -15,6 +15,10 @@ import numpy as np
 # Two-sided normal 95% quantile used for correlogram confidence bands.
 CONFIDENCE_Z = 1.96
 
+# Lag-1 autocorrelation below which `suggest_d` accepts a difference as
+# stationary; the config key ``stationarity_threshold`` defaults to it.
+STATIONARITY_THRESHOLD = 0.95
+
 
 @dataclass(frozen=True)
 class Series:
@@ -193,7 +197,7 @@ def pacf(s: Series, max_lag: int) -> Correlogram:
     return Correlogram(full.lags, _durbin_levinson(rho, max_lag)[0], full.band)
 
 
-def suggest_d(s: Series, threshold: float = 0.95) -> int:
+def suggest_d(s: Series, threshold: float = STATIONARITY_THRESHOLD) -> int:
     """Smallest d in {0, 1, 2} whose d-th difference looks stationary.
 
     A difference is accepted when its lag-1 autocorrelation falls below

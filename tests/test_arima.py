@@ -1,3 +1,8 @@
+import datetime
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,31 +384,153 @@ def _training_series(config):
     return {name: train[name].close_series() for name in pipeline.ASSETS}
 
 
-def _sic_gap(train, d, monkeypatch):
-    new = select_order(train, d)
-    with monkeypatch.context() as patched:
-        patched.setattr(arima, "fit", _reference_fit)
-        ref = select_order(train, d)
-    return new.sic - ref.sic
+LONG_SPAN = {"start": datetime.date(2007, 1, 1), "end": datetime.date(2018, 12, 31)}
+LONG_SPLIT = ("train_start = 2007-01-01\ntrain_end = 2017-01-01\n"
+              "test_start = 2017-01-02\ntest_end = 2019-01-01\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_training(seed, long=False):
+    """Each asset's training closes and differencing order on a fixture of
+    the bundled length, or of 12 years (2007-2018) with ten for training."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        synthetic.make_fixture(root, seed=seed, **(LONG_SPAN if long else {}))
+        (root / "pipeline.cfg").write_text(
+            "gold_csv = gold.csv\neurusd_csv = eurusd.csv\noil_csv = oil.csv\n"
+            + (LONG_SPLIT if long else ""))
+        config = pipeline.load_config(root / "pipeline.cfg")
+        return {name: (train, suggest_d(train, config.stationarity_threshold))
+                for name, train in _training_series(config).items()}
+
+
+def _reference_select_order(train, d, max_p=3, max_q=3, criterion="sic",
+                            config=arima.DEFAULT_FIT_CONFIG, fit=fit):
+    """`select_order` as it stood before the screening pass, kept verbatim
+    as the oracle: every cell fitted once at ``config`` (by ``fit``)."""
+    candidates = []
+    failures = []
+    for p in range(max_p + 1):
+        for q in range(max_q + 1):
+            if p + q > arima.MAX_ORDER:
+                continue
+            try:
+                candidates.append(fit(train, ArimaSpec(p, d, q), config))
+            except (FitError, ValueError) as exc:
+                failures.append(str(exc))
+    if not candidates:
+        raise FitError(
+            f"no candidate order at d={d} could be fitted: " + "; ".join(failures)
+        )
+    return min(candidates,
+               key=lambda f: (getattr(f, criterion), f.spec.p + f.spec.q, f.spec.p))
+
+
+def _sic_gap(train, d):
+    return select_order(train, d).sic - _reference_select_order(train, d, fit=_reference_fit).sic
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_ORDERS))
-def test_select_order_no_worse_than_reference(name, monkeypatch):
+def test_select_order_no_worse_than_reference(name):
     spec, levels = KNOWN_ORDERS[name]
-    assert _sic_gap(Series(levels), spec.d, monkeypatch) <= 1e-5
+    assert _sic_gap(Series(levels), spec.d) <= 1e-5
 
 
 # 84: started from zero, the solver settled gold's (3,0,2) cell in a local
 # minimum 11.8 above the reference search's winner
 @pytest.mark.parametrize("seed", [synthetic.FIXTURE_SEED, 84])
-def test_select_order_no_worse_than_reference_on_fixture(seed, tmp_path, monkeypatch):
-    synthetic.make_fixture(tmp_path, seed=seed)
-    cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text("gold_csv = gold.csv\neurusd_csv = eurusd.csv\noil_csv = oil.csv\n")
-    config = pipeline.load_config(cfg)
-    for name, train in _training_series(config).items():
-        d = suggest_d(train, config.stationarity_threshold)
-        assert _sic_gap(train, d, monkeypatch) <= 1e-5, name
+def test_select_order_no_worse_than_reference_on_fixture(seed):
+    for name, (train, d) in _fixture_training(seed).items():
+        assert _sic_gap(train, d) <= 1e-5, name
+
+
+def assert_same_fit(got, want):
+    assert got.spec == want.spec
+    assert (got.mu, got.css, got.aic, got.sic) == (want.mu, want.css, want.aic, want.sic)
+    for field in ("phi", "theta", "residuals"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+@pytest.mark.parametrize("seed, long", [(synthetic.FIXTURE_SEED, False), (84, False),
+                                        (5, True), (11, True)])
+def test_screened_search_equals_the_one_pass_search(seed, long):
+    for train, d in _fixture_training(seed, long).values():
+        assert_same_fit(select_order(train, d), _reference_select_order(train, d))
+
+
+def test_screened_search_equals_the_one_pass_search_on_known_orders():
+    for spec, levels in KNOWN_ORDERS.values():
+        for criterion in ("aic", "sic"):
+            assert_same_fit(select_order(Series(levels), spec.d, criterion=criterion),
+                            _reference_select_order(Series(levels), spec.d,
+                                                    criterion=criterion))
+
+
+@pytest.mark.parametrize("n", [8, 15, 25])
+def test_screened_search_skips_and_reports_failed_cells_as_before(n):
+    """Cells too short to fit fail the loose pass and again in full: the
+    search skips them, or, when every cell fails, names them all in grid
+    order."""
+    levels = Series(simulate_arima([0.5], [], 0.0, 0, n, seed=n))
+    try:
+        want = _reference_select_order(levels, 0, max_p=2, max_q=2)
+    except FitError as exc:
+        with pytest.raises(FitError) as info:
+            select_order(levels, 0, max_p=2, max_q=2)
+        assert str(info.value) == str(exc)
+    else:
+        assert_same_fit(select_order(levels, 0, max_p=2, max_q=2), want)
+
+
+def _evaluations(monkeypatch):
+    """A list that collects the evaluation count of every `minimize` call."""
+    counts = []
+    minimize = arima.minimize
+
+    def counted(*args):
+        result = minimize(*args)
+        counts.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(arima, "minimize", counted)
+    return counts
+
+
+def test_screen_tolerances_keep_the_winning_cell_within_the_margin(monkeypatch):
+    """Gold's (3,0,2) cell wins the search on the 12-year fixture at seed 5.
+    Screened too loosely, its fit stops short of the minimum by more than
+    the margin, and the search would drop the winner."""
+    train, d = _fixture_training(5, long=True)["gold"]
+    spec = ArimaSpec(3, d, 2)
+    assert select_order(train, d).spec == spec
+    full = fit(train, spec).sic
+    assert full == pytest.approx(7792.92, abs=0.005)
+    counts = _evaluations(monkeypatch)
+
+    def loose(xatol, fatol):
+        counts.clear()
+        fitted = fit(train, spec, FitConfig(restarts=0, xatol=xatol, fatol=fatol))
+        return sum(counts), fitted
+
+    evaluations, fitted = loose(1e-3, 1e-6)
+    assert evaluations == 4 and fitted.sic == pytest.approx(7838.99, abs=0.005)
+    # the first step is already below xatol: the fit is the starting point
+    evaluations, fitted = loose(1e-2, 1e-5)
+    start = arima._coeffs_from_raw(arima._hannan_rissanen(train.values, 3, 2), 3, 2)
+    assert evaluations == 1
+    np.testing.assert_array_equal(np.concatenate([fitted.phi, fitted.theta]),
+                                  np.concatenate(start[:2]))
+    _, fitted = loose(arima.SCREEN_XATOL, arima.SCREEN_FATOL)
+    assert 0.0 <= fitted.sic - full < arima.SCREEN_DELTA
+
+
+def test_screened_search_evaluation_budget(monkeypatch):
+    """Residual evaluations of the three searches on the bundled fixture:
+    649 when every cell is fitted in full, 463 screened."""
+    counts = _evaluations(monkeypatch)
+    for train, d in _fixture_training(synthetic.FIXTURE_SEED).values():
+        select_order(train, d)
+    assert sum(counts) <= 500
 
 
 def test_css_gradient_matches_central_differences():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaincast import pipeline
+from chaincast import neuralnet, pipeline
 from chaincast.errors import DivergenceError, FitError
 from chaincast.metrics import accuracy, mape
 from chaincast.neuralnet import (
@@ -539,3 +539,167 @@ def test_sweep_entries_equal_train_alone(case):
         assert_same_report(result.reports[h], report)
         if h == result.chosen:
             assert_same_weights(result.model, model)
+
+
+# --- the kernel against its per-step reference -----------------------------
+#
+# `_reference_lockstep` is `_train_lockstep` as it stood before the stack's
+# weights moved into one parameter array and each batch's views were built
+# once per stack size: every step slices its batch and transposes its
+# operands afresh, and each epoch draws its orders with `permutation`.  The
+# kernel must give the same bits.
+
+
+def _reference_step_buffers(stack, hidden, width, batch):
+    return (np.empty((stack, hidden, batch)), np.empty((stack, hidden, batch), bool),
+            np.ones((stack, hidden + 1, batch)), np.empty((stack, 1, batch)),
+            np.empty((stack, hidden, batch)), np.empty((stack, hidden, width)),
+            np.empty((stack, 1, hidden + 1)))
+
+
+def _reference_step(w1, w2, w_out, x, y, rate, buffers):
+    z, mask, act, err, d_z, g1, g2 = buffers
+    neuralnet._outputs(w1, w2, x.transpose(0, 2, 1), act, z, err)
+    np.greater(z, 0.0, out=mask)
+    np.subtract(err, y, out=err)
+    np.multiply(err, rate, out=err)
+    np.multiply(mask, err, out=d_z)
+    np.matmul(d_z, x, out=g1)
+    np.multiply(g1, w_out, out=g1)
+    np.matmul(err, act.transpose(0, 2, 1), out=g2)
+    w1 -= g1
+    w2 -= g2
+
+
+def _reference_lockstep(m, sizes, seeds, config):
+    """Final folded weights and loss history per size, or its divergence."""
+    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
+    scaler = fit_scaler(FeatureMatrix(m.dates[:n_fit], m.target_dates[:n_fit],
+                                      m.columns, m.x[:n_fit], m.y[:n_fit]))
+    xs, ys = scaler.apply_x(m.x[:n_fit]), scaler.apply_y(m.y[:n_fit])
+    runs = [neuralnet._Run(h, s, np.random.default_rng(s), config.learning_rate)
+            for h, s in zip(sizes, seeds)]
+    inputs, top, stack = xs.shape[1], max(sizes), len(runs)
+    w1, w2 = np.zeros((stack, top, inputs + 1)), np.zeros((stack, 1, top + 1))
+    for j, run in enumerate(runs):
+        w1[j, :run.hidden, :inputs], w2[j, 0, :run.hidden] = neuralnet._init_params(
+            inputs, run.hidden, run.rng)
+    x1 = neuralnet._with_ones(xs)
+    x_epoch, y_epoch = np.empty((stack, n_fit, inputs + 1)), np.empty((stack, 1, n_fit))
+    act_all, err_all = np.ones((stack, top + 1, n_fit)), np.empty((stack, 1, n_fit))
+    batches = [(lo, min(config.batch_size, n_fit - lo))
+               for lo in range(0, n_fit, config.batch_size)]
+    per_width = {b: _reference_step_buffers(stack, top, inputs + 1, b) for _, b in batches}
+    active = runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            s = len(active)
+            order = np.stack([run.rng.permutation(n_fit) for run in active])
+            x_ep, y_ep = x_epoch[:s], y_epoch[:s]
+            np.take(x1, order, axis=0, out=x_ep, mode="clip")
+            np.take(ys, order, out=y_ep[:, 0], mode="clip")
+            lr = np.array([run.lr for run in active])[:, None, None]
+            rates = {b: lr * (2.0 / b) for b in per_width}
+            bufs = {b: [buf[:s] for buf in bs] for b, bs in per_width.items()}
+            w_out = w2[:, :, :top].transpose(0, 2, 1)
+            for lo, b in batches:
+                _reference_step(w1, w2, w_out, x_ep[:, lo:lo + b], y_ep[:, :, lo:lo + b],
+                                rates[b], bufs[b])
+            act = act_all[:s]
+            err = neuralnet._outputs(w1, w2, x1.T, act, act[:, :-1], err_all[:s])
+            np.subtract(err, ys, out=err)
+            mse = np.square(err, out=err).mean(axis=(1, 2))
+            finite = (np.isfinite(mse) & np.isfinite(w1[:, :, :inputs]).all(axis=(1, 2))
+                      & np.isfinite(w2[:, 0, :top]).all(axis=1))
+            going = np.array([run.end_epoch(epoch, float(e), bool(ok),
+                                            config.plateau_patience)
+                              for run, e, ok in zip(active, mse, finite)])
+            if not going.all():
+                for j in np.flatnonzero(~going):
+                    active[j].weights = w1[j], w2[j]
+                w1, w2 = w1[going], w2[going]
+                active = [run for run, g in zip(active, going) if g]
+                if not active:
+                    break
+    for run, w1_j, w2_j in zip(active, w1, w2):
+        run.weights = w1_j, w2_j
+    return {run.hidden: (run.error, run.weights, run.epoch_mse, run.early_stopped)
+            for run in runs}
+
+
+def assert_kernel_matches_reference(m, sizes, seeds, config):
+    """Bit-equal weights and reports, or the same divergence, per size."""
+    fitted, diverged = neuralnet._train_lockstep(m, sizes, seeds, config)
+    reference = _reference_lockstep(m, sizes, seeds, config)
+    assert set(fitted) | set(diverged) == set(reference)
+    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
+    for (h, (error, (w1, w2), epoch_mse, early_stopped)), seed in zip(reference.items(), seeds):
+        if error is not None:
+            assert (str(diverged[h]), diverged[h].epoch) == (str(error), error.epoch)
+            continue
+        model, report = fitted[h]
+        ref_model = MlpModel(m.columns, w1[:h, :-1], w1[:h, -1], w2[0, :h], float(w2[0, -1]),
+                             model.scaler)
+        for got, want in zip(_folded(model).values(), _folded(ref_model).values()):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(report.epoch_mse, epoch_mse)
+        predictions = predict_prices(ref_model, m)
+        assert (report.train_mape, report.epochs_run, report.seed, report.hidden_size,
+                report.early_stopped) == (mape(m.y[:n_fit], predictions[:n_fit]),
+                                          len(epoch_mse), seed, h, early_stopped)
+        np.testing.assert_array_equal(report.validation_mape,
+                                      mape(m.y[n_fit:], predictions[n_fit:]) if n_fit < len(m)
+                                      else math.nan)
+    return fitted, diverged
+
+
+def test_kernel_matches_reference_on_a_full_sweep(demo_bundle):
+    """Sizes 1..10 on the bundled network matrix, as `sweep` runs them."""
+    train_m, _ = pipeline.feature_windows(demo_bundle["config"])
+    m = train_m.with_columns(tuple(demo_bundle["report"].body["neural_net"]["columns"]))
+    config = replace(demo_bundle["config"].nn_train, epochs=30)
+    fitted, diverged = assert_kernel_matches_reference(m, range(1, 11), range(1, 11), config)
+    assert len(fitted) == 10 and not diverged
+
+
+def test_kernel_matches_reference_for_a_lone_network():
+    m = _random_matrix(300, 3, 9)
+    fitted, _ = assert_kernel_matches_reference(m, (4,), (7,), TrainConfig(epochs=40))
+    assert fitted[4][1].epochs_run == 40
+
+
+def test_kernel_matches_reference_as_the_stack_shrinks():
+    # sizes stop early at different epochs, ...
+    config = TrainConfig(epochs=40, learning_rate=1.0, plateau_patience=3)
+    fitted, _ = assert_kernel_matches_reference(linear_matrix(), range(1, 7), range(1, 7),
+                                                config)
+    assert {h: r.early_stopped for h, (_, r) in fitted.items()} == {
+        1: False, 2: True, 3: True, 4: False, 5: True, 6: True}
+    # ... and one size diverges while the others go on
+    config = TrainConfig(epochs=60, learning_rate=34.0, plateau_patience=6)
+    fitted, diverged = assert_kernel_matches_reference(linear_matrix(), range(1, 7),
+                                                       range(1, 7), config)
+    assert set(diverged) == {4} and set(fitted) == {1, 2, 3, 5, 6}
+
+
+def test_gradient_check_checks_the_training_step(monkeypatch):
+    """`gradient_check` and training run the same `_step`, so a step that
+    moves the weights twice as far fails the check."""
+    m = linear_matrix(n=60, seed=7, noise=0.2)
+    calls = []
+    step = neuralnet._step
+
+    def counted(net, batch):
+        calls.append(batch[0].shape)
+        step(net, batch)
+
+    monkeypatch.setattr(neuralnet, "_step", counted)
+    assert gradient_check(m, hidden=3) < 1e-6 and calls == [(1, 16, 3)]
+    train(m, 3, TrainConfig(epochs=1, batch_size=16))
+    assert len(calls) == 1 + 4
+
+    def doubled(net, batch):
+        step(net, batch[:3] + (2.0 * batch[3],) + batch[4:])
+
+    monkeypatch.setattr(neuralnet, "_step", doubled)
+    assert gradient_check(m, hidden=3) > 0.4

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import inspect
 import json
 import re
 
@@ -7,15 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincast import arima, neuralnet, pipeline
+from chaincast import arima, cli, neuralnet, pipeline
 from chaincast.errors import DataFormatError, StageError
-from chaincast.indicators import compute
-from chaincast.ingest import align_calendars, parse_csv, split as split_frame, write_csv, \
-    write_table
+from chaincast.indicators import IndicatorParams, compute
+from chaincast.ingest import DEFAULT_SPLIT, align_calendars, parse_csv, split as split_frame, \
+    write_csv, write_table
 from chaincast.metrics import mape
 from chaincast.neuralnet import model_from_json, predict_prices
 from chaincast.pipeline import PREDICTION_HEADER, load_config, parse_config_text, run
-from chaincast.series import Series
+from chaincast.series import Series, suggest_d
 
 from conftest import doji_frame
 
@@ -59,6 +60,24 @@ def test_config_defaults(tmp_path):
     assert config.nn_train.epochs == 500
     assert config.nn_train.learning_rate == 0.01
     assert config.out_dir == tmp_path / "out"
+
+
+def test_library_defaults_equal_the_config_defaults(tmp_path):
+    """What a caller gets without a config (`fit-arima` and `diagnose`
+    without `--config`, or the library's own defaults) is what the config
+    keys default to, so a default changed in `_KEYS` alone fails here."""
+    write_trio(tmp_path)
+    config = parse_config_text(BASE, tmp_path)
+    assert config.split == DEFAULT_SPLIT
+    threshold = config.stationarity_threshold
+    assert inspect.signature(suggest_d).parameters["threshold"].default == threshold
+    assert cli.build_parser().parse_args(["diagnose", "--input", "x"]).threshold == threshold
+    search = inspect.signature(arima.select_order).parameters
+    assert (search["max_p"].default, search["max_q"].default, search["criterion"].default) \
+        == (config.arima_max_p, config.arima_max_q, config.arima_criterion)
+    assert config.seed == arima.DEFAULT_FIT_CONFIG.seed
+    assert config.nn_train == neuralnet.DEFAULT_TRAIN_CONFIG
+    assert config.indicator_params == IndicatorParams()
 
 
 def test_config_relative_paths_resolve_against_config_dir(tmp_path):
@@ -158,15 +177,35 @@ def test_config_value_that_would_fail_a_late_stage_names_key(tmp_path, line, key
         parse_config_text(BASE + line + "\n", tmp_path)
 
 
-@pytest.mark.parametrize("line, message", [
-    ("seed = -1", "seed must be non-negative, got -1"),
-    ("nn_learning_rate = nan", "learning rate must be finite and positive, got nan"),
-    ("nn_learning_rate = inf", "learning rate must be finite and positive, got inf"),
-])
-def test_config_rejects_seed_or_rate_at_load(tmp_path, line, message):
+def _load_fault(tmp_path, line):
+    """The error `load_config` raises for ``line`` on line 5 of a config."""
     write_trio(tmp_path)
-    with pytest.raises(ValueError, match=message):
-        parse_config_text(BASE + line + "\n", tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\n" + BASE + line + "\n")
+    with pytest.raises(DataFormatError) as info:
+        load_config(path)
+    return path, str(info.value)
+
+
+def test_config_negative_seed_names_file_line_and_key(tmp_path):
+    path, message = _load_fault(tmp_path, "seed = -1")
+    assert message == f"{path}, line 5: config key 'seed': must be at least 0, got -1"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_config_bad_learning_rate_names_file_line_and_key(tmp_path, value):
+    path, message = _load_fault(tmp_path, f"nn_learning_rate = {value}")
+    assert message == (f"{path}, line 5: config key 'nn_learning_rate': "
+                       f"must be finite and positive, got {value}")
+
+
+def test_config_range_fault_in_an_override_names_the_key_only(tmp_path):
+    write_trio(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE)
+    with pytest.raises(DataFormatError, match="^config key 'seed': must be at least 0, "
+                                              "got -2$"):
+        load_config(path, overrides={"seed": "-2"})
 
 
 def test_config_object_rejects_negative_seed(tmp_path):
