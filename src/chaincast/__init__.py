@@ -9,8 +9,8 @@ network on the selected subset.  Each stage is importable on its own; the
 
 from .arima import ArimaFit, ArimaSpec, FitConfig, fit, rolling_one_step, \
     select_order
-from .errors import ChaincastError, DataFormatError, DivergenceError, FitError, \
-    RankDeficiencyError, StageError
+from .errors import ChaincastError, DataFormatError, FitError, RankDeficiencyError, \
+    StageError
 from .indicators import IndicatorParams, IndicatorSet, compute, ema, rsi, \
     stochastic_d, stochastic_k, williams_r
 from .ingest import DEFAULT_SPLIT, PriceFrame, SplitSpec, \

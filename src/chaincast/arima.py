@@ -333,17 +333,18 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
-             fatol: float) -> MinimizeResult:
+             fatol: float, damping: float = 1e-3) -> MinimizeResult:
     """Levenberg-Marquardt minimisation of a sum of squared residuals.
 
     ``residuals(x)`` returns the residual vector at ``x`` and a function of
     no arguments that returns its Jacobian there.  Each iteration solves
-    ``(J'J + lam * diag(J'J)) step = -J'e``; the step is taken when the sum
-    of squares does not rise, and ``lam`` then falls threefold, otherwise it
-    rises tenfold and the step is tried again.  The search converges when a
-    proposed step's largest component is at most ``xatol`` or two accepted
-    steps in a row each lower the sum of squares by at most ``fatol``
-    relative to its previous value.  ``nfev`` counts every call of
+    ``(J'J + lam * diag(J'J)) step = -J'e``, with ``lam`` starting at
+    ``damping``; the step is taken when the sum of squares does not rise,
+    and ``lam`` then falls threefold, otherwise it rises tenfold and the
+    step is tried again.  The search converges when a proposed step's
+    largest component is at most ``xatol`` or two accepted steps in a row
+    each lower the sum of squares by at most ``fatol`` relative to its
+    previous value.  ``nfev`` counts every call of
     ``residuals``.
     """
     x = np.array(x0, dtype=float)
@@ -357,7 +358,7 @@ def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
 
     if not np.isfinite(css):
         return result(False, "residuals are not finite at the starting point")
-    lam, small_before = 1e-3, False
+    lam, small_before = damping, False
     jac = jacobian()
     for iteration in range(1, max_iterations + 1):
         curvature, gradient = jac.T @ jac, jac.T @ e

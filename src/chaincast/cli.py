@@ -160,15 +160,15 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
     entry, model, preds = pipeline.train_network(subset, train_m, test_m, config)
     if config.nn_hidden is None:
         for h, r in entry["sweep"].items():
-            flag = " (early stop)" if r["early_stopped"] else ""
+            flag = "" if r["early_stopped"] else " (iteration cap)"
             print(f"hidden {h:>2}: validation MAPE {r['validation_mape']:.4f}%{flag}")
-        for h in entry.get("diverged", {}):
-            print(f"hidden {h:>2}: diverged")
         print(f"chosen hidden size: {entry['chosen_hidden']}")
     else:
         r = entry["sweep"][str(config.nn_hidden)]
+        held_out = ("no validation rows" if r["validation_mape"] is None
+                    else f"validation MAPE {r['validation_mape']:.4f}%")
         print(f"hidden {config.nn_hidden}: train MAPE {r['train_mape']:.4f}%, "
-              f"validation MAPE {r['validation_mape']:.4f}%, {r['epochs_run']} epochs")
+              f"{held_out}, {r['epochs_run']} iterations")
     acc = accuracy(test_m.y, preds)
     print(f"test accuracy on {len(test_m)} days: {acc:.2f}%")
     if args.out:

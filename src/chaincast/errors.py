@@ -36,17 +36,6 @@ class RankDeficiencyError(FitError):
         self.columns = tuple(columns)
 
 
-class DivergenceError(FitError):
-    """Network training produced a non-finite loss or weight.
-
-    ``epoch`` is the zero-based epoch at which divergence was detected.
-    """
-
-    def __init__(self, message: str, epoch: int):
-        super().__init__(message)
-        self.epoch = epoch
-
-
 class StageError(ChaincastError):
     """A pipeline stage failed; ``stage`` names it, ``__cause__`` has why."""
 

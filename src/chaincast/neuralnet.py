@@ -1,28 +1,42 @@
 """Small feed-forward network for next-day price prediction.
 
-One hidden layer of rectified units, a linear output, minibatch gradient
-descent on mean squared error in min-max-scaled space.  Everything is
-seeded: weight draws, batch shuffles, and the hidden-size sweep all derive
-from one base seed, so a training run is reproducible to the bit.
+One hidden layer of rectified units and a linear output, fitted by least
+squares to the min-max-scaled target.  Training is Levenberg-Marquardt
+iteration (Hagan and Menhaj 1994) by the solver that also fits the ARIMA
+models, `arima.minimize`: `_residuals` gives it the residual vector and its
+analytic Jacobian on folded weights, in which each hidden unit's bias is
+the last column of its input weights (the inputs gain a column of ones) and
+the output bias follows the output weights.  `MlpModel` keeps the weights
+and biases apart.
 
-Training folds each bias into its weights (the inputs and the hidden layer
-each gain a unit fixed at 1) and keeps the batch axis innermost, so one
-minibatch step of a whole stack of networks is eleven in-place numpy calls
-on views built before the first step; `MlpModel` keeps the weights and
-biases apart.
+Everything is seeded: the initial weights of every start, and of every size
+in the hidden-size sweep, derive from one base seed, so a training run is
+reproducible to the bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+import sys
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError, FitError
+from . import arima
 from .metrics import mape
 from .regression import FeatureMatrix
+
+# Seeded starts `train` fits, keeping the one with the lowest training sum of
+# squares: from a single start, a fit can settle in a nearly linear basin
+# whose sum of squares is several times the others', at any initial damping.
+TRAIN_STARTS = 3
+# When one fit has converged: the largest component of a proposed weight
+# step, and the relative fall of the sum of squares (see `arima.minimize`).
+_XATOL = 1e-8
+_FATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,20 +93,25 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent schedule.  The learning rate halves after
-    ``plateau_patience`` epochs without a new best loss; training stops
-    early once it has halved six times with no progress."""
+    """Levenberg-Marquardt budget of one network fit.
+
+    ``epochs`` caps the solver's iterations.  ``learning_rate`` is the
+    initial Marquardt damping mu_0 (``mu`` in MATLAB's ``trainlm``): a larger
+    value starts with shorter steps, closer to the gradient's direction.
+    The last ``validation_fraction`` of the rows is held out of the fit.
+    ``batch_size`` is a class constant meaning "full batch": every
+    iteration uses every fitting row.
+    """
 
     epochs: int = 500
     learning_rate: float = 0.01
-    batch_size: int = 32
     seed: int = 0
     validation_fraction: float = 0.15
-    plateau_patience: int = 50
+    batch_size: ClassVar[int] = sys.maxsize
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.plateau_patience < 1:
-            raise ValueError("epochs, batch_size and plateau_patience must be positive")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0.0 < self.learning_rate < math.inf:  # also refuses NaN
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
@@ -107,11 +126,18 @@ DEFAULT_TRAIN_CONFIG = TrainConfig()
 
 @dataclass(frozen=True)
 class TrainReport:
-    """What happened during one training run."""
+    """What happened during one training run.
 
-    epoch_mse: np.ndarray
+    ``epochs_run`` counts the Levenberg-Marquardt iterations of the start
+    that was kept, and ``early_stopped`` is True when that start converged
+    before the ``epochs`` cap.  ``train_sse`` is its sum of squared scaled
+    residuals on the fitting rows, by which the starts are ranked.
+    ``validation_mape`` is NaN when no rows are held out.
+    """
+
     train_mape: float
     validation_mape: float
+    train_sse: float
     epochs_run: int
     seed: int
     hidden_size: int
@@ -122,13 +148,11 @@ class TrainReport:
 class SweepResult:
     """Outcome of training every candidate hidden size.
 
-    ``reports`` has one entry per size; sizes whose training diverged appear
-    in ``failures`` instead of being silently skipped.  ``chosen`` minimises
-    validation MAPE among the survivors.
+    ``reports`` has one entry per size, and ``chosen`` minimises validation
+    MAPE among them.
     """
 
     reports: dict[int, TrainReport]
-    failures: dict[int, str]
     chosen: int
     model: MlpModel
 
@@ -145,93 +169,58 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
 
 
-def _outputs(w1, w2, x1t, act, z=None, out=None):
-    """Outputs (S, 1, n) of S folded networks on the n columns of ``x1t``.
+def _fold(w_hidden, b_hidden, w_out, b_out) -> np.ndarray:
+    """One weight vector: the rows of ``[w_hidden | b_hidden]``, then
+    ``w_out``, then ``b_out``."""
+    return np.concatenate([np.column_stack([w_hidden, b_hidden]).ravel(), w_out, [b_out]])
 
-    ``w1`` is (S, H, k+1) with the hidden biases as its last column and
-    ``w2`` is (S, 1, H+1) with the output bias last; ``x1t`` is (k+1, n),
-    or (S, k+1, n), with a last row of ones.  The pre-activations go to
-    ``z``, (S, H, n), and the activations into ``act``, (S, H+1, n), above
-    its last row of ones.
+
+def _unfold(theta: np.ndarray, hidden: int, width: int):
+    """Views (w1, w_out, b_out) of a folded vector; ``w1`` is (H, k+1) with
+    the hidden biases as its last column and ``width`` is k+1."""
+    cut = hidden * width
+    return theta[:cut].reshape(hidden, width), theta[cut:-1], theta[-1]
+
+
+def _forward(w1: np.ndarray, w_out: np.ndarray, b_out: float, x1: np.ndarray):
+    """Pre-activations, activations and outputs on the rows of ``x1``,
+    which ends in a column of ones."""
+    z = x1 @ w1.T
+    act = np.maximum(z, 0.0)
+    return z, act, act @ w_out + b_out
+
+
+def _residuals(x1: np.ndarray, ys: np.ndarray, hidden: int):
+    """The residual function `arima.minimize` fits ``hidden`` units with.
+
+    At folded weights ``theta`` it returns the outputs on the rows of
+    ``x1`` minus ``ys``, and a function of no arguments that returns their
+    Jacobian.  Row i of the Jacobian is ``[(z_i > 0) * w_out (x) x1_i |
+    act_i | 1]``: a unit's input weights move output i through its output
+    weight while the unit is active, its output weight moves it by the
+    unit's activation, and the output bias by 1.  A dead unit's columns are
+    zero.  Every Jacobian is written into one buffer, so it holds until the
+    next one is made; `arima.minimize` only ever uses the latest.
     """
-    z = np.matmul(w1, x1t, out=z)
-    np.maximum(z, 0.0, out=act[:, :-1])
-    return np.matmul(w2, act, out=out)
+    n, width = x1.shape
+    cut = hidden * width
+    jac = np.empty((n, cut + hidden + 1))
+    jac[:, -1] = 1.0
 
+    def residuals(theta: np.ndarray):
+        w1, w_out, b_out = _unfold(theta, hidden, width)
+        z, act, out = _forward(w1, w_out, b_out, x1)
 
-def _stack(params: np.ndarray, grads: np.ndarray, stack: int, hidden: int, width: int):
-    """Weight and gradient views of ``stack`` folded networks.
+        def jacobian() -> np.ndarray:
+            gate = (z > 0.0) * w_out
+            for h in range(hidden):
+                np.multiply(x1, gate[:, h, None], out=jac[:, h * width:(h + 1) * width])
+            jac[:, cut:-1] = act
+            return jac
 
-    The weights fill the front of the flat array ``params``: every
-    network's ``w1`` (S, H, k+1) first, then every ``w2`` (S, 1, H+1), with
-    ``width`` = k+1.  ``grads`` has the same layout, so one subtraction
-    applies a step.  Returns (params, grads, w1, w2, w_out, g1, g2): the
-    used fronts of the two arrays, the weight views, the (S, H, 1) view
-    ``w_out`` of ``w2``'s unit weights, and the views of ``grads`` that
-    match ``w1`` and ``w2``.
-    """
-    cut = stack * hidden * width
-    end = cut + stack * (hidden + 1)
-    w1 = params[:cut].reshape(stack, hidden, width)
-    w2 = params[cut:end].reshape(stack, 1, hidden + 1)
-    return (params[:end], grads[:end], w1, w2, w2[:, :, :-1].transpose(0, 2, 1),
-            grads[:cut].reshape(stack, hidden, width),
-            grads[cut:end].reshape(stack, 1, hidden + 1))
+        return out - ys, jacobian
 
-
-def _step_buffers(stack: int, hidden: int, batch: int):
-    """Buffers `_step` writes into, for ``stack`` networks and ``batch`` rows:
-    the pre-activations, the ReLU mask, the activations above a row of
-    ones, the output error and the pre-activation error."""
-    return (np.empty((stack, hidden, batch)), np.empty((stack, hidden, batch), bool),
-            np.ones((stack, hidden + 1, batch)), np.empty((stack, 1, batch)),
-            np.empty((stack, hidden, batch)))
-
-
-def _batch(x: np.ndarray, y: np.ndarray, rate: np.ndarray, buffers):
-    """One minibatch as `_step` reads it, with views of `_step_buffers`.
-
-    ``x`` is (S, b, k+1) with its ones column, ``y`` is (S, 1, b) and
-    ``rate`` is (S, 1, 1), holding each network's learning rate times 2/b.
-    """
-    z, mask, act, err, d_z = buffers
-    return (x, x.transpose(0, 2, 1), y, rate, z, mask, act, act[:, :-1],
-            act.transpose(0, 2, 1), err, d_z)
-
-
-# zero as an array: numpy resolves a Python float operand on every call,
-# which costs about as much as the comparison itself on a minibatch
-_ZERO = np.zeros(())
-
-
-def _step(net, batch) -> None:
-    """One minibatch gradient step of S folded networks, in place.
-
-    ``net`` comes from `_stack` and ``batch`` from `_batch`.  The batch axis
-    is innermost throughout, so every call is one batched matmul or one
-    elementwise pass, and nothing is allocated.
-    """
-    params, grads, w1, w2, w_out, g1, g2 = net
-    x, xt, y, rate, z, mask, act, act_units, act_t, err, d_z = batch
-    np.matmul(w1, xt, out=z)
-    np.maximum(z, _ZERO, out=act_units)
-    np.matmul(w2, act, out=err)
-    np.greater(z, _ZERO, out=mask)
-    np.subtract(err, y, out=err)
-    np.multiply(err, rate, out=err)  # rate times dMSE/dprediction
-    np.multiply(mask, err, out=d_z)
-    np.matmul(d_z, x, out=g1)
-    np.multiply(g1, w_out, out=g1)
-    np.matmul(err, act_t, out=g2)
-    np.subtract(params, grads, out=params)
-
-
-def _model_output(model: MlpModel, xs: np.ndarray) -> np.ndarray:
-    """Scaled outputs of one model on already-scaled rows."""
-    w1 = np.column_stack([model.w_hidden, model.b_hidden])[None]
-    w2 = np.append(model.w_out, model.b_out)[None, None]
-    act = np.ones((1, model.hidden_size + 1, len(xs)))
-    return _outputs(w1, w2, _with_ones(xs).T, act)[0, 0]
+    return residuals
 
 
 def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
@@ -244,176 +233,72 @@ def predict_prices(model: MlpModel, m: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"schema mismatch: model expects {model.columns}, matrix has {m.columns}"
         )
-    return model.scaler.invert_y(_model_output(model, model.scaler.apply_x(m.x)))
+    w1 = np.column_stack([model.w_hidden, model.b_hidden])
+    out = _forward(w1, model.w_out, model.b_out, _with_ones(model.scaler.apply_x(m.x)))[2]
+    return model.scaler.invert_y(out)
 
 
-@dataclass
-class _Run:
-    """One hidden size inside `_train_lockstep`: its own seed stream,
-    learning-rate schedule and loss history, then its final folded weight
-    rows or the divergence that ended it."""
+@dataclass(frozen=True)
+class _Split:
+    """The rows one fit sees: the fitting rows, their scaler, their scaled
+    inputs with a column of ones and scaled target, and the held-out rows
+    (None when there are none)."""
 
-    hidden: int
-    seed: int
-    rng: np.random.Generator
-    lr: float
-    best: float = math.inf
-    stale: int = 0
-    halvings: int = 0
-    early_stopped: bool = False
-    epoch_mse: list[float] = field(default_factory=list)
-    weights: tuple = ()
-    error: DivergenceError | None = None
-
-    def end_epoch(self, epoch: int, mse: float, finite: bool, patience: int) -> bool:
-        """Record one epoch's loss and apply the plateau schedule.  Returns
-        False once this size diverges or stops early."""
-        self.epoch_mse.append(mse)
-        if not finite:
-            self.error = DivergenceError(
-                f"training diverged at epoch {epoch} (hidden={self.hidden}, "
-                f"seed={self.seed})", epoch=epoch,
-            )
-            return False
-        if mse < self.best - 1e-12:
-            self.best = mse
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= patience:
-                self.lr *= 0.5
-                self.halvings += 1
-                self.stale = 0
-                if self.halvings > 6:
-                    self.early_stopped = True
-                    return False
-        return True
+    fit: FeatureMatrix
+    held_out: FeatureMatrix | None
+    scaler: Scaler
+    x1: np.ndarray
+    ys: np.ndarray
 
 
-def _train_lockstep(m: FeatureMatrix, sizes, seeds, config: TrainConfig
-                    ) -> tuple[dict[int, tuple[MlpModel, TrainReport]],
-                               dict[int, DivergenceError]]:
-    """Train one network per hidden size in ``sizes`` together, each seeded
-    by its entry in ``seeds``.
+def _rows(m: FeatureMatrix, part: slice) -> FeatureMatrix:
+    return FeatureMatrix(m.dates[part], m.target_dates[part], m.columns, m.x[part], m.y[part])
 
-    The weights are folded and stacked on a leading size axis: ``w1`` is
-    (S, H, k+1) with the hidden biases as its last column, ``w2`` is
-    (S, 1, H+1) with the output bias last, and the inputs carry a ones
-    column.  Every size is padded to the largest; a padded unit starts at
-    zero and stays zero, since its pre-activation is 0, so its ReLU mask
-    is false and its output and gradient are 0.  All weights live in one
-    flat array (`_stack`) with a gradient twin, so a step ends in one
-    subtraction.  Each epoch gathers every size's permuted rows into one
-    buffer; the views each step (`_step`) reads and the buffers it writes
-    into are built once per stack size, not per step.  Each size draws from
-    its own generator exactly what a lone run of it draws (initial weights,
-    then one permutation per epoch), so it sees the same batches and ends
-    with the same weights up to summation order over the padding.  A size
-    leaves the stack when it stops early or diverges.  Returns (model,
-    report) per trained size and the `DivergenceError` of each diverged one.
-    """
+
+def _split(m: FeatureMatrix, validation_fraction: float) -> _Split:
+    """Hold out the last ``validation_fraction`` of the rows
+    (chronologically); the scaler sees only the earlier ones."""
     if len(m) < 30:
         raise ValueError(f"need at least 30 rows to train, got {len(m)}")
-
-    n_val = int(round(len(m) * config.validation_fraction))
+    n_val = int(round(len(m) * validation_fraction))
     n_fit = len(m) - n_val
     if n_fit < 10:
         raise ValueError("validation split leaves too few training rows")
-    fit_rows = FeatureMatrix(m.dates[:n_fit], m.target_dates[:n_fit],
-                             m.columns, m.x[:n_fit], m.y[:n_fit])
+    fit_rows = _rows(m, slice(None, n_fit))
     scaler = fit_scaler(fit_rows)
-    xs = scaler.apply_x(fit_rows.x)
-    ys = scaler.apply_y(fit_rows.y)
+    return _Split(fit_rows, _rows(m, slice(n_fit, None)) if n_val else None, scaler,
+                  _with_ones(scaler.apply_x(fit_rows.x)), scaler.apply_y(fit_rows.y))
 
-    runs = [_Run(h, s, np.random.default_rng(s), config.learning_rate)
-            for h, s in zip(sizes, seeds)]
-    inputs, top, stack = xs.shape[1], max(sizes), len(runs)
-    width = inputs + 1
-    params = np.zeros(stack * (top * width + top + 1))
-    grads = np.empty_like(params)
-    _, _, w1, w2, *_ = _stack(params, grads, stack, top, width)
-    for j, run in enumerate(runs):
-        w1[j, :run.hidden, :inputs], w2[j, 0, :run.hidden] = _init_params(
-            inputs, run.hidden, run.rng)
 
-    x1 = _with_ones(xs)
-    x_epoch, y_epoch = np.empty((stack, n_fit, width)), np.empty((stack, 1, n_fit))
-    act_all, err_all = np.ones((stack, top + 1, n_fit)), np.empty((stack, 1, n_fit))
-    # each row starts every epoch as arange and is shuffled in place, which
-    # draws what `Generator.permutation(n_fit)` draws
-    rows, order = np.arange(n_fit), np.empty((stack, n_fit), int)
-    spans = [(lo, min(config.batch_size, n_fit - lo))
-             for lo in range(0, n_fit, config.batch_size)]
-    lr, rates = np.empty((stack, 1, 1)), {b: np.empty((stack, 1, 1)) for _, b in spans}
-    per_width = {b: _step_buffers(stack, top, b) for b in rates}
+def _fit(data: _Split, hidden: int, rng: np.random.Generator,
+         config: TrainConfig) -> arima.MinimizeResult:
+    """One start: weights drawn from ``rng`` (the biases at zero), then
+    Levenberg-Marquardt from there, with initial damping
+    ``config.learning_rate``, for at most ``config.epochs`` iterations."""
+    w_hidden, w_out = _init_params(data.x1.shape[1] - 1, hidden, rng)
+    return arima.minimize(_residuals(data.x1, data.ys, hidden),
+                          _fold(w_hidden, np.zeros(hidden), w_out, 0.0),
+                          config.epochs, _XATOL, _FATOL, damping=config.learning_rate)
 
-    def views(s: int):
-        """The views of the first ``s`` networks, and of every batch."""
-        return (_stack(params, grads, s, top, width),
-                [_batch(x_epoch[:s, lo:lo + b], y_epoch[:s, :, lo:lo + b], rates[b][:s],
-                        [buf[:s] for buf in per_width[b]])
-                 for lo, b in spans])
 
-    active = runs
-    net, batches = views(stack)
-    # overflow during a diverging run is expected and reported as an error,
-    # so the intermediate inf/nan arithmetic must not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            s = len(active)
-            order[:s] = rows
-            for run, row in zip(active, order):
-                run.rng.shuffle(row)
-            # the indices are in range; "clip" writes into out without a buffer
-            np.take(x1, order[:s], axis=0, out=x_epoch[:s], mode="clip")
-            np.take(ys, order[:s], out=y_epoch[:s, 0], mode="clip")
-            lr[:s, 0, 0] = [run.lr for run in active]
-            for b, rate in rates.items():
-                np.multiply(lr[:s], 2.0 / b, out=rate[:s])
-            for batch in batches:
-                _step(net, batch)
-            w1, w2 = net[2], net[3]
-            # the pre-activations go straight into the rows ReLU overwrites
-            act = act_all[:s]
-            err = _outputs(w1, w2, x1.T, act, act[:, :-1], err_all[:s])
-            np.subtract(err, ys, out=err)
-            mse = np.square(err, out=err).mean(axis=(1, 2))
-            finite = (np.isfinite(mse) & np.isfinite(w1[:, :, :inputs]).all(axis=(1, 2))
-                      & np.isfinite(w2[:, 0, :top]).all(axis=1))
-            going = np.array([run.end_epoch(epoch, float(e), bool(ok),
-                                            config.plateau_patience)
-                              for run, e, ok in zip(active, mse, finite)])
-            if not going.all():
-                for j in np.flatnonzero(~going):
-                    active[j].weights = w1[j].copy(), w2[j].copy()
-                active = [run for run, g in zip(active, going) if g]
-                if not active:
-                    break
-                kept = w1[going], w2[going]
-                net, batches = views(len(active))
-                net[2][...], net[3][...] = kept
-    for run, w1_j, w2_j in zip(active, net[2], net[3]):
-        run.weights = w1_j, w2_j
-
-    val_rows = FeatureMatrix(m.dates[n_fit:], m.target_dates[n_fit:],
-                             m.columns, m.x[n_fit:], m.y[n_fit:]) if n_val else None
-    fitted: dict[int, tuple[MlpModel, TrainReport]] = {}
-    diverged: dict[int, DivergenceError] = {}
-    for run in runs:
-        if run.error is not None:
-            diverged[run.hidden] = run.error
-            continue
-        (w1_j, w2_j), h = run.weights, run.hidden
-        model = MlpModel(m.columns, w1_j[:h, :-1].copy(), w1_j[:h, -1].copy(),
-                         w2_j[0, :h].copy(), float(w2_j[0, -1]), scaler)
-        val_mape = mape(val_rows.y, predict_prices(model, val_rows)) if n_val else math.nan
-        fitted[run.hidden] = model, TrainReport(
-            epoch_mse=np.array(run.epoch_mse),
-            train_mape=mape(fit_rows.y, predict_prices(model, fit_rows)),
-            validation_mape=val_mape, epochs_run=len(run.epoch_mse),
-            seed=run.seed, hidden_size=run.hidden, early_stopped=run.early_stopped,
-        )
-    return fitted, diverged
+def _trained(data: _Split, hidden: int, seed: int, starts: int,
+             config: TrainConfig) -> tuple[MlpModel, TrainReport]:
+    """Fit ``starts`` starts, drawn in turn from one generator seeded with
+    ``seed``, and keep the one with the lowest training sum of squares (the
+    first of equals)."""
+    rng = np.random.default_rng(seed)
+    best = min((_fit(data, hidden, rng, config) for _ in range(starts)),
+               key=operator.attrgetter("fun"))
+    w1, w_out, b_out = _unfold(best.x, hidden, data.x1.shape[1])
+    model = MlpModel(data.fit.columns, w1[:, :-1].copy(), w1[:, -1].copy(), w_out.copy(),
+                     float(b_out), data.scaler)
+    held = data.held_out
+    return model, TrainReport(
+        train_mape=mape(data.fit.y, predict_prices(model, data.fit)),
+        validation_mape=math.nan if held is None else mape(held.y, predict_prices(model, held)),
+        train_sse=best.fun, epochs_run=best.nit, seed=seed, hidden_size=hidden,
+        early_stopped=best.success,
+    )
 
 
 def train(m: FeatureMatrix, hidden: int,
@@ -421,71 +306,61 @@ def train(m: FeatureMatrix, hidden: int,
     """Fit one network on a training matrix.
 
     The last ``validation_fraction`` of rows (chronologically) are held out
-    for size selection; the scaler and the gradient steps see only the
-    earlier rows.  Raises `DivergenceError` the first epoch the loss or any
-    weight stops being finite.  This is the one-size case of the kernel
-    `sweep` runs.
+    for size selection; the scaler and the fit see only the earlier rows.
+    `TRAIN_STARTS` starts are drawn in turn from one generator seeded with
+    ``config.seed``, and the one with the lowest training sum of squares is
+    kept.
     """
     if hidden < 1:
         raise ValueError(f"hidden size must be positive, got {hidden}")
-    fitted, diverged = _train_lockstep(m, (hidden,), (config.seed,), config)
-    if diverged:
-        raise diverged[hidden]
-    return fitted[hidden]
+    return _trained(_split(m, config.validation_fraction), hidden, config.seed,
+                    TRAIN_STARTS, config)
 
 
 def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
           max_hidden: int = 10) -> SweepResult:
     """Train hidden sizes 1..max_hidden and keep the best by validation MAPE.
 
-    All sizes train in lockstep, size ``h`` with seed ``config.seed + h``,
-    and each gets the result ``train`` gives it alone with that seed (up to
-    summation order), so individual runs can be reproduced in isolation.
-    Ties on validation MAPE go to the smaller network."""
+    Size ``h`` is fitted from one start, seeded with ``config.seed + h``, so
+    each entry is what `train` gives that size alone at that seed with one
+    start.  Ties on validation MAPE go to the smaller network."""
     if max_hidden < 1:
         raise ValueError("max_hidden must be positive")
-    if not config.validation_fraction:
-        raise ValueError("sweep needs a non-zero validation fraction")
-    sizes = range(1, max_hidden + 1)
-    fitted, diverged = _train_lockstep(m, sizes, [config.seed + h for h in sizes], config)
-    if not fitted:
-        raise FitError("every hidden size diverged; lower the learning rate")
-    reports = {h: report for h, (_, report) in fitted.items()}
-    chosen = min(reports, key=lambda h: (reports[h].validation_mape, h))
-    return SweepResult(reports=reports,
-                       failures={h: str(exc) for h, exc in diverged.items()},
+    data = _split(m, config.validation_fraction)
+    if data.held_out is None:
+        raise ValueError("sweep needs a validation fraction that holds out rows")
+    fitted = {h: _trained(data, h, config.seed + h, 1, config)
+              for h in range(1, max_hidden + 1)}
+    chosen = min(fitted, key=lambda h: (fitted[h][1].validation_mape, h))
+    return SweepResult(reports={h: report for h, (_, report) in fitted.items()},
                        chosen=chosen, model=fitted[chosen][0])
 
 
 def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
                    batch: int = 16, step: float = 1e-6) -> float:
-    """Largest relative gap between analytic and central-difference gradients.
+    """Largest relative gap between the solver's gradient and central
+    differences of the loss.
 
-    Checks the training kernel's own step: one `_step` at learning rate 1
-    on a stack of one network moves each weight by exactly its gradient.
-    Uses freshly initialised weights on the first ``batch`` scaled rows,
-    with biases nudged off zero so every parameter sits at a generic point.
-    Meant for verification, not training.
+    Checks what training minimises with: the gradient of half the sum of
+    squares is ``J'e``, from the residual function `_residuals` that
+    `arima.minimize` runs on.  Uses freshly initialised weights on the
+    first ``batch`` scaled rows, with biases nudged off zero so every
+    parameter sits at a generic point.  Meant for verification, not
+    training.
     """
     scaler = fit_scaler(m)
     x1 = _with_ones(scaler.apply_x(m.x[:batch]))
     ys = scaler.apply_y(m.y[:batch])
-    width, n = x1.shape[1], len(ys)
     rng = np.random.default_rng(seed)
-    params = np.empty(hidden * width + hidden + 1)
-    net = _stack(params, np.empty_like(params), 1, hidden, width)
-    w1, w2 = net[2][0], net[3][0]
-    w1[:, :-1], w2[0, :-1] = _init_params(width - 1, hidden, rng)
-    w1[:, -1], w2[0, -1] = rng.uniform(-0.1, 0.1, hidden), rng.uniform(-0.1, 0.1)
-    vec = params.copy()
-    _step(net, _batch(x1[None], ys[None, None], np.full((1, 1, 1), 2.0 / n),
-                      _step_buffers(1, hidden, n)))
-    grad = vec - params
-    act = np.ones((1, hidden + 1, n))
+    w_hidden, w_out = _init_params(x1.shape[1] - 1, hidden, rng)
+    vec = _fold(w_hidden, rng.uniform(-0.1, 0.1, hidden), w_out, rng.uniform(-0.1, 0.1))
+    residuals = _residuals(x1, ys, hidden)
+    e, jacobian = residuals(vec)
+    grad = jacobian().T @ e
 
     def loss(v: np.ndarray) -> float:
-        _, _, v1, v2, *_ = _stack(v, v, 1, hidden, width)
-        return float(np.mean((_outputs(v1, v2, x1.T, act)[0, 0] - ys)**2))
+        r = residuals(v)[0]
+        return 0.5 * float(r @ r)
 
     worst = 0.0
     for j in range(vec.size):

@@ -15,12 +15,12 @@ Accuracies for every stage are measured on the identical test window, as
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import io
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -57,9 +57,7 @@ _KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
     "seed": ("0", int, "number"),
     "nn_epochs": ("500", int, "number"),
     "nn_learning_rate": ("0.01", float, "number"),
-    "nn_batch_size": ("32", int, "number"),
     "nn_validation_fraction": ("0.15", float, "number"),
-    "nn_plateau_patience": ("50", int, "number"),
     "nn_hidden": ("sweep", lambda v: None if v == "sweep" else int(v), "number"),
     "nn_max_hidden": ("10", int, "number"),
     "stationarity_threshold": (repr(STATIONARITY_THRESHOLD), float, "number"),
@@ -72,11 +70,15 @@ _KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
 }
 
 # Range checks a parsed value meets at load, so that a bad value is named
-# with its line; the library classes it reaches (`TrainConfig`,
-# `FitConfig`) check it again for their own callers.
+# with its line; the library classes it reaches (`TrainConfig`, `FitConfig`,
+# `IndicatorParams`) check it again for their own callers.
 _RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
     "seed": ("at least 0", lambda v: v >= 0),
+    "nn_epochs": ("at least 1", lambda v: v >= 1),
     "nn_learning_rate": ("finite and positive", lambda v: 0.0 < v < math.inf),
+    "nn_validation_fraction": ("in [0, 0.5)", lambda v: 0.0 <= v < 0.5),
+    **dict.fromkeys(("rsi_period", "stoch_period", "stoch_d_period"),
+                    ("at least 2", lambda v: v >= 2)),
 }
 
 
@@ -185,10 +187,8 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
         nn_train=neuralnet.TrainConfig(
             epochs=parsed.pop("nn_epochs"),
             learning_rate=parsed.pop("nn_learning_rate"),
-            batch_size=parsed.pop("nn_batch_size"),
             seed=parsed["seed"],
             validation_fraction=parsed.pop("nn_validation_fraction"),
-            plateau_patience=parsed.pop("nn_plateau_patience"),
         ),
         raw=merged,
         **parsed,
@@ -217,11 +217,17 @@ class PipelineReport:
     timings: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(self.body, indent=2, sort_keys=True) + "\n"
+        return _json_text(self.body)
 
     @property
     def stage_accuracies(self) -> dict[str, float]:
         return self.body["stage_accuracies"]
+
+
+def _json_text(body: dict, **options) -> str:
+    """``body`` as strict JSON, keys sorted: a NaN or an infinity raises
+    ValueError rather than writing a token JSON does not have."""
+    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False, **options) + "\n"
 
 
 PREDICTION_HEADER = ("date", "actual", "predicted")
@@ -255,7 +261,7 @@ def _whiteness(fitted: arima.ArimaFit) -> dict:
 # --- the chain's stages; `run` times and names each one with `stage()`
 
 
-@contextmanager
+@contextlib.contextmanager
 def stage(name: str, timings: dict[str, float]):
     """Record the block's seconds under ``name``; re-raise a failure as
     `StageError` naming the stage."""
@@ -363,15 +369,14 @@ def train_network(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
     if config.nn_hidden is None:
         result = neuralnet.sweep(nn_train_m, config.nn_train, config.nn_max_hidden)
         model, reports, chosen = result.model, result.reports, result.chosen
-        if result.failures:
-            entry["diverged"] = {str(h): msg for h, msg in sorted(result.failures.items())}
     else:
         model, report = neuralnet.train(nn_train_m, config.nn_hidden, config.nn_train)
         reports, chosen = {config.nn_hidden: report}, config.nn_hidden
     entry["chosen_hidden"] = chosen
     entry["sweep"] = {
         str(h): {
-            "validation_mape": r.validation_mape,
+            # null, not NaN, when no rows are held out: the report is strict JSON
+            "validation_mape": None if math.isnan(r.validation_mape) else r.validation_mape,
             "train_mape": r.train_mape,
             "epochs_run": r.epochs_run,
             "early_stopped": r.early_stopped,
@@ -386,7 +391,8 @@ def run(config: PipelineConfig) -> PipelineReport:
 
     Any failure is re-raised as a `StageError` naming the stage; artifacts
     from completed stages are already on disk at that point, plus a partial
-    report for debugging.
+    report for debugging.  Both reports are strict JSON: a non-finite number
+    fails the ``report`` stage, and then no partial report is written.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -396,15 +402,14 @@ def run(config: PipelineConfig) -> PipelineReport:
     try:
         _run_stages(config, out, body, timings)
     except StageError:
-        (out / "report_partial.json").write_text(
-            json.dumps(body, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8")
+        # a non-finite number failed the report stage and cannot be written here
+        with contextlib.suppress(ValueError):
+            (out / "report_partial.json").write_text(_json_text(body, default=str),
+                                                     encoding="utf-8")
         raise
-    report = PipelineReport(body=body, timings=timings)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "timings.json").write_text(
         json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return report
+    return PipelineReport(body=body, timings=timings)
 
 
 def _run_stages(config: PipelineConfig, out: Path, body: dict,
@@ -496,6 +501,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
             "hybrid_nn": body["neural_net"]["test_accuracy"],
         }
         body["seed"] = config.seed
+        (out / "report.json").write_text(_json_text(body), encoding="utf-8")
     with stage("plot_data", timings):
         write_table(out / "comparison.csv", ("date", "actual", "arima", "regression", "hybrid"),
                     window.dates, window.closes, predicted["arima_gold"],

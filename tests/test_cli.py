@@ -380,3 +380,23 @@ def test_cli_runs_without_importing_scipy(demo_bundle):
     assert result.returncode == 0, result.stderr
     assert "series: gold_close" in result.stdout
     assert "scipy modules: []" in result.stdout
+
+
+def test_pipeline_run_is_identical_at_one_and_two_blas_threads(demo_bundle, tmp_path):
+    """`pipeline run` in fresh processes with OpenBLAS on one and on two
+    threads writes the same report, network and hybrid predictions, byte for
+    byte: the least-squares solves must not depend on how BLAS splits them."""
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(chaincast.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from chaincast.cli import main; sys.exit(main())",
+             "pipeline", "run", "--config", str(demo_bundle["cfg_path"]), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {name: (out / name).read_bytes() for name in (
+            "report.json", "model_nn.json", "predictions_hybrid_nn.csv")}
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"]["report.json"] == (demo_bundle["out_dir"] / "report.json").read_bytes()

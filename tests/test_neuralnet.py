@@ -1,18 +1,17 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from chaincast import neuralnet, pipeline
-from chaincast.errors import DivergenceError, FitError
+from chaincast import arima, neuralnet
 from chaincast.metrics import accuracy, mape
 from chaincast.neuralnet import (
     MlpModel,
     Scaler,
     TrainConfig,
-    TrainReport,
     fit_scaler,
     gradient_check,
     model_from_json,
@@ -156,14 +155,15 @@ def test_train_input_validation():
 
 
 def test_train_is_bitwise_deterministic():
-    m = linear_matrix()
+    m = linear_matrix(noise=0.1)
     config = TrainConfig(epochs=40, seed=5)
     model_a, report_a = train(m, hidden=3, config=config)
     model_b, report_b = train(m, hidden=3, config=config)
     np.testing.assert_array_equal(model_a.w_hidden, model_b.w_hidden)
+    np.testing.assert_array_equal(model_a.b_hidden, model_b.b_hidden)
     np.testing.assert_array_equal(model_a.w_out, model_b.w_out)
-    np.testing.assert_array_equal(report_a.epoch_mse, report_b.epoch_mse)
-    assert report_a.train_mape == report_b.train_mape
+    assert model_a.b_out == model_b.b_out
+    assert report_a == report_b
 
 
 def test_train_learns_linear_target():
@@ -176,28 +176,27 @@ def test_train_learns_linear_target():
 
 def test_train_loss_decreases_over_run():
     m = linear_matrix(noise=0.1)
-    _, report = train(m, hidden=4,
-                      config=TrainConfig(epochs=200, learning_rate=0.05))
-    mse = report.epoch_mse
-    assert np.mean(mse[-10:]) < np.mean(mse[:10])
-
-
-def test_train_divergence_reports_epoch():
-    m = linear_matrix()
-    with pytest.raises(DivergenceError) as exc:
-        train(m, hidden=4, config=TrainConfig(learning_rate=1e3))
-    assert exc.value.epoch >= 0
-    assert "epoch" in str(exc.value)
+    data = neuralnet._split(m, 0.15)
+    rng = np.random.default_rng(0)
+    w_hidden, w_out = neuralnet._init_params(2, 4, rng)
+    start = neuralnet._fold(w_hidden, np.zeros(4), w_out, 0.0)
+    e, _ = neuralnet._residuals(data.x1, data.ys, 4)(start)
+    # each start's sum of squares never rises from one iteration to the next
+    losses = [train(m, 4, TrainConfig(epochs=n))[1].train_sse for n in (1, 5, 200)]
+    assert float(e @ e) >= losses[0] >= losses[1] > losses[2]
 
 
 def test_train_report_bookkeeping():
-    m = linear_matrix()
+    m = linear_matrix(noise=0.1)
     config = TrainConfig(epochs=30, seed=9)
     _, report = train(m, hidden=2, config=config)
     assert report.hidden_size == 2
     assert report.seed == 9
-    assert report.epochs_run == len(report.epoch_mse) == 30
-    assert not report.early_stopped
+    assert 1 <= report.epochs_run <= 30
+    # early_stopped means the kept start converged before the cap
+    assert report.early_stopped == (report.epochs_run < 30)
+    _, capped = train(m, hidden=2, config=TrainConfig(epochs=2, seed=9))
+    assert (capped.epochs_run, capped.early_stopped) == (2, False)
 
 
 def test_train_zero_validation_fraction_gives_nan():
@@ -207,14 +206,139 @@ def test_train_zero_validation_fraction_gives_nan():
     assert np.isnan(report.validation_mape)
 
 
+def test_train_keeps_the_lowest_sse_start():
+    """`TRAIN_STARTS` starts drawn in turn from one generator; the kept one
+    has the lowest training sum of squares, so it is never worse than the
+    one-start fit (today's first draw)."""
+    m = kinked_matrix()
+    config = TrainConfig(epochs=100, seed=4)
+    data = neuralnet._split(m, config.validation_fraction)
+    rng = np.random.default_rng(config.seed)
+    starts = [neuralnet._fit(data, 3, rng, config) for _ in range(neuralnet.TRAIN_STARTS)]
+    assert neuralnet.TRAIN_STARTS == 3
+    best = min(range(3), key=lambda i: starts[i].fun)
+    model, report = train(m, 3, config)
+    w1, w_out, b_out = neuralnet._unfold(starts[best].x, 3, 2)
+    np.testing.assert_array_equal(model.w_hidden, w1[:, :-1])
+    np.testing.assert_array_equal(model.b_hidden, w1[:, -1])
+    np.testing.assert_array_equal(model.w_out, w_out)
+    assert model.b_out == b_out
+    assert report.train_sse == starts[best].fun == min(s.fun for s in starts)
+    assert report.epochs_run == starts[best].nit
+    # the starts differ, so the choice is not vacuous
+    assert len({s.fun for s in starts}) == 3
+
+
+def test_learning_rate_is_the_initial_damping(monkeypatch):
+    """The first proposed step solves (J'J + mu_0 diag(J'J)) s = -J'e, with
+    mu_0 the learning rate, so a larger rate starts with a shorter step."""
+    m = linear_matrix(noise=0.1)
+    seen = []
+    residuals = neuralnet._residuals
+
+    def recording(x1, ys, hidden):
+        inner = residuals(x1, ys, hidden)
+
+        def wrapped(theta):
+            seen.append(theta.copy())
+            return inner(theta)
+
+        return wrapped
+
+    monkeypatch.setattr(neuralnet, "_residuals", recording)
+    monkeypatch.setattr(neuralnet, "TRAIN_STARTS", 1)
+    first_steps = {}
+    for rate in (1e-3, 10.0):
+        seen.clear()
+        train(m, 3, TrainConfig(epochs=1, learning_rate=rate))
+        start, proposed = seen[0], seen[1]
+        data = neuralnet._split(m, 0.15)
+        e, jacobian = residuals(data.x1, data.ys, 3)(start)
+        jac = jacobian()
+        curvature = jac.T @ jac
+        # `minimize` floors the scale of a dead unit's zero columns
+        scale = np.maximum(np.diag(curvature), 1e-12 * np.diag(curvature).max())
+        expected = np.linalg.solve(curvature + rate * np.diag(scale), -jac.T @ e)
+        np.testing.assert_allclose(proposed - start, expected, rtol=1e-9, atol=1e-12)
+        first_steps[rate] = proposed - start
+    assert np.linalg.norm(first_steps[10.0]) < 0.5 * np.linalg.norm(first_steps[1e-3])
+
+
+def test_lm_never_raises_the_training_loss():
+    """Every accepted iterate lowers or keeps the sum of squares, so no
+    damping, however small, makes training diverge."""
+    m = linear_matrix(noise=0.1)
+    data = neuralnet._split(m, 0.15)
+    losses = []
+    residuals = neuralnet._residuals(data.x1, data.ys, 4)
+
+    def recording(theta):
+        e, jacobian = residuals(theta)
+        losses.append(float(e @ e))
+        return e, jacobian
+
+    rng = np.random.default_rng(1)
+    w_hidden, w_out = neuralnet._init_params(2, 4, rng)
+    result = arima.minimize(recording, neuralnet._fold(w_hidden, np.zeros(4), w_out, 0.0),
+                            200, 1e-8, 1e-9, damping=1e-12)
+    accepted = [losses[0]]
+    for loss in losses[1:]:
+        if loss <= accepted[-1]:
+            accepted.append(loss)
+    assert result.fun == accepted[-1] <= losses[0]
+    assert np.isfinite(result.x).all()
+
+
+# --- the residual function the solver runs ---------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobian_matches_central_differences_of_residuals(seed):
+    """At random weights, with some units dead on every row and others
+    active on part of the rows, each Jacobian column equals the central
+    difference of the residual vector."""
+    m = _random_matrix(60, 3, seed)
+    scaler = fit_scaler(m)
+    x1 = neuralnet._with_ones(scaler.apply_x(m.x))
+    ys = scaler.apply_y(m.y)
+    hidden = 5
+    rng = np.random.default_rng(100 + seed)
+    w1 = rng.normal(0.0, 1.0, (hidden, 4))
+    w1[0, -1] = -10.0  # unit 0 is dead on every row: inputs are in [0, 1]
+    w1[0, :-1] = rng.uniform(-1.0, 1.0, 3)
+    theta = neuralnet._fold(w1[:, :-1], w1[:, -1], rng.normal(0.0, 1.0, hidden),
+                            rng.normal())
+    e, jacobian = neuralnet._residuals(x1, ys, hidden)(theta)
+    jac = jacobian()
+    z = x1 @ w1.T
+    assert (z[:, 0] < 0).all()
+    assert ((z > 0).any(axis=0) & (z <= 0).any(axis=0))[1:].any()
+    assert jac.shape == (len(ys), hidden * 4 + hidden + 1)
+    # a dead unit's columns are zero
+    dead = np.r_[0:4, hidden * 4]
+    assert not jac[:, dead].any()
+    residuals = neuralnet._residuals(x1, ys, hidden)
+    step = 1e-6
+    for j in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[j] += step
+        down[j] -= step
+        numeric = (residuals(up)[0] - residuals(down)[0]) / (2 * step)
+        np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-6, atol=1e-7,
+                                   err_msg=f"column {j}")
+    np.testing.assert_array_equal(e, predict_prices(
+        MlpModel(m.columns, w1[:, :-1], w1[:, -1], theta[hidden * 4:-1], theta[-1],
+                 Scaler(scaler.x_min, scaler.x_max, 0.0, 1.0)), m) - ys)
+
+
 # --- sweep ----------------------------------------------------------------
 
 
 def test_sweep_covers_every_size_and_picks_best():
-    m = linear_matrix()
+    m = linear_matrix(noise=0.1)
     config = TrainConfig(epochs=60, learning_rate=0.05, seed=3)
     result = sweep(m, config, max_hidden=4)
-    assert set(result.reports) | set(result.failures) == {1, 2, 3, 4}
+    assert set(result.reports) == {1, 2, 3, 4}
     assert result.model.hidden_size == result.chosen
     best = min(result.reports,
                key=lambda h: (result.reports[h].validation_mape, h))
@@ -230,15 +354,39 @@ def test_sweep_rejects_zero_validation():
         sweep(m, TrainConfig(epochs=5, validation_fraction=0.0), max_hidden=2)
 
 
-def test_sweep_records_divergent_sizes_as_failures():
-    m = linear_matrix()
-    config = TrainConfig(epochs=10, learning_rate=200.0, seed=0)
-    try:
-        result = sweep(m, config, max_hidden=2)
-    except Exception as exc:
-        assert "diverged" in str(exc)
-    else:
-        assert set(result.reports) | set(result.failures) == {1, 2}
+def _random_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, (rows, cols))
+    y = 50.0 + x @ rng.uniform(-2.0, 2.0, cols) + rng.normal(0.0, 0.5, rows)
+    return matrix({f"x{j + 1}": x[:, j] for j in range(cols)}, y)
+
+
+@st.composite
+def sweep_cases(draw):
+    rows = draw(st.integers(30, 80))
+    m = _random_matrix(rows, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
+    config = TrainConfig(epochs=draw(st.integers(1, 60)),
+                         learning_rate=draw(st.sampled_from([1e-3, 0.01, 1.0, 100.0])),
+                         seed=draw(st.integers(0, 100)))
+    return m, config, draw(st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(sweep_cases())
+def test_sweep_entries_equal_train_alone(case):
+    """Sweep entry h is, bit for bit, `train` of that size alone from one
+    start at seed ``seed + h``."""
+    m, config, max_hidden = case
+    result = sweep(m, config, max_hidden=max_hidden)
+    assert set(result.reports) == set(range(1, max_hidden + 1))
+    with mock.patch.object(neuralnet, "TRAIN_STARTS", 1):
+        for h in range(1, max_hidden + 1):
+            model, report = train(m, h, replace(config, seed=config.seed + h))
+            assert result.reports[h] == report
+            if h == result.chosen:
+                for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+                    np.testing.assert_array_equal(getattr(result.model, name),
+                                                  getattr(model, name))
 
 
 # --- verification and persistence ------------------------------------------
@@ -247,6 +395,35 @@ def test_sweep_records_divergent_sizes_as_failures():
 def test_gradient_check_tiny():
     m = linear_matrix(n=60, seed=7, noise=0.2)
     assert gradient_check(m, hidden=3, seed=0) < 1e-6
+
+
+def test_gradient_check_checks_the_training_step(monkeypatch):
+    """`gradient_check` and training run the same residual function, so a
+    Jacobian that is off by a factor of two fails the check."""
+    m = linear_matrix(n=60, seed=7, noise=0.2)
+    calls = []
+    residuals = neuralnet._residuals
+
+    def counted(x1, ys, hidden):
+        calls.append(x1.shape)
+        return residuals(x1, ys, hidden)
+
+    monkeypatch.setattr(neuralnet, "_residuals", counted)
+    assert gradient_check(m, hidden=3) < 1e-6 and calls == [(16, 3)]
+    train(m, 3, TrainConfig(epochs=1))
+    assert calls[1:] == [(51, 3)] * neuralnet.TRAIN_STARTS
+
+    def doubled(x1, ys, hidden):
+        inner = residuals(x1, ys, hidden)
+
+        def wrapped(theta):
+            e, jacobian = inner(theta)
+            return e, lambda: 2.0 * jacobian()
+
+        return wrapped
+
+    monkeypatch.setattr(neuralnet, "_residuals", doubled)
+    assert gradient_check(m, hidden=3) > 0.4
 
 
 def test_evaluate_returns_price_space_mape():
@@ -279,427 +456,3 @@ def test_model_json_is_valid_json_with_schema():
     payload = json.loads(model_to_json(model))
     assert set(payload) == {"columns", "w_hidden", "b_hidden",
                             "w_out", "b_out", "scaler"}
-
-
-# --- equivalence with the one-size-at-a-time loop ---------------------------
-#
-# `_reference_train` is the training loop as it stood before `train` and
-# `sweep` became the one lockstep kernel, kept verbatim (with its helpers) as
-# the oracle.  A lone `train` does the same arithmetic in the same order; a
-# sweep pads smaller sizes with zero units, which can change summation
-# order, so both are held to a relative tolerance of 1e-9.
-
-
-def _reference_init_params(inputs, hidden, rng):
-    bound_h = math.sqrt(6.0 / (inputs + hidden))
-    bound_o = math.sqrt(6.0 / (hidden + 1))
-    w_hidden = rng.uniform(-bound_h, bound_h, (hidden, inputs))
-    w_out = rng.uniform(-bound_o, bound_o, hidden)
-    return w_hidden, np.zeros(hidden), w_out, 0.0
-
-
-def _reference_forward_batch(x, w_hidden, b_hidden, w_out, b_out):
-    z = x @ w_hidden.T + b_hidden
-    a = np.maximum(z, 0.0)
-    return z, a, a @ w_out + b_out
-
-
-def _reference_gradients(x, y, w_hidden, b_hidden, w_out, b_out):
-    """Analytic MSE gradients for one batch.  Returns (loss, grads)."""
-    z, a, pred = _reference_forward_batch(x, w_hidden, b_hidden, w_out, b_out)
-    err = pred - y
-    loss = float(np.mean(err**2))
-    d_pred = 2.0 * err / err.size
-    g_w_out = a.T @ d_pred
-    g_b_out = float(np.sum(d_pred))
-    d_a = np.outer(d_pred, w_out)
-    d_z = d_a * (z > 0.0)
-    g_w_hidden = d_z.T @ x
-    g_b_hidden = d_z.sum(axis=0)
-    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
-
-
-def _reference_train(m, hidden, config):
-    if hidden < 1:
-        raise ValueError(f"hidden size must be positive, got {hidden}")
-    if len(m) < 30:
-        raise ValueError(f"need at least 30 rows to train, got {len(m)}")
-
-    n_val = int(round(len(m) * config.validation_fraction))
-    n_fit = len(m) - n_val
-    if n_fit < 10:
-        raise ValueError("validation split leaves too few training rows")
-    fit_rows = FeatureMatrix(m.dates[:n_fit], m.target_dates[:n_fit],
-                             m.columns, m.x[:n_fit], m.y[:n_fit])
-    scaler = fit_scaler(fit_rows)
-    xs = scaler.apply_x(fit_rows.x)
-    ys = scaler.apply_y(fit_rows.y)
-
-    rng = np.random.default_rng(config.seed)
-    w_hidden, b_hidden, w_out, b_out = _reference_init_params(xs.shape[1], hidden, rng)
-
-    lr = config.learning_rate
-    best = np.inf
-    stale = 0
-    halvings = 0
-    epoch_mse = []
-    early_stopped = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = rng.permutation(n_fit)
-            for lo in range(0, n_fit, config.batch_size):
-                batch = order[lo:lo + config.batch_size]
-                _, grads = _reference_gradients(xs[batch], ys[batch],
-                                                w_hidden, b_hidden, w_out, b_out)
-                w_hidden -= lr * grads[0]
-                b_hidden -= lr * grads[1]
-                w_out -= lr * grads[2]
-                b_out -= lr * grads[3]
-            _, _, pred = _reference_forward_batch(xs, w_hidden, b_hidden, w_out, b_out)
-            mse = float(np.mean((pred - ys)**2))
-            epoch_mse.append(mse)
-            if not (np.isfinite(mse) and np.all(np.isfinite(w_hidden))
-                    and np.all(np.isfinite(w_out))):
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch} (hidden={hidden}, "
-                    f"seed={config.seed})", epoch=epoch,
-                )
-            if mse < best - 1e-12:
-                best = mse
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.plateau_patience:
-                    lr *= 0.5
-                    halvings += 1
-                    stale = 0
-                    if halvings > 6:
-                        early_stopped = True
-                        break
-
-    model = MlpModel(m.columns, w_hidden, b_hidden, w_out, float(b_out), scaler)
-    train_pred = scaler.invert_y(
-        _reference_forward_batch(xs, w_hidden, b_hidden, w_out, b_out)[2])
-    train_mape = mape(fit_rows.y, train_pred)
-    if n_val:
-        # `predict_prices` as it was, inlined so the oracle shares no forward pass
-        val_pred = scaler.invert_y(_reference_forward_batch(
-            scaler.apply_x(m.x[n_fit:]), w_hidden, b_hidden, w_out, b_out)[2])
-        val_mape = mape(m.y[n_fit:], val_pred)
-    else:
-        val_mape = math.nan
-    report = TrainReport(
-        epoch_mse=np.array(epoch_mse), train_mape=train_mape,
-        validation_mape=val_mape, epochs_run=len(epoch_mse),
-        seed=config.seed, hidden_size=hidden, early_stopped=early_stopped,
-    )
-    return model, report
-
-
-def assert_same_report(report, ref, rtol=1e-9):
-    assert (report.epochs_run, report.early_stopped, report.seed, report.hidden_size) \
-        == (ref.epochs_run, ref.early_stopped, ref.seed, ref.hidden_size)
-    np.testing.assert_allclose(report.epoch_mse, ref.epoch_mse, rtol=rtol)
-    np.testing.assert_allclose([report.train_mape, report.validation_mape],
-                               [ref.train_mape, ref.validation_mape], rtol=rtol)
-
-
-def _folded(model):
-    """The weight arrays the training kernel updates: the hidden rows with
-    their biases last, and the output row with its bias last."""
-    return {"[w_hidden | b_hidden]": np.column_stack([model.w_hidden, model.b_hidden]),
-            "[w_out, b_out]": np.append(model.w_out, model.b_out)}
-
-
-def assert_same_weights(model, ref, rtol=1e-9):
-    """Equal to ``rtol`` per weight, plus ``rtol`` times the norm of the
-    folded array it sits in: a weight that collects only rounding (the
-    output bias behind a dead unit) is compared at that array's scale."""
-    ref_arrays = _folded(ref)
-    for name, got in _folded(model).items():
-        want = ref_arrays[name]
-        np.testing.assert_allclose(got, want, rtol=rtol,
-                                   atol=rtol * np.linalg.norm(want), err_msg=name)
-
-
-def assert_same_divergence(run, expected: DivergenceError):
-    with pytest.raises(DivergenceError) as info:
-        run()
-    assert (str(info.value), info.value.epoch) == (str(expected), expected.epoch)
-
-
-def assert_sweep_matches_reference(m, config, max_hidden):
-    """Every sweep entry, and `train` alone, against the reference loop."""
-    result = sweep(m, config, max_hidden=max_hidden)
-    for h in range(1, max_hidden + 1):
-        size_config = replace(config, seed=config.seed + h)
-        try:
-            ref_model, ref_report = _reference_train(m, h, size_config)
-        except DivergenceError as exc:
-            assert result.failures[h] == str(exc)
-            assert_same_divergence(lambda: train(m, h, size_config), exc)
-            continue
-        assert h not in result.failures
-        model, report = train(m, h, size_config)
-        assert_same_report(report, ref_report)
-        assert_same_weights(model, ref_model)
-        assert_same_report(result.reports[h], ref_report)
-        if h == result.chosen:
-            assert_same_weights(result.model, ref_model)
-    return result
-
-
-def test_lockstep_matches_reference_plain_run():
-    result = assert_sweep_matches_reference(
-        linear_matrix(), TrainConfig(epochs=60, seed=3), max_hidden=6)
-    assert not result.failures
-    assert all(r.epochs_run == 60 for r in result.reports.values())
-
-
-def test_lockstep_matches_reference_with_per_size_halving_and_stops():
-    config = TrainConfig(epochs=40, learning_rate=1.0, plateau_patience=3)
-    result = assert_sweep_matches_reference(linear_matrix(), config, max_hidden=6)
-    runs = {h: (r.epochs_run, r.early_stopped) for h, r in result.reports.items()}
-    # sizes leave the stack at different epochs while the others go on
-    assert runs == {1: (40, False), 2: (36, True), 3: (33, True),
-                    4: (40, False), 5: (37, True), 6: (34, True)}
-
-
-def test_lockstep_matches_reference_when_one_size_diverges():
-    # the loss explodes for every size, but only size 4 overflows before
-    # the plateau schedule stops it
-    config = TrainConfig(epochs=60, learning_rate=34.0, plateau_patience=6)
-    result = assert_sweep_matches_reference(linear_matrix(), config, max_hidden=6)
-    assert set(result.failures) == {4}
-    assert set(result.reports) == {1, 2, 3, 5, 6}
-
-
-def test_lockstep_matches_reference_at_bundled_scale(demo_bundle):
-    """The bundled fixture's network matrix: k = 5 inputs and 652 fitting
-    rows, so each epoch ends on a ragged batch of 12."""
-    train_m, _ = pipeline.feature_windows(demo_bundle["config"])
-    m = train_m.with_columns(tuple(demo_bundle["report"].body["neural_net"]["columns"]))
-    config = replace(demo_bundle["config"].nn_train, epochs=20)
-    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
-    assert (len(m.columns), n_fit, n_fit % config.batch_size) == (5, 652, 12)
-    result = assert_sweep_matches_reference(m, config, max_hidden=10)
-    assert not result.failures
-
-
-def test_lockstep_every_size_diverging_is_a_fit_error():
-    m = linear_matrix()
-    config = TrainConfig(epochs=60, learning_rate=5.1)
-    for h in range(1, 7):
-        size_config = replace(config, seed=config.seed + h)
-        with pytest.raises(DivergenceError) as info:
-            _reference_train(m, h, size_config)
-        assert_same_divergence(lambda: train(m, h, size_config), info.value)
-    with pytest.raises(FitError, match="every hidden size diverged"):
-        sweep(m, config, max_hidden=6)
-
-
-def _random_matrix(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-3.0, 3.0, (rows, cols))
-    y = 50.0 + x @ rng.uniform(-2.0, 2.0, cols) + rng.normal(0.0, 0.5, rows)
-    return matrix({f"x{j + 1}": x[:, j] for j in range(cols)}, y)
-
-
-@st.composite
-def sweep_cases(draw):
-    rows = draw(st.integers(30, 80))
-    n_fit = rows - int(round(rows * 0.15))
-    m = _random_matrix(rows, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
-    batch = draw(st.integers(2, n_fit + 8).filter(lambda b: n_fit % b))
-    config = TrainConfig(epochs=draw(st.integers(1, 15)),
-                         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
-                         batch_size=batch, seed=draw(st.integers(0, 100)),
-                         plateau_patience=draw(st.integers(1, 4)))
-    return m, config, draw(st.integers(1, 4))
-
-
-@settings(max_examples=25, deadline=None, database=None)
-@given(sweep_cases())
-@example((_random_matrix(40, 2, 5), TrainConfig(epochs=6, batch_size=50, seed=1), 3))
-# a dead hidden unit leaves b_out at the rounding floor: 0.0 against -2.2e-16
-@example((_random_matrix(30, 1, 0), TrainConfig(epochs=2, learning_rate=1.0, batch_size=27,
-                                                seed=1, plateau_patience=1), 2))
-def test_sweep_entries_equal_train_alone(case):
-    m, config, max_hidden = case
-    result = sweep(m, config, max_hidden=max_hidden)
-    assert set(result.reports) | set(result.failures) == set(range(1, max_hidden + 1))
-    for h in range(1, max_hidden + 1):
-        size_config = replace(config, seed=config.seed + h)
-        if h in result.failures:
-            with pytest.raises(DivergenceError, match="diverged") as info:
-                train(m, h, size_config)
-            assert str(info.value) == result.failures[h]
-            continue
-        model, report = train(m, h, size_config)
-        assert_same_report(result.reports[h], report)
-        if h == result.chosen:
-            assert_same_weights(result.model, model)
-
-
-# --- the kernel against its per-step reference -----------------------------
-#
-# `_reference_lockstep` is `_train_lockstep` as it stood before the stack's
-# weights moved into one parameter array and each batch's views were built
-# once per stack size: every step slices its batch and transposes its
-# operands afresh, and each epoch draws its orders with `permutation`.  The
-# kernel must give the same bits.
-
-
-def _reference_step_buffers(stack, hidden, width, batch):
-    return (np.empty((stack, hidden, batch)), np.empty((stack, hidden, batch), bool),
-            np.ones((stack, hidden + 1, batch)), np.empty((stack, 1, batch)),
-            np.empty((stack, hidden, batch)), np.empty((stack, hidden, width)),
-            np.empty((stack, 1, hidden + 1)))
-
-
-def _reference_step(w1, w2, w_out, x, y, rate, buffers):
-    z, mask, act, err, d_z, g1, g2 = buffers
-    neuralnet._outputs(w1, w2, x.transpose(0, 2, 1), act, z, err)
-    np.greater(z, 0.0, out=mask)
-    np.subtract(err, y, out=err)
-    np.multiply(err, rate, out=err)
-    np.multiply(mask, err, out=d_z)
-    np.matmul(d_z, x, out=g1)
-    np.multiply(g1, w_out, out=g1)
-    np.matmul(err, act.transpose(0, 2, 1), out=g2)
-    w1 -= g1
-    w2 -= g2
-
-
-def _reference_lockstep(m, sizes, seeds, config):
-    """Final folded weights and loss history per size, or its divergence."""
-    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
-    scaler = fit_scaler(FeatureMatrix(m.dates[:n_fit], m.target_dates[:n_fit],
-                                      m.columns, m.x[:n_fit], m.y[:n_fit]))
-    xs, ys = scaler.apply_x(m.x[:n_fit]), scaler.apply_y(m.y[:n_fit])
-    runs = [neuralnet._Run(h, s, np.random.default_rng(s), config.learning_rate)
-            for h, s in zip(sizes, seeds)]
-    inputs, top, stack = xs.shape[1], max(sizes), len(runs)
-    w1, w2 = np.zeros((stack, top, inputs + 1)), np.zeros((stack, 1, top + 1))
-    for j, run in enumerate(runs):
-        w1[j, :run.hidden, :inputs], w2[j, 0, :run.hidden] = neuralnet._init_params(
-            inputs, run.hidden, run.rng)
-    x1 = neuralnet._with_ones(xs)
-    x_epoch, y_epoch = np.empty((stack, n_fit, inputs + 1)), np.empty((stack, 1, n_fit))
-    act_all, err_all = np.ones((stack, top + 1, n_fit)), np.empty((stack, 1, n_fit))
-    batches = [(lo, min(config.batch_size, n_fit - lo))
-               for lo in range(0, n_fit, config.batch_size)]
-    per_width = {b: _reference_step_buffers(stack, top, inputs + 1, b) for _, b in batches}
-    active = runs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            s = len(active)
-            order = np.stack([run.rng.permutation(n_fit) for run in active])
-            x_ep, y_ep = x_epoch[:s], y_epoch[:s]
-            np.take(x1, order, axis=0, out=x_ep, mode="clip")
-            np.take(ys, order, out=y_ep[:, 0], mode="clip")
-            lr = np.array([run.lr for run in active])[:, None, None]
-            rates = {b: lr * (2.0 / b) for b in per_width}
-            bufs = {b: [buf[:s] for buf in bs] for b, bs in per_width.items()}
-            w_out = w2[:, :, :top].transpose(0, 2, 1)
-            for lo, b in batches:
-                _reference_step(w1, w2, w_out, x_ep[:, lo:lo + b], y_ep[:, :, lo:lo + b],
-                                rates[b], bufs[b])
-            act = act_all[:s]
-            err = neuralnet._outputs(w1, w2, x1.T, act, act[:, :-1], err_all[:s])
-            np.subtract(err, ys, out=err)
-            mse = np.square(err, out=err).mean(axis=(1, 2))
-            finite = (np.isfinite(mse) & np.isfinite(w1[:, :, :inputs]).all(axis=(1, 2))
-                      & np.isfinite(w2[:, 0, :top]).all(axis=1))
-            going = np.array([run.end_epoch(epoch, float(e), bool(ok),
-                                            config.plateau_patience)
-                              for run, e, ok in zip(active, mse, finite)])
-            if not going.all():
-                for j in np.flatnonzero(~going):
-                    active[j].weights = w1[j], w2[j]
-                w1, w2 = w1[going], w2[going]
-                active = [run for run, g in zip(active, going) if g]
-                if not active:
-                    break
-    for run, w1_j, w2_j in zip(active, w1, w2):
-        run.weights = w1_j, w2_j
-    return {run.hidden: (run.error, run.weights, run.epoch_mse, run.early_stopped)
-            for run in runs}
-
-
-def assert_kernel_matches_reference(m, sizes, seeds, config):
-    """Bit-equal weights and reports, or the same divergence, per size."""
-    fitted, diverged = neuralnet._train_lockstep(m, sizes, seeds, config)
-    reference = _reference_lockstep(m, sizes, seeds, config)
-    assert set(fitted) | set(diverged) == set(reference)
-    n_fit = len(m) - int(round(len(m) * config.validation_fraction))
-    for (h, (error, (w1, w2), epoch_mse, early_stopped)), seed in zip(reference.items(), seeds):
-        if error is not None:
-            assert (str(diverged[h]), diverged[h].epoch) == (str(error), error.epoch)
-            continue
-        model, report = fitted[h]
-        ref_model = MlpModel(m.columns, w1[:h, :-1], w1[:h, -1], w2[0, :h], float(w2[0, -1]),
-                             model.scaler)
-        for got, want in zip(_folded(model).values(), _folded(ref_model).values()):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(report.epoch_mse, epoch_mse)
-        predictions = predict_prices(ref_model, m)
-        assert (report.train_mape, report.epochs_run, report.seed, report.hidden_size,
-                report.early_stopped) == (mape(m.y[:n_fit], predictions[:n_fit]),
-                                          len(epoch_mse), seed, h, early_stopped)
-        np.testing.assert_array_equal(report.validation_mape,
-                                      mape(m.y[n_fit:], predictions[n_fit:]) if n_fit < len(m)
-                                      else math.nan)
-    return fitted, diverged
-
-
-def test_kernel_matches_reference_on_a_full_sweep(demo_bundle):
-    """Sizes 1..10 on the bundled network matrix, as `sweep` runs them."""
-    train_m, _ = pipeline.feature_windows(demo_bundle["config"])
-    m = train_m.with_columns(tuple(demo_bundle["report"].body["neural_net"]["columns"]))
-    config = replace(demo_bundle["config"].nn_train, epochs=30)
-    fitted, diverged = assert_kernel_matches_reference(m, range(1, 11), range(1, 11), config)
-    assert len(fitted) == 10 and not diverged
-
-
-def test_kernel_matches_reference_for_a_lone_network():
-    m = _random_matrix(300, 3, 9)
-    fitted, _ = assert_kernel_matches_reference(m, (4,), (7,), TrainConfig(epochs=40))
-    assert fitted[4][1].epochs_run == 40
-
-
-def test_kernel_matches_reference_as_the_stack_shrinks():
-    # sizes stop early at different epochs, ...
-    config = TrainConfig(epochs=40, learning_rate=1.0, plateau_patience=3)
-    fitted, _ = assert_kernel_matches_reference(linear_matrix(), range(1, 7), range(1, 7),
-                                                config)
-    assert {h: r.early_stopped for h, (_, r) in fitted.items()} == {
-        1: False, 2: True, 3: True, 4: False, 5: True, 6: True}
-    # ... and one size diverges while the others go on
-    config = TrainConfig(epochs=60, learning_rate=34.0, plateau_patience=6)
-    fitted, diverged = assert_kernel_matches_reference(linear_matrix(), range(1, 7),
-                                                       range(1, 7), config)
-    assert set(diverged) == {4} and set(fitted) == {1, 2, 3, 5, 6}
-
-
-def test_gradient_check_checks_the_training_step(monkeypatch):
-    """`gradient_check` and training run the same `_step`, so a step that
-    moves the weights twice as far fails the check."""
-    m = linear_matrix(n=60, seed=7, noise=0.2)
-    calls = []
-    step = neuralnet._step
-
-    def counted(net, batch):
-        calls.append(batch[0].shape)
-        step(net, batch)
-
-    monkeypatch.setattr(neuralnet, "_step", counted)
-    assert gradient_check(m, hidden=3) < 1e-6 and calls == [(1, 16, 3)]
-    train(m, 3, TrainConfig(epochs=1, batch_size=16))
-    assert len(calls) == 1 + 4
-
-    def doubled(net, batch):
-        step(net, batch[:3] + (2.0 * batch[3],) + batch[4:])
-
-    monkeypatch.setattr(neuralnet, "_step", doubled)
-    assert gradient_check(m, hidden=3) > 0.4

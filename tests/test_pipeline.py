@@ -199,6 +199,26 @@ def test_config_bad_learning_rate_names_file_line_and_key(tmp_path, value):
                        f"must be finite and positive, got {value}")
 
 
+@pytest.mark.parametrize("line, rule", [
+    ("nn_validation_fraction = 0.7", "in [0, 0.5)"),
+    ("nn_validation_fraction = -0.1", "in [0, 0.5)"),
+    ("nn_epochs = 0", "at least 1"),
+    ("rsi_period = 1", "at least 2"),
+    ("stoch_period = 1", "at least 2"),
+    ("stoch_d_period = 0", "at least 2"),
+])
+def test_config_range_fault_names_file_line_and_key(tmp_path, line, rule):
+    key, _, value = (part.strip() for part in line.partition("="))
+    path, message = _load_fault(tmp_path, line)
+    assert message == f"{path}, line 5: config key '{key}': must be {rule}, got {value}"
+
+
+@pytest.mark.parametrize("key", ["nn_batch_size", "nn_plateau_patience"])
+def test_config_rejects_the_minibatch_keys(tmp_path, key):
+    path, message = _load_fault(tmp_path, f"{key} = 32")
+    assert message == f"{path}, line 5: unknown key {key!r}"
+
+
 def test_config_range_fault_in_an_override_names_the_key_only(tmp_path):
     write_trio(tmp_path)
     path = tmp_path / "run.cfg"
@@ -287,7 +307,7 @@ def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
         bad, message = {"unknown": ("glod_csv = gold.csv", "unknown key"),
                         "no_equals": ("just some words", "expected 'key = value'"),
                         "empty": ("rsi_period =", "empty value"),
-                        "bad_number": ("nn_batch_size = many", "bad number")}[fault]
+                        "bad_number": ("nn_max_hidden = many", "bad number")}[fault]
     body.insert(at, bad)
     lines, bad_line = [], None
     for i, line in enumerate(body):
@@ -382,6 +402,35 @@ EXPECTED_ARTIFACTS = (
     "correlogram_eurusd.csv",
     "correlogram_oil.csv",
 )
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError(f"report holds {token}, which JSON does not have")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_without_validation_rows_is_strict_json(demo_bundle, tmp_path):
+    out = tmp_path / "out"
+    config = load_config(demo_bundle["cfg_path"], overrides={
+        "nn_hidden": "4", "nn_validation_fraction": "0", "nn_epochs": "20",
+        "out_dir": str(out)})
+    run(config)
+    body = _strict_json((out / "report.json").read_text())
+    assert body["neural_net"]["sweep"]["4"]["validation_mape"] is None
+    _strict_json((demo_bundle["out_dir"] / "report.json").read_text())
+
+
+def test_non_finite_number_fails_the_report_stage(demo_bundle, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "accuracy", lambda actual, predicted: float("nan"))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as exc:
+        run(dataclasses.replace(demo_bundle["config"], out_dir=out))
+    assert exc.value.stage == "report"
+    assert "Out of range float values are not JSON compliant" in str(exc.value)
+    assert not (out / "report.json").exists()
+    assert not (out / "report_partial.json").exists()
 
 
 def test_run_writes_every_artifact(demo_bundle):
