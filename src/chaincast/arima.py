@@ -361,12 +361,13 @@ def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
     lam, small_before = damping, False
     jac = jacobian()
     for iteration in range(1, max_iterations + 1):
-        curvature, gradient = jac.T @ jac, jac.T @ e
+        if jac is not None:  # a new point; a rejected step solves these again
+            curvature, gradient = jac.T @ jac, jac.T @ e
+            scale = np.diag(curvature)
+            scale, jac = np.diag(np.maximum(scale, 1e-12 * scale.max())), None
         if not gradient.any():
             return result(True, "gradient is zero")
-        scale = np.diag(curvature)
-        scale = np.maximum(scale, 1e-12 * scale.max())
-        step = np.linalg.solve(curvature + lam * np.diag(scale), -gradient)
+        step = np.linalg.solve(curvature + lam * scale, -gradient)
         if np.max(np.abs(step)) <= xatol:
             return result(True, "step is below xatol")
         e_new, jacobian_new = residuals(x + step)
@@ -468,6 +469,9 @@ def _finish(spec: ArimaSpec, mu: float, phi: np.ndarray, theta: np.ndarray,
     )
 
 
+CRITERIA = ("aic", "sic")  # what `select_order` can rank models by
+
+
 def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
                  criterion: str = "sic",
                  config: FitConfig = DEFAULT_FIT_CONFIG) -> ArimaFit:
@@ -492,8 +496,8 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
     result is therefore the one-pass search's, bit for bit, unless a cell
     left out improves on its loose criterion by `SCREEN_DELTA` or more.
     """
-    if criterion not in ("aic", "sic"):
-        raise ValueError(f"criterion must be 'aic' or 'sic', got {criterion!r}")
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if max_p < 0 or max_q < 0:
         raise ValueError("order bounds must be non-negative")
     cells = [ArimaSpec(p, d, q) for p in range(max_p + 1) for q in range(max_q + 1)

@@ -14,47 +14,37 @@ One executable, one subcommand per stage, plus the full chain:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import inspect
 import os
 import sys
 from pathlib import Path
 
-from . import arima, indicators, neuralnet, pipeline, synthetic
+from . import arima, indicators, neuralnet, pipeline, regression, synthetic
 from .errors import ChaincastError
-from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, write_table
+from .ingest import DEFAULT_SPLIT, FORMATS, parse_csv, split as split_frame, table_text, \
+    write_table
 from .metrics import accuracy
 from .series import STATIONARITY_THRESHOLD, acf, difference, pacf, suggest_d
 
 
-def _hidden_size(text: str) -> str | int:
-    """``--hidden``: 'sweep' or a positive layer size, checked before any work."""
-    if text == "sweep":
-        return text
-    try:
-        size = int(text)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'sweep' or a positive integer, got {text!r}")
-    return size
+def _key_flag(key: str):
+    """The argparse type of a flag that sets config key ``key``: its `_KEYS`
+    row parses and checks the text, before the command does any work."""
+    _, cast, _, (rule, holds) = pipeline._KEYS[key]
 
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if holds(value := cast(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
 
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative integer, checked before any work."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+    return parse
 
 
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="CSV file with daily bars")
-    sub.add_argument("--format", default="auto", choices=["auto", "plain", "vendor"],
+    sub.add_argument("--format", default="auto", choices=FORMATS,
                      help="CSV layout (default: detect from header)")
 
 
@@ -95,8 +85,7 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
         closes = train.close_series()
         d = args.d if args.d is not None else suggest_d(closes)
         fitted = arima.select_order(closes, d, **given)
-        search = inspect.signature(arima.select_order).parameters
-        criterion = given.get("criterion", search["criterion"].default)
+        criterion = given.get("criterion", pipeline._KEYS["arima_criterion"][0])
     spec = fitted.spec
     print(f"selected order: ({spec.p},{spec.d},{spec.q}) by {criterion}")
     print(f"mu = {fitted.mu:.6g}")
@@ -148,7 +137,7 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 
 def _cmd_train_nn(args: argparse.Namespace) -> int:
     # the config's checks apply to the size this command trains
-    config = pipeline.load_config(args.config, {"nn_hidden": str(args.hidden)})
+    config = pipeline.load_config(args.config, {"nn_hidden": str(args.hidden or "sweep")})
     if args.seed is not None:
         config = dataclasses.replace(
             config, nn_train=dataclasses.replace(config.nn_train, seed=args.seed))
@@ -197,16 +186,11 @@ def _cmd_make_fixture(args: argparse.Namespace) -> int:
     config_path = out / "pipeline.cfg"
     config_path.write_text(
         "# generated demo configuration\n"
-        f"gold_csv = {paths['gold'].name}\n"
-        f"eurusd_csv = {paths['eurusd'].name}\n"
-        f"oil_csv = {paths['oil'].name}\n"
-        "train_start = 2015-01-01\n"
-        "train_end = 2018-01-01\n"
-        "test_start = 2018-01-02\n"
-        "test_end = 2019-01-01\n"
-        "out_dir = out\n",
+        + "".join(f"{name}_csv = {paths[name].name}\n" for name in pipeline.ASSETS)
+        + "".join(f"{key} = {day.isoformat()}\n" for key, day in vars(DEFAULT_SPLIT).items())
+        + "out_dir = out\n",
         encoding="utf-8")
-    for name in ("gold", "eurusd", "oil"):
+    for name in pipeline.ASSETS:
         print(f"wrote {paths[name]}")
     print(f"wrote {config_path}")
     print(f"run: chaincast pipeline run --config {config_path}")
@@ -223,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("diagnose", help="stationarity and correlogram tables")
     _add_input_args(p)
     p.add_argument("--d", type=int, default=None, help="force a differencing order")
-    p.add_argument("--threshold", type=float, default=STATIONARITY_THRESHOLD,
+    p.add_argument("--threshold", type=_key_flag("stationarity_threshold"),
+                   default=STATIONARITY_THRESHOLD,
                    help="lag-1 autocorrelation threshold for suggesting d "
                         "(default %(default)s)")
     p.add_argument("--max-lag", type=int, default=20)
@@ -236,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "search settings (arima_*, stationarity_threshold, seed)")
     p.add_argument("--d", type=int, default=None)
     skipped = f"; cells with p + q > {arima.MAX_ORDER} are skipped"
-    p.add_argument("--max-p", type=int, default=None,
+    p.add_argument("--max-p", type=_key_flag("arima_max_p"), default=None,
                    help="default: the config's arima_max_p, else 3" + skipped)
-    p.add_argument("--max-q", type=int, default=None,
+    p.add_argument("--max-q", type=_key_flag("arima_max_q"), default=None,
                    help="default: the config's arima_max_q, else 3" + skipped)
-    p.add_argument("--criterion", default=None, choices=["aic", "sic"],
+    p.add_argument("--criterion", default=None, choices=arima.CRITERIA,
                    help="default: the config's arima_criterion, else sic")
     p.add_argument("--out", default=None, help="write predictions CSV here")
     p.set_defaults(func=_cmd_fit_arima)
@@ -252,17 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("stepwise", help="variable selection trace")
     p.add_argument("--config", required=True)
-    p.add_argument("--direction", default=None, choices=["forward", "backward"],
+    p.add_argument("--direction", default=None, choices=regression.DIRECTIONS,
                    help="default: the config's stepwise_direction")
-    p.add_argument("--criterion", default=None, choices=["aic", "bic"],
+    p.add_argument("--criterion", default=None, choices=regression.CRITERIA,
                    help="default: the config's stepwise_criterion")
     p.set_defaults(func=_cmd_stepwise)
 
     p = subs.add_parser("train-nn", help="train the network or sweep hidden sizes")
     p.add_argument("--config", required=True)
-    p.add_argument("--hidden", default="sweep", type=_hidden_size,
+    p.add_argument("--hidden", default="sweep", type=_key_flag("nn_hidden"),
                    help="'sweep' or a hidden-layer size (default: sweep)")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_key_flag("seed"), default=None)
     p.add_argument("--out", default=None, help="write model JSON here")
     p.set_defaults(func=_cmd_train_nn)
 
@@ -270,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_subs = p.add_subparsers(dest="pipeline_command", required=True)
     pr = pipe_subs.add_parser("run", help="execute the configured chain")
     pr.add_argument("--config", required=True)
-    pr.add_argument("--seed", type=_seed, default=None, help="override config seed")
+    pr.add_argument("--seed", type=_key_flag("seed"), default=None, help="override config seed")
     pr.add_argument("--out", default=None, help="override output directory")
     pr.set_defaults(func=_cmd_pipeline)
 
     p = subs.add_parser("make-fixture", help="write deterministic demo data")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=synthetic.FIXTURE_SEED)
+    p.add_argument("--seed", type=_key_flag("seed"), default=synthetic.FIXTURE_SEED)
     p.set_defaults(func=_cmd_make_fixture)
     return parser
 

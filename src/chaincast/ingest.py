@@ -36,7 +36,7 @@ from .series import Series
 
 PLAIN_HEADER = ("date", "close", "open", "high", "low")
 VENDOR_HEADER = ("Date", "Price", "Open", "High", "Low", "Vol.", "Change %")
-FORMATS = ("plain", "vendor", "auto")
+FORMATS = ("auto", "plain", "vendor")
 
 
 def _bar_fault(date, open, high, low, close) -> str | None:

@@ -206,15 +206,14 @@ def _residuals(x1: np.ndarray, ys: np.ndarray, hidden: int):
     cut = hidden * width
     jac = np.empty((n, cut + hidden + 1))
     jac[:, -1] = 1.0
+    blocks = jac[:, :cut].reshape(n, hidden, width)  # a view: unit h's columns are [:, h]
 
     def residuals(theta: np.ndarray):
         w1, w_out, b_out = _unfold(theta, hidden, width)
         z, act, out = _forward(w1, w_out, b_out, x1)
 
         def jacobian() -> np.ndarray:
-            gate = (z > 0.0) * w_out
-            for h in range(hidden):
-                np.multiply(x1, gate[:, h, None], out=jac[:, h * width:(h + 1) * width])
+            np.multiply(((z > 0.0) * w_out)[:, :, None], x1[:, None, :], out=blocks)
             jac[:, cut:-1] = act
             return jac
 

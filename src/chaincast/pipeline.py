@@ -20,6 +20,7 @@ import datetime
 import io
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,48 +39,78 @@ from .series import STATIONARITY_THRESHOLD, Series, acf, difference, ljung_box, 
 ASSETS = ("gold", "eurusd", "oil")  # target first, then companions (x2, x3 order)
 
 
+def _at_least(low: int) -> tuple[str, Callable[[object], bool]]:
+    return f"at least {low}", lambda v: v >= low
+
+
+def _one_of(allowed: tuple[str, ...]) -> tuple[str, Callable[[object], bool]]:
+    return "one of " + ", ".join(allowed), allowed.__contains__
+
+
 # Every config key, in the order values are parsed: its default (None: the
 # key is required and must come from the file), its parser (paths resolve
-# against the config's directory) and what a value it rejects is called.
-# The split and threshold defaults are the library's own, which the CLI
-# uses without a config.
-_KEYS: dict[str, tuple[str | None, Callable[[str], object], str]] = {
-    "gold_csv": (None, Path, "path"),
-    "eurusd_csv": (None, Path, "path"),
-    "oil_csv": (None, Path, "path"),
-    "csv_format": ("auto", str, "text"),
-    **{key: (getattr(DEFAULT_SPLIT, key).isoformat(), datetime.date.fromisoformat, "date")
-       for key in ("train_start", "train_end", "test_start", "test_end")},
-    "ema_periods": ("5,10", lambda v: tuple(int(x) for x in v.split(",")), "list"),
-    "rsi_period": ("14", int, "number"),
-    "stoch_period": ("14", int, "number"),
-    "stoch_d_period": ("3", int, "number"),
-    "seed": ("0", int, "number"),
-    "nn_epochs": ("500", int, "number"),
-    "nn_learning_rate": ("0.01", float, "number"),
-    "nn_validation_fraction": ("0.15", float, "number"),
-    "nn_hidden": ("sweep", lambda v: None if v == "sweep" else int(v), "number"),
-    "nn_max_hidden": ("10", int, "number"),
-    "stationarity_threshold": (repr(STATIONARITY_THRESHOLD), float, "number"),
-    "arima_max_p": ("3", int, "number"),
-    "arima_max_q": ("3", int, "number"),
-    "arima_criterion": ("sic", str, "text"),
-    "stepwise_direction": ("backward", str, "text"),
-    "stepwise_criterion": ("bic", str, "text"),
-    "out_dir": ("out", Path, "path"),
+# against the config's directory), what a value it cannot parse is called,
+# and its rule (None: any value that parses).  The split and threshold
+# defaults are the library's own, which the CLI uses without a config; the
+# library classes a value reaches check it again for their own callers.
+_KEYS: dict[str, tuple[str | None, Callable[[str], object], str,
+                       tuple[str, Callable[[object], bool]] | None]] = {
+    **{f"{name}_csv": (None, Path, "path", None) for name in ASSETS},
+    "csv_format": ("auto", str, "text", _one_of(FORMATS)),
+    **{key: (day.isoformat(), datetime.date.fromisoformat, "date", None)
+       for key, day in vars(DEFAULT_SPLIT).items()},
+    # the features use a short and a long average
+    "ema_periods": ("5,10", lambda v: tuple(int(x) for x in v.split(",")), "list",
+                    ("two distinct periods of at least 2",
+                     lambda v: len(set(v)) == len(v) == 2 and min(v) >= 2)),
+    "rsi_period": ("14", int, "number", _at_least(2)),
+    "stoch_period": ("14", int, "number", _at_least(2)),
+    "stoch_d_period": ("3", int, "number", _at_least(2)),
+    "seed": ("0", int, "number", _at_least(0)),
+    "nn_epochs": ("500", int, "number", _at_least(1)),
+    "nn_learning_rate": ("0.01", float, "number",
+                         ("finite and positive", lambda v: 0.0 < v < math.inf)),
+    "nn_validation_fraction": ("0.15", float, "number",
+                               ("in [0, 0.5)", lambda v: 0.0 <= v < 0.5)),
+    "nn_hidden": ("sweep", lambda v: None if v == "sweep" else int(v), "number",
+                  ("sweep or at least 1", lambda v: v is None or v >= 1)),
+    "nn_max_hidden": ("10", int, "number", _at_least(1)),
+    "stationarity_threshold": (repr(STATIONARITY_THRESHOLD), float, "number",
+                               ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    "arima_max_p": ("3", int, "number", _at_least(0)),
+    "arima_max_q": ("3", int, "number", _at_least(0)),
+    "arima_criterion": ("sic", str, "text", _one_of(arima.CRITERIA)),
+    "stepwise_direction": ("backward", str, "text", _one_of(regression.DIRECTIONS)),
+    "stepwise_criterion": ("bic", str, "text", _one_of(regression.CRITERIA)),
+    "out_dir": ("out", Path, "path", None),
 }
 
-# Range checks a parsed value meets at load, so that a bad value is named
-# with its line; the library classes it reaches (`TrainConfig`, `FitConfig`,
-# `IndicatorParams`) check it again for their own callers.
-_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "seed": ("at least 0", lambda v: v >= 0),
-    "nn_epochs": ("at least 1", lambda v: v >= 1),
-    "nn_learning_rate": ("finite and positive", lambda v: 0.0 < v < math.inf),
-    "nn_validation_fraction": ("in [0, 0.5)", lambda v: 0.0 <= v < 0.5),
-    **dict.fromkeys(("rsi_period", "stoch_period", "stoch_d_period"),
-                    ("at least 2", lambda v: v >= 2)),
-}
+# Rules between two keys: the key, what it must be, the other key, the test.
+_TIES = (
+    ("train_end", "on or after train_start", "train_start", operator.ge),
+    ("test_start", "after train_end", "train_end", operator.gt),
+    ("test_end", "on or after test_start", "test_start", operator.ge),
+    # the sweep picks its size on the held-out rows
+    ("nn_validation_fraction", "above 0 when nn_hidden = sweep", "nn_hidden",
+     lambda fraction, hidden: fraction > 0 or hidden is not None),
+)
+
+
+def _check(values: dict, texts: dict, where=lambda *keys: "", error=ValueError) -> None:
+    """Raise ``error`` at the first rule ``values`` (key -> parsed value)
+    break: each key's own, those between two keys, then that the CSV files
+    exist.  The message starts with ``where`` of the keys involved, the one
+    at fault first, and shows a value as ``texts`` has it."""
+    for key, (_, _, _, rule) in _KEYS.items():
+        if rule is not None and not rule[1](values[key]):
+            raise error(f"{where(key)}config key '{key}': must be {rule[0]}, got {texts[key]}")
+    for key, rule, other, holds in _TIES:
+        if not holds(values[key], values[other]):
+            raise error(f"{where(key, other)}config key '{key}': must be {rule}, "
+                        f"got {texts[key]}")
+    for key in (f"{name}_csv" for name in ASSETS):
+        if not values[key].is_file():
+            raise error(f"{where(key)}{key} does not exist: {values[key]}")
 
 
 @dataclass(frozen=True)
@@ -106,33 +137,12 @@ class PipelineConfig:
     raw: dict[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        for name in ("gold_csv", "eurusd_csv", "oil_csv"):
-            p = getattr(self, name)
-            if not p.is_file():
-                raise DataFormatError(f"{name} does not exist: {p}")
-        if self.stepwise_direction not in ("forward", "backward"):
-            raise ValueError(f"bad stepwise_direction {self.stepwise_direction!r}")
-        if self.stepwise_criterion not in ("aic", "bic"):
-            raise ValueError(f"bad stepwise_criterion {self.stepwise_criterion!r}")
-        if self.arima_criterion not in ("aic", "sic"):
-            raise ValueError(f"bad arima_criterion {self.arima_criterion!r}")
-        for key, low in (("nn_hidden", 1), ("nn_max_hidden", 1),
-                         ("arima_max_p", 0), ("arima_max_q", 0), ("seed", 0)):
-            value = getattr(self, key)
-            if value is not None and value < low:  # nn_hidden None means sweep
-                raise ValueError(f"config key '{key}': must be at least {low}, got {value}")
-        if len(self.indicator_params.ema_periods) != 2:
-            raise ValueError("config key 'ema_periods': exactly two smoothing periods are "
-                             f"required, got {self.indicator_params.ema_periods}")
-        if not 0 < self.stationarity_threshold <= 1:
-            raise ValueError("config key 'stationarity_threshold': must be in (0, 1], "
-                             f"got {self.stationarity_threshold}")
-        if self.csv_format not in FORMATS:
-            raise ValueError(f"config key 'csv_format': must be one of {', '.join(FORMATS)}, "
-                             f"got {self.csv_format!r}")
-        if self.nn_hidden is None and not self.nn_train.validation_fraction:
-            raise ValueError("config key 'nn_validation_fraction': the sweep "
-                             "(nn_hidden = sweep) needs a non-zero value")
+        # the rules a loaded config meets, for one built or replaced in code
+        values = {**{key: getattr(self, key) for key in _KEYS if hasattr(self, key)},
+                  **vars(self.split), **vars(self.indicator_params),
+                  **{f"nn_{name}": value for name, value in vars(self.nn_train).items()
+                     if name != "seed"}}
+        _check(values, values)
 
 
 def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | None = None,
@@ -143,8 +153,11 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
     ``\\n``, ``\\r\\n`` or ``\\r``; blank lines and lines starting with ``#``
     are ignored; keys may appear once.  Unknown keys are errors
     so typos cannot silently fall back to defaults.  Relative paths are
-    resolved against the config file's directory.
+    resolved against the config file's directory.  A value that does not
+    parse or breaks a rule is a `DataFormatError` naming the key, and its
+    file and line unless ``overrides`` gave it.
     """
+    overrides = overrides or {}
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -162,34 +175,31 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
         if not value:
             raise DataFormatError(f"{source}, line {line_no}: empty value for {key!r}")
         values[key], line_of[key] = value, line_no
-    for key, (default, _, _) in _KEYS.items():
-        if default is None and key not in values:
-            raise DataFormatError(f"{source}: missing required key {key!r}")
     merged = {**{key: row[0] for key, row in _KEYS.items() if row[0] is not None},
-              **values, **(overrides or {})}
+              **values, **overrides}
+
+    def where(*keys: str) -> str:
+        lines = [line_of[key] for key in keys if key in line_of and key not in overrides]
+        return f"{source}, line {lines[0]}: " if lines else ""
+
     parsed: dict = {}
-    for key, (_, cast, kind) in _KEYS.items():
-        where = (f"{source}, line {line_of[key]}: "
-                 if key in line_of and key not in (overrides or {}) else "")
+    for key, (_, cast, kind, _) in _KEYS.items():
+        if key not in merged:  # a required key
+            raise DataFormatError(f"{source}: missing required key {key!r}")
         try:
             parsed[key] = base_dir / merged[key] if cast is Path else cast(merged[key])
         except ValueError:
             raise DataFormatError(
-                f"{where}config key '{key}': bad {kind} {merged[key]!r}") from None
-        if key in _RANGES and not _RANGES[key][1](parsed[key]):
-            raise DataFormatError(f"{where}config key '{key}': must be {_RANGES[key][0]}, "
-                                  f"got {merged[key]}")
+                f"{where(key)}config key '{key}': bad {kind} {merged[key]!r}") from None
+    _check(parsed, merged, where, DataFormatError)
+    # a nested object's keys are its field names, with nn_ before TrainConfig's
     return PipelineConfig(
-        split=SplitSpec(*(parsed.pop(key) for key in
-                          ("train_start", "train_end", "test_start", "test_end"))),
-        indicator_params=indicators.IndicatorParams(*(parsed.pop(key) for key in (
-            "ema_periods", "rsi_period", "stoch_period", "stoch_d_period"))),
-        nn_train=neuralnet.TrainConfig(
-            epochs=parsed.pop("nn_epochs"),
-            learning_rate=parsed.pop("nn_learning_rate"),
-            seed=parsed["seed"],
-            validation_fraction=parsed.pop("nn_validation_fraction"),
-        ),
+        split=SplitSpec(**{key: parsed.pop(key) for key in vars(DEFAULT_SPLIT)}),
+        indicator_params=indicators.IndicatorParams(
+            **{key: parsed.pop(key) for key in vars(indicators.IndicatorParams())}),
+        nn_train=neuralnet.TrainConfig(seed=parsed["seed"], **{
+            name: parsed.pop(f"nn_{name}") for name in vars(neuralnet.DEFAULT_TRAIN_CONFIG)
+            if name != "seed"}),
         raw=merged,
         **parsed,
     )
@@ -247,9 +257,9 @@ def fit_asset(train: Series, config: PipelineConfig, d: int | None = None
     )
 
 
-def _whiteness(fitted: arima.ArimaFit) -> dict:
+def _whiteness(fitted: arima.ArimaFit, name: str) -> dict:
     lags = min(10 + fitted.spec.p + fitted.spec.q, fitted.n_effective - 1)
-    report = ljung_box(Series(fitted.residuals, name="resid"), lags,
+    report = ljung_box(Series(fitted.residuals, name=f"{name} residuals"), lags,
                        fitted_params=fitted.spec.p + fitted.spec.q)
     return {
         "statistic": report.statistic, "dof": report.dof,
@@ -341,7 +351,7 @@ def _arima_entry(fitted: arima.ArimaFit, train: Series, correlogram: Path) -> di
         "sigma2": fitted.sigma2,
         "aic": fitted.aic,
         "sic": fitted.sic,
-        "ljung_box": _whiteness(fitted),
+        "ljung_box": _whiteness(fitted, train.name),
     }
 
 
@@ -421,10 +431,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
     with stage("split", timings):
         train, test = _split(aligned, config.split)
         body["split"] = {
-            "train_start": config.split.train_start.isoformat(),
-            "train_end": config.split.train_end.isoformat(),
-            "test_start": config.split.test_start.isoformat(),
-            "test_end": config.split.test_end.isoformat(),
+            **{key: day.isoformat() for key, day in vars(config.split).items()},
             "train_rows": len(train["gold"]),
             "test_rows": len(test["gold"]),
         }
@@ -467,7 +474,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
 
     with stage("regression", timings):
         criterion = config.stepwise_criterion
-        kept, dropped, traces = select_columns(train_m, ("forward", "backward"), criterion)
+        kept, dropped, traces = select_columns(train_m, regression.DIRECTIONS, criterion)
         full_fit = regression.ols(train_m, kept)
         body["full_ols"] = {
             **_regression_entry(full_fit, scored("ols_full", full_fit.predict(test_m))),

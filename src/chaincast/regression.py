@@ -282,6 +282,10 @@ def ols(m: FeatureMatrix, subset) -> RegressionFit:
     )
 
 
+DIRECTIONS = ("forward", "backward")  # what `stepwise` takes
+CRITERIA = ("aic", "bic")
+
+
 def stepwise(m: FeatureMatrix, direction: str, criterion: str = "bic") -> StepwiseTrace:
     """Greedy column selection by information criterion.
 
@@ -293,10 +297,10 @@ def stepwise(m: FeatureMatrix, direction: str, criterion: str = "bic") -> Stepwi
     model must be identifiable.  Ties on the criterion go to the
     alphabetically first column so the trace is reproducible.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if criterion not in ("aic", "bic"):
-        raise ValueError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
 
     current = () if direction == "forward" else m.columns
     fit = ols(m, current)

@@ -67,6 +67,18 @@ def test_diagnose_invalid_d_exits_2(walk_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "--threshold", "2"], "argument --threshold: must be in (0, 1], got '2'"),
+    (["fit-arima", "--max-p", "-1"], "argument --max-p: must be at least 0, got '-1'"),
+    (["fit-arima", "--max-q", "x"], "argument --max-q: must be at least 0, got 'x'"),
+])
+def test_flag_that_sets_a_config_key_takes_its_rule(walk_csv, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(walk_csv)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_fit_arima_reports_fit_and_accuracy(walk_csv, tmp_path, capsys):
     out_csv = tmp_path / "preds.csv"
     code = main(["fit-arima", "--input", str(walk_csv), "--d", "1",

@@ -161,7 +161,7 @@ def test_config_bad_number(tmp_path):
 ])
 def test_config_number_out_of_range_names_key(tmp_path, line, key):
     write_trio(tmp_path)
-    with pytest.raises(ValueError, match=f"config key '{key}'"):
+    with pytest.raises(DataFormatError, match=f"^<config>, line 4: config key '{key}'"):
         parse_config_text(BASE + line + "\n", tmp_path)
 
 
@@ -173,7 +173,7 @@ def test_config_number_out_of_range_names_key(tmp_path, line, key):
 ])
 def test_config_value_that_would_fail_a_late_stage_names_key(tmp_path, line, key):
     write_trio(tmp_path)
-    with pytest.raises(ValueError, match=f"config key '{key}'"):
+    with pytest.raises(DataFormatError, match=f"^<config>, line 4: config key '{key}'"):
         parse_config_text(BASE + line + "\n", tmp_path)
 
 
@@ -211,6 +211,49 @@ def test_config_range_fault_names_file_line_and_key(tmp_path, line, rule):
     key, _, value = (part.strip() for part in line.partition("="))
     path, message = _load_fault(tmp_path, line)
     assert message == f"{path}, line 5: config key '{key}': must be {rule}, got {value}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ema_periods = 5,5", "config key 'ema_periods': must be two distinct periods of at "
+                          "least 2, got 5,5"),
+    ("ema_periods = 5", "config key 'ema_periods': must be two distinct periods of at "
+                        "least 2, got 5"),
+    ("ema_periods = 1,5", "config key 'ema_periods': must be two distinct periods of at "
+                          "least 2, got 1,5"),
+    ("train_end = 2014-01-01", "config key 'train_end': must be on or after train_start, "
+                               "got 2014-01-01"),
+    # only the other key of a rule between two is in the file: its line is named
+    ("train_start = 2018-06-01", "config key 'train_end': must be on or after train_start, "
+                                 "got 2018-01-01"),
+    ("nn_hidden = 0", "config key 'nn_hidden': must be sweep or at least 1, got 0"),
+    ("nn_max_hidden = 0", "config key 'nn_max_hidden': must be at least 1, got 0"),
+    ("arima_max_p = -1", "config key 'arima_max_p': must be at least 0, got -1"),
+    ("stationarity_threshold = 2", "config key 'stationarity_threshold': must be in (0, 1], "
+                                   "got 2"),
+    ("csv_format = xml", "config key 'csv_format': must be one of auto, plain, vendor, "
+                         "got xml"),
+    ("stepwise_direction = sideways", "config key 'stepwise_direction': must be one of "
+                                      "forward, backward, got sideways"),
+    ("stepwise_criterion = sic", "config key 'stepwise_criterion': must be one of aic, bic, "
+                                 "got sic"),
+    ("arima_criterion = bic", "config key 'arima_criterion': must be one of aic, sic, "
+                              "got bic"),
+    ("nn_validation_fraction = 0", "config key 'nn_validation_fraction': must be above 0 "
+                                   "when nn_hidden = sweep, got 0"),
+    ("gold_csv = missing.csv", "gold_csv does not exist: {dir}/missing.csv"),
+])
+def test_config_rule_fault_names_file_line_and_key(tmp_path, line, message):
+    """A value that breaks its key's rule, a rule between two keys, or
+    names no file fails at load, naming the file, its line and the key."""
+    write_trio(tmp_path)
+    key = line.split()[0]
+    body = [text for text in ["# header", *BASE.splitlines()]
+            if not text.startswith(f"{key} ")] + [line]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(body) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}, line {len(body)}: " + message.format(dir=tmp_path)
 
 
 @pytest.mark.parametrize("key", ["nn_batch_size", "nn_plateau_patience"])
@@ -297,7 +340,7 @@ def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
         BASE.splitlines() + data.draw(st.lists(st.sampled_from(_VALID_OPTIONAL),
                                                unique=True), label="optional")), label="body")
     fault = data.draw(st.sampled_from(["duplicate", "unknown", "no_equals", "empty",
-                                       "bad_number"]), label="fault")
+                                       "bad_number", "rule"]), label="fault")
     if fault == "duplicate":
         first = data.draw(st.integers(0, len(body) - 1), label="first")
         at = data.draw(st.integers(first + 1, len(body)), label="at")
@@ -307,7 +350,8 @@ def test_config_error_names_file_and_physical_line(tmp_path_factory, data):
         bad, message = {"unknown": ("glod_csv = gold.csv", "unknown key"),
                         "no_equals": ("just some words", "expected 'key = value'"),
                         "empty": ("rsi_period =", "empty value"),
-                        "bad_number": ("nn_max_hidden = many", "bad number")}[fault]
+                        "bad_number": ("nn_max_hidden = many", "bad number"),
+                        "rule": ("nn_max_hidden = 0", "must be at least 1")}[fault]
     body.insert(at, bad)
     lines, bad_line = [], None
     for i, line in enumerate(body):
@@ -366,6 +410,30 @@ def test_stage_error_names_split(tmp_path):
     assert exc.value.stage == "split"
     partial = json.loads((tmp_path / "out" / "report_partial.json").read_text())
     assert "config" in partial
+
+
+def test_empty_test_window_fails_the_split_stage(demo_bundle, tmp_path):
+    config = load_config(demo_bundle["cfg_path"], overrides={
+        "test_start": "2019-06-01", "test_end": "2019-07-01", "out_dir": str(tmp_path)})
+    with pytest.raises(StageError) as exc:
+        run(config)
+    assert str(exc.value) == "stage 'split': 'gold' has no rows between 2019-06-01 and 2019-07-01"
+
+
+def test_constant_companion_fails_naming_its_series(demo_bundle, tmp_path):
+    """A constant EUR-USD series fits as (0,1,0) with all-zero residuals,
+    whose whiteness test then fails naming the asset's series."""
+    paths = demo_bundle["paths"]
+    for name in ("gold", "oil"):
+        (tmp_path / f"{name}.csv").write_bytes(paths[name].read_bytes())
+    eurusd = parse_csv(paths["eurusd"])
+    flat = np.full(len(eurusd), 1.1)
+    write_csv(dataclasses.replace(eurusd, opens=flat, highs=flat, lows=flat, closes=flat),
+              tmp_path / "eurusd.csv")
+    with pytest.raises(StageError) as exc:
+        run(parse_config_text(BASE, tmp_path))
+    assert str(exc.value) == ("stage 'arima_eurusd': series 'eurusd_close residuals' has "
+                              "zero variance; correlations undefined")
 
 
 def test_stage_error_names_neural_net(demo_bundle, tmp_path, monkeypatch):
@@ -590,6 +658,50 @@ def test_feature_rows_use_no_future_data(demo_bundle):
     dummied = np.concatenate([eur.closes[:pos + 1], [999.0]])
     trunc_hist = arima.one_step_history(fitted, Series(dummied))
     assert trunc_hist[pos + 1] == full_hist[pos + 1]
+
+
+PREDICTED_STAGES = ("arima_gold", "ols_full", "stepwise_forward", "stepwise_backward",
+                    "hybrid_nn")
+
+
+@pytest.fixture(scope="module")
+def bundled_run(demo_bundle, tmp_path_factory):
+    """A config whose ``out_dir`` holds the default config's run on the
+    bundled fixture, made once per module."""
+    config = dataclasses.replace(demo_bundle["config"],
+                                 out_dir=tmp_path_factory.mktemp("baseline"))
+    run(config)
+    return config
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(data=st.data())
+def test_predictions_before_a_cut_ignore_later_bars(bundled_run, tmp_path_factory, data):
+    """Scale every bar of one asset from a cut inside the test window on
+    (which keeps the bar rule) and rerun the whole chain: the rows dated
+    before the cut in every prediction file keep their bytes."""
+    config = bundled_run
+    baseline = {stage: (config.out_dir / f"predictions_{stage}.csv").read_text()
+                for stage in PREDICTED_STAGES}
+    test_days = [line.split(",")[0] for line in baseline["arima_gold"].splitlines()[1:]]
+    cut = data.draw(st.sampled_from(test_days[1:]), label="cut")
+    asset = data.draw(st.sampled_from(pipeline.ASSETS), label="asset")
+    factor = data.draw(st.floats(0.8, 1.2), label="factor")
+    root = tmp_path_factory.mktemp("cut")
+    for name in pipeline.ASSETS:
+        frame = parse_csv(getattr(config, f"{name}_csv"))
+        if name == asset:
+            scale = np.where([day.isoformat() >= cut for day in frame.dates], factor, 1.0)
+            frame = dataclasses.replace(frame, opens=frame.opens * scale,
+                                        highs=frame.highs * scale, lows=frame.lows * scale,
+                                        closes=frame.closes * scale)
+        write_csv(frame, root / f"{name}.csv")
+    run(dataclasses.replace(config, out_dir=root / "out", gold_csv=root / "gold.csv",
+                            eurusd_csv=root / "eurusd.csv", oil_csv=root / "oil.csv"))
+    for stage, text in baseline.items():
+        before = [line for line in text.splitlines()[1:] if line[:10] < cut]
+        rerun = (root / "out" / f"predictions_{stage}.csv").read_text().splitlines()[1:]
+        assert rerun[:len(before)] == before, stage
 
 
 def test_fixed_hidden_size_run(demo_bundle, tmp_path):
