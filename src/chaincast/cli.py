@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -137,10 +136,10 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 
 def _cmd_train_nn(args: argparse.Namespace) -> int:
     # the config's checks apply to the size this command trains
-    config = pipeline.load_config(args.config, {"nn_hidden": str(args.hidden or "sweep")})
+    overrides = {"nn_hidden": str(args.hidden or "sweep")}
     if args.seed is not None:
-        config = dataclasses.replace(
-            config, nn_train=dataclasses.replace(config.nn_train, seed=args.seed))
+        overrides["seed"] = str(args.seed)
+    config = pipeline.load_config(args.config, overrides)
     train_m, test_m = pipeline.feature_windows(config)
     direction = config.stepwise_direction
     _, _, traces = pipeline.select_columns(train_m, (direction,), config.stepwise_criterion)
@@ -161,7 +160,7 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
     acc = accuracy(test_m.y, preds)
     print(f"test accuracy on {len(test_m)} days: {acc:.2f}%")
     if args.out:
-        Path(args.out).write_text(neuralnet.model_to_json(model) + "\n", encoding="utf-8")
+        Path(args.out).write_text(neuralnet.model_to_json(model), encoding="utf-8")
         print(f"model written to {args.out}")
     return 0
 

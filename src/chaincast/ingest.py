@@ -16,8 +16,9 @@ open and close within [low, high].  `PriceFrame` enforces it over whole
 columns, for parsed and generated frames alike, and takes the error text
 for a broken bar from `_bar_fault`, as the parser does.
 
-`table_text` renders every other table the package writes, one key column
-(a date or an integer) followed by float columns.
+`table_text` renders every table the package writes, price files included:
+one key column (a date or an integer) followed by float columns.
+`json_text` renders every JSON artifact.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,19 +102,18 @@ class PriceFrame:
     def close_series(self) -> Series:
         return Series(self.closes, name=f"{self.asset}_close")
 
+    def _rows(self, idx) -> "PriceFrame":
+        """Sub-frame of the rows at ``idx``, in that order; its columns are
+        copies, so it never shares memory with this frame."""
+        return PriceFrame(self.asset, tuple(self.dates[i] for i in idx), self.opens[idx],
+                          self.highs[idx], self.lows[idx], self.closes[idx])
+
     def restrict(self, keep: set[datetime.date]) -> "PriceFrame":
         """Sub-frame containing only the given dates, order preserved."""
         idx = [i for i, d in enumerate(self.dates) if d in keep]
         if not idx:
             raise ValueError(f"restriction leaves '{self.asset}' empty")
-        return PriceFrame(
-            asset=self.asset,
-            dates=tuple(self.dates[i] for i in idx),
-            opens=self.opens[idx],
-            highs=self.highs[idx],
-            lows=self.lows[idx],
-            closes=self.closes[idx],
-        )
+        return self._rows(idx)
 
     def window(self, start: datetime.date, end: datetime.date) -> "PriceFrame":
         """Sub-frame with start <= date <= end."""
@@ -122,14 +123,7 @@ class PriceFrame:
             raise ValueError(
                 f"'{self.asset}' has no rows between {start} and {end}"
             )
-        return PriceFrame(  # copies, so a window never shares memory with its frame
-            asset=self.asset,
-            dates=self.dates[lo:hi],
-            opens=self.opens[lo:hi].copy(),
-            highs=self.highs[lo:hi].copy(),
-            lows=self.lows[lo:hi].copy(),
-            closes=self.closes[lo:hi].copy(),
-        )
+        return self._rows(range(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -298,18 +292,10 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
 
 
 def serialize(frame: PriceFrame) -> str:
-    """Render a frame in the plain layout.
-
-    Floats are written with `repr`, so parsing the output reproduces the
-    frame bit for bit.
-    """
-    # a memoryview yields each cell as a Python float, one at a time
-    rows = zip(frame.dates, memoryview(frame.closes), memoryview(frame.opens),
-               memoryview(frame.highs), memoryview(frame.lows))
-    lines = [",".join(PLAIN_HEADER)]
-    lines += [f"{day.isoformat()},{close!r},{open_!r},{high!r},{low!r}"
-              for day, close, open_, high, low in rows]
-    return "\n".join(lines) + "\n"
+    """Render a frame in the plain layout; parsing it reproduces the frame
+    bit for bit."""
+    return table_text(PLAIN_HEADER, frame.dates, frame.closes, frame.opens, frame.highs,
+                      frame.lows)
 
 
 def write_csv(frame: PriceFrame, path) -> None:
@@ -333,6 +319,13 @@ def table_text(header, keys, *columns) -> str:
 
 def write_table(path, header, keys, *columns) -> None:
     Path(path).write_text(table_text(header, keys, *columns), encoding="utf-8")
+
+
+def json_text(body) -> str:
+    """``body`` as strict JSON, keys sorted and indented, ending in one
+    newline: a NaN or an infinity raises ValueError rather than writing a
+    token JSON does not have."""
+    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def align_calendars(frames: list[PriceFrame]) -> list[PriceFrame]:

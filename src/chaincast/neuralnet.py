@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import arima
+from .ingest import json_text
 from .metrics import mape
 from .regression import FeatureMatrix
 
@@ -375,7 +376,7 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
 
 
 def model_to_json(model: MlpModel) -> str:
-    """Serialise a model (weights, scaler, schema) to a JSON string."""
+    """Serialise a model (weights, scaler, schema) by `ingest.json_text`."""
     payload = {
         "columns": list(model.columns),
         "w_hidden": model.w_hidden.tolist(),
@@ -389,7 +390,7 @@ def model_to_json(model: MlpModel) -> str:
             "y_max": model.scaler.y_max,
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json_text(payload)
 
 
 def model_from_json(text: str) -> MlpModel:

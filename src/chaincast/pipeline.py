@@ -18,11 +18,10 @@ from __future__ import annotations
 import contextlib
 import datetime
 import io
-import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +30,7 @@ import numpy as np
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
 from .ingest import DEFAULT_SPLIT, FORMATS, PriceFrame, SplitSpec, align_calendars, \
-    parse_csv, split, write_table
+    json_text, parse_csv, split, write_table
 from .metrics import accuracy
 from .series import STATIONARITY_THRESHOLD, Series, acf, difference, ljung_box, pacf, \
     suggest_d
@@ -134,15 +133,28 @@ class PipelineConfig:
     nn_train: neuralnet.TrainConfig
     seed: int
     out_dir: Path
-    raw: dict[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         # the rules a loaded config meets, for one built or replaced in code
-        values = {**{key: getattr(self, key) for key in _KEYS if hasattr(self, key)},
-                  **vars(self.split), **vars(self.indicator_params),
-                  **{f"nn_{name}": value for name, value in vars(self.nn_train).items()
-                     if name != "seed"}}
-        _check(values, values)
+        _check(values := _values(self), values)
+
+
+def _values(config: PipelineConfig) -> dict:
+    """Each config key's value in ``config``, as its `_KEYS` row parses it."""
+    return {**{key: getattr(config, key) for key in _KEYS if hasattr(config, key)},
+            **vars(config.split), **vars(config.indicator_params),
+            **{f"nn_{name}": value for name, value in vars(config.nn_train).items()
+               if name != "seed"}}
+
+
+def _key_text(value) -> str:
+    """A parsed config value as text its `_KEYS` row parses back to it; a
+    path by its file name alone."""
+    if value is None:  # nn_hidden
+        return "sweep"
+    if isinstance(value, tuple):  # ema_periods
+        return ",".join(map(str, value))
+    return value.name if isinstance(value, Path) else str(value)
 
 
 def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | None = None,
@@ -200,7 +212,6 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
         nn_train=neuralnet.TrainConfig(seed=parsed["seed"], **{
             name: parsed.pop(f"nn_{name}") for name in vars(neuralnet.DEFAULT_TRAIN_CONFIG)
             if name != "seed"}),
-        raw=merged,
         **parsed,
     )
 
@@ -226,18 +237,9 @@ class PipelineReport:
     body: dict
     timings: dict[str, float]
 
-    def to_json(self) -> str:
-        return _json_text(self.body)
-
     @property
     def stage_accuracies(self) -> dict[str, float]:
         return self.body["stage_accuracies"]
-
-
-def _json_text(body: dict, **options) -> str:
-    """``body`` as strict JSON, keys sorted: a NaN or an infinity raises
-    ValueError rather than writing a token JSON does not have."""
-    return json.dumps(body, indent=2, sort_keys=True, allow_nan=False, **options) + "\n"
 
 
 PREDICTION_HEADER = ("date", "actual", "predicted")
@@ -407,18 +409,18 @@ def run(config: PipelineConfig) -> PipelineReport:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    # the output directory is where the report goes, not what produced it
-    body: dict = {"config": {k: v for k, v in sorted(config.raw.items()) if k != "out_dir"}}
+    # the values the run uses; the output directory is where the report
+    # goes, not what produced it
+    body: dict = {"config": {key: _key_text(value) for key, value in _values(config).items()
+                             if key != "out_dir"}}
     try:
         _run_stages(config, out, body, timings)
     except StageError:
         # a non-finite number failed the report stage and cannot be written here
         with contextlib.suppress(ValueError):
-            (out / "report_partial.json").write_text(_json_text(body, default=str),
-                                                     encoding="utf-8")
+            (out / "report_partial.json").write_text(json_text(body), encoding="utf-8")
         raise
-    (out / "timings.json").write_text(
-        json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "timings.json").write_text(json_text(timings), encoding="utf-8")
     return PipelineReport(body=body, timings=timings)
 
 
@@ -495,8 +497,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
     with stage("neural_net", timings):
         entry, model, nn_preds = train_network(
             traces[config.stepwise_direction].fit.included, train_m, test_m, config)
-        (out / "model_nn.json").write_text(
-            neuralnet.model_to_json(model) + "\n", encoding="utf-8")
+        (out / "model_nn.json").write_text(neuralnet.model_to_json(model), encoding="utf-8")
         entry["test_accuracy"] = scored("hybrid_nn", nn_preds)
         body["neural_net"] = entry
     with stage("report", timings):
@@ -508,7 +509,7 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
             "hybrid_nn": body["neural_net"]["test_accuracy"],
         }
         body["seed"] = config.seed
-        (out / "report.json").write_text(_json_text(body), encoding="utf-8")
+        (out / "report.json").write_text(json_text(body), encoding="utf-8")
     with stage("plot_data", timings):
         write_table(out / "comparison.csv", ("date", "actual", "arima", "regression", "hybrid"),
                     window.dates, window.closes, predicted["arima_gold"],

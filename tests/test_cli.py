@@ -156,6 +156,14 @@ def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path):
     assert main(["train-nn", "--config", str(cfg), "--hidden", "4",
                  "--out", str(model_path)]) == 0
     assert model_path.read_bytes() == (tmp_path / "out" / "model_nn.json").read_bytes()
+    # --seed sets the config's seed key in both commands
+    assert main(["pipeline", "run", "--config", str(cfg), "--seed", "5",
+                 "--out", str(tmp_path / "seeded")]) == 0
+    assert main(["train-nn", "--config", str(cfg), "--hidden", "4", "--seed", "5",
+                 "--out", str(model_path)]) == 0
+    seeded = (tmp_path / "seeded" / "model_nn.json").read_bytes()
+    assert model_path.read_bytes() == seeded
+    assert seeded != (tmp_path / "out" / "model_nn.json").read_bytes()
 
 
 def test_train_nn_sweep_prints_the_pipeline_sweep(demo_bundle, capsys):

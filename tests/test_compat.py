@@ -4,6 +4,9 @@ This proves syntax and names only, not behaviour: every module under
 ``src/`` must parse with the 3.10 grammar and must not use the standard
 library names that arrived in 3.11.  Running the suite on 3.10 is what
 would show behaviour.
+
+The same walk over the sources holds one format decision in one place:
+only `ingest` calls ``json.dumps``.
 """
 
 import ast
@@ -64,6 +67,36 @@ def test_module_parses_as_python_310_without_311_names(path):
 ])
 def test_guard_catches_each_311_name(snippet, expected):
     assert newer_names(ast.parse(snippet)) == expected
+
+
+def json_dumps_calls(tree: ast.AST) -> int:
+    """Calls of ``json.dumps`` in ``tree``, by attribute or imported name."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for a in node.names if a.name == "dumps"}
+    return sum(isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        or isinstance(node.func, ast.Name) and node.func.id in imported)
+        for node in ast.walk(tree))
+
+
+def test_only_ingest_writes_json():
+    """Every JSON artifact goes through `ingest.json_text`, so one module
+    decides the format."""
+    calls = {path.name: json_dumps_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {name for name, n in calls.items() if n} == {"ingest.py"}
+
+
+@pytest.mark.parametrize("snippet, expected", [
+    ("import json\njson.dumps({})", 1),
+    ("from json import dumps\ndumps({})", 1),
+    ("from json import dumps as d\nd({})", 1),
+    ("import json\njson.loads('{}')", 0),
+])
+def test_guard_counts_json_dumps_calls(snippet, expected):
+    assert json_dumps_calls(ast.parse(snippet)) == expected
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 cannot parse except* at all")

@@ -456,3 +456,13 @@ def test_model_json_is_valid_json_with_schema():
     payload = json.loads(model_to_json(model))
     assert set(payload) == {"columns", "w_hidden", "b_hidden",
                             "w_out", "b_out", "scaler"}
+
+
+def test_model_json_is_strict_and_ends_in_one_newline():
+    model, _ = train(linear_matrix(), hidden=2, config=TrainConfig(epochs=5))
+    text = model_to_json(model)
+    assert text.endswith("}\n")
+    w_hidden = model.w_hidden.copy()
+    w_hidden[0, 0] = math.nan
+    with pytest.raises(ValueError, match="JSON"):
+        model_to_json(replace(model, w_hidden=w_hidden))

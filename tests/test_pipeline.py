@@ -601,6 +601,10 @@ def test_comparison_regression_column_follows_stepwise_direction(demo_bundle, tm
     rows = [line.split(",") for line in
             (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
     np.testing.assert_array_equal(np.array([float(r[3]) for r in rows]), forward)
+    # the report echoes the values the run used, not those the config file gave
+    echoed = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert (echoed["stepwise_direction"], echoed["nn_hidden"], echoed["nn_epochs"]) == \
+        ("forward", "2", "20")
 
 
 def test_correlogram_artifact_shape(demo_bundle):
