@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import arima, indicators, neuralnet, pipeline, regression, synthetic
 from .errors import ChaincastError
-from .ingest import DEFAULT_SPLIT, FORMATS, parse_csv, split as split_frame, table_text, \
+from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, \
     write_table
 from .metrics import accuracy
 from .series import STATIONARITY_THRESHOLD, acf, difference, pacf, suggest_d
@@ -41,14 +41,8 @@ def _key_flag(key: str):
     return parse
 
 
-def _add_input_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="CSV file with daily bars")
-    sub.add_argument("--format", default="auto", choices=FORMATS,
-                     help="CSV layout (default: detect from header)")
-
-
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    frame = parse_csv(args.input, args.format)
+    frame = parse_csv(args.input)
     closes = frame.close_series()
     d = args.d if args.d is not None else suggest_d(closes, args.threshold)
     w = difference(closes, d)
@@ -67,7 +61,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_arima(args: argparse.Namespace) -> int:
-    frame = parse_csv(args.input, args.format)
+    frame = parse_csv(args.input)
     given = {key: value for key, value in (("max_p", args.max_p), ("max_q", args.max_q),
                                            ("criterion", args.criterion))
              if value is not None}
@@ -103,7 +97,7 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
 
 
 def _cmd_indicators(args: argparse.Namespace) -> int:
-    frame = parse_csv(args.input, args.format)
+    frame = parse_csv(args.input)
     result = indicators.compute(frame)
     text = table_text(("date", *result.columns), result.dates, *result.columns.values())
     if args.out:
@@ -204,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("diagnose", help="stationarity and correlogram tables")
-    _add_input_args(p)
+    p.add_argument("--input", required=True, help="CSV file with daily bars")
     p.add_argument("--d", type=int, default=None, help="force a differencing order")
     p.add_argument("--threshold", type=_key_flag("stationarity_threshold"),
                    default=STATIONARITY_THRESHOLD,
@@ -214,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diagnose)
 
     p = subs.add_parser("fit-arima", help="order search and held-out accuracy")
-    _add_input_args(p)
+    p.add_argument("--input", required=True, help="CSV file with daily bars")
     p.add_argument("--config", default=None,
                    help="config file supplying the train/test split and the "
                         "search settings (arima_*, stationarity_threshold, seed)")
@@ -230,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_arima)
 
     p = subs.add_parser("indicators", help="indicator table as CSV")
-    _add_input_args(p)
+    p.add_argument("--input", required=True, help="CSV file with daily bars")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_indicators)
 

@@ -1,7 +1,8 @@
 """Daily OHLC ingestion: CSV parsing, calendar alignment, train/test split.
 
-Two file layouts are supported.  The plain layout is the package's own
-interchange format::
+Two file layouts are supported, and the header row alone tells them apart
+(`_detect_format`).  The plain layout is the package's own interchange
+format::
 
     date,close,open,high,low
     2015-01-02,1186.2,1184.0,1194.5,1180.1
@@ -38,7 +39,6 @@ from .series import Series
 
 PLAIN_HEADER = ("date", "close", "open", "high", "low")
 VENDOR_HEADER = ("Date", "Price", "Open", "High", "Low", "Vol.", "Change %")
-FORMATS = ("auto", "plain", "vendor")
 
 
 def _bar_fault(date, open, high, low, close) -> str | None:
@@ -215,11 +215,11 @@ def _csv_rows(path: Path, text: str):
             yield line_no, row
 
 
-def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
+def parse_csv(path) -> PriceFrame:
     """Read one asset's daily bars from a CSV file.
 
-    ``format_hint`` is ``plain``, ``vendor``, or ``auto`` to pick based on
-    the header row.  Any malformed or invariant-violating row aborts the
+    The header row decides the layout; a header of neither layout fails
+    naming the file.  Any malformed or invariant-violating row aborts the
     parse with an error naming the file and line; bad bars are never
     repaired or silently dropped, because downstream indicators would
     inherit the corruption.  Lines end only at ``\\n``, ``\\r\\n`` or
@@ -228,8 +228,6 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
     are read, the bar rule by `PriceFrame` over whole columns; the error
     names the first faulty row in file order.
     """
-    if format_hint not in FORMATS:
-        raise ValueError(f"format_hint must be one of {FORMATS}, got {format_hint!r}")
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -244,10 +242,6 @@ def parse_csv(path, format_hint: str = "auto") -> PriceFrame:
         fmt = _detect_format(header)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if format_hint != "auto" and fmt != format_hint:
-        raise DataFormatError(
-            f"{path}: header is {fmt!r} format but {format_hint!r} was requested"
-        )
 
     parse_row = _plain_row if fmt == "plain" else _vendor_row
     dates, prices = [], []

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
-from .ingest import DEFAULT_SPLIT, FORMATS, PriceFrame, SplitSpec, align_calendars, \
+from .ingest import DEFAULT_SPLIT, PriceFrame, SplitSpec, align_calendars, \
     json_text, parse_csv, split, write_table
 from .metrics import accuracy
 from .series import STATIONARITY_THRESHOLD, Series, acf, difference, ljung_box, pacf, \
@@ -55,7 +55,6 @@ def _one_of(allowed: tuple[str, ...]) -> tuple[str, Callable[[object], bool]]:
 _KEYS: dict[str, tuple[str | None, Callable[[str], object], str,
                        tuple[str, Callable[[object], bool]] | None]] = {
     **{f"{name}_csv": (None, Path, "path", None) for name in ASSETS},
-    "csv_format": ("auto", str, "text", _one_of(FORMATS)),
     **{key: (day.isoformat(), datetime.date.fromisoformat, "date", None)
        for key, day in vars(DEFAULT_SPLIT).items()},
     # the features use a short and a long average
@@ -119,7 +118,6 @@ class PipelineConfig:
     gold_csv: Path
     eurusd_csv: Path
     oil_csv: Path
-    csv_format: str
     split: SplitSpec
     stationarity_threshold: float
     arima_max_p: int
@@ -287,8 +285,7 @@ def stage(name: str, timings: dict[str, float]):
 
 
 def _read_frames(config: PipelineConfig) -> dict[str, PriceFrame]:
-    return {name: parse_csv(getattr(config, f"{name}_csv"), config.csv_format)
-            for name in ASSETS}
+    return {name: parse_csv(getattr(config, f"{name}_csv")) for name in ASSETS}
 
 
 def _align(frames: dict[str, PriceFrame]) -> dict[str, PriceFrame]:

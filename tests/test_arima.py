@@ -609,6 +609,28 @@ def test_inverse_ma_matches_lfilter(q):
                 assert gap <= 1e-12, (q, trial, shape, past is None, gap)
 
 
+def test_inverse_ma_matches_lfilter_where_the_bundled_fits_land():
+    """Every q > 0 cell of the bundled fixture's three order searches,
+    fully fitted at the pipeline's d: the blocked MA inversion of its theta
+    filters the differenced training series within 1e-12 of `lfilter`,
+    normwise relative.  A change that drives fits toward clustered unit MA
+    roots, where the blocked filter loses precision, fails here."""
+    cells = 0
+    for name, (train, d) in _fixture_training(synthetic.FIXTURE_SEED).items():
+        w = difference(train, d).values
+        for p in range(4):
+            for q in range(1, 4):
+                if p + q > arima.MAX_ORDER:
+                    continue
+                theta = fit(train, ArimaSpec(p, d, q)).theta
+                expected = lfilter([1.0], [1.0, *theta], w)
+                gap = (np.max(np.abs(arima._InverseMA(theta)(w) - expected))
+                       / np.max(np.abs(expected)))
+                assert gap <= 1e-12, (name, p, q, gap)
+                cells += 1
+    assert cells == 3 * 11
+
+
 def test_inverse_ma_output_ignores_later_inputs():
     """Changing inputs from some day on leaves every earlier output's bits
     alone, across block boundaries too."""

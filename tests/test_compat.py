@@ -2,7 +2,8 @@
 
 This proves syntax and names only, not behaviour: every module under
 ``src/`` must parse with the 3.10 grammar and must not use the standard
-library names that arrived in 3.11.  Running the suite on 3.10 is what
+library names that arrived in 3.11, and, where a CPython 3.10 interpreter
+is installed, must compile under it.  Running the suite on 3.10 is what
 would show behaviour.
 
 The same walk over the sources holds one format decision in one place:
@@ -10,6 +11,9 @@ only `ingest` calls ``json.dumps``.
 """
 
 import ast
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +57,35 @@ def test_module_parses_as_python_310_without_311_names(path):
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path), feature_version=(3, 10))
     assert newer_names(tree) == []
+
+
+def _python_310() -> str | None:
+    """A CPython 3.10 that runs: ``python3.10`` on ``PATH``, else the newest
+    3.10 that pyenv installed (a pyenv shim on ``PATH`` may not run)."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which("python3.10"),
+                  *sorted(pyenv.glob("versions/3.10.*/bin/python"), reverse=True)]
+    for candidate in filter(None, candidates):
+        probe = [candidate, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"]
+        if subprocess.run(probe, capture_output=True).returncode == 0:
+            return str(candidate)
+    return None
+
+
+def test_modules_compile_under_a_real_python_310():
+    """Every module compiles under CPython 3.10 itself, without writing
+    bytecode.  Compilation only: the package's imports and behaviour need
+    numpy there."""
+    python = _python_310()
+    if python is None:
+        pytest.skip("no CPython 3.10 interpreter installed")
+    code = ("import sys\n"
+            "for path in sys.argv[1:]:\n"
+            "    with open(path, encoding='utf-8') as fh:\n"
+            "        compile(fh.read(), path, 'exec', dont_inherit=True)\n")
+    done = subprocess.run([python, "-B", "-c", code, *map(str, SOURCES)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("snippet, expected", [

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from chaincast.errors import DataFormatError
 from chaincast.ingest import (
     DEFAULT_SPLIT,
-    FORMATS,
     PriceFrame,
     SplitSpec,
     _detect_format,
@@ -71,19 +70,14 @@ def test_vendor_rows_resorted_oldest_first(tmp_path):
     assert frame.dates[0] < frame.dates[1]
 
 
-def test_format_hint_mismatch(tmp_path):
+def test_layout_follows_the_header(tmp_path):
+    """The header alone picks the layout: plain rows under a vendor header
+    are read as vendor rows and fail at the first of them."""
     p = tmp_path / "v.csv"
-    p.write_text(VENDOR_SAMPLE)
-    with pytest.raises(DataFormatError):
-        parse_csv(p, format_hint="plain")
-    assert len(parse_csv(p, format_hint="vendor")) == 2
-
-
-def test_bad_format_hint(tmp_path):
-    p = tmp_path / "v.csv"
-    p.write_text(PLAIN_SAMPLE)
-    with pytest.raises(ValueError):
-        parse_csv(p, format_hint="yaml")
+    p.write_text(VENDOR_SAMPLE.splitlines()[0] + "\n" + PLAIN_SAMPLE.split("\n", 1)[1])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}, line 2: "
+                                              "expected 7 fields, got 5$"):
+        parse_csv(p)
 
 
 def test_unknown_header(tmp_path):
@@ -371,10 +365,8 @@ class _ReferenceBar:
             )
 
 
-def _reference_parse_csv(path, format_hint: str = "auto") -> PriceFrame:
+def _reference_parse_csv(path) -> PriceFrame:
     """The row-by-row parser that built and checked one bar per row."""
-    if format_hint not in FORMATS:
-        raise ValueError(f"format_hint must be one of {FORMATS}, got {format_hint!r}")
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -391,10 +383,6 @@ def _reference_parse_csv(path, format_hint: str = "auto") -> PriceFrame:
         fmt = _detect_format(header)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if format_hint != "auto" and fmt != format_hint:
-        raise DataFormatError(
-            f"{path}: header is {fmt!r} format but {format_hint!r} was requested"
-        )
 
     bars = []
     seen: dict[datetime.date, int] = {}

@@ -47,7 +47,6 @@ BASE = "gold_csv = gold.csv\neurusd_csv = eurusd.csv\noil_csv = oil.csv\n"
 def test_config_defaults(tmp_path):
     write_trio(tmp_path)
     config = parse_config_text(BASE, tmp_path)
-    assert config.csv_format == "auto"
     assert config.split.train_start == datetime.date(2015, 1, 1)
     assert config.split.test_end == datetime.date(2019, 1, 1)
     assert config.seed == 0
@@ -166,7 +165,6 @@ def test_config_number_out_of_range_names_key(tmp_path, line, key):
 
 
 @pytest.mark.parametrize("line, key", [
-    ("csv_format = xml", "csv_format"),
     ("nn_validation_fraction = 0", "nn_validation_fraction"),
     ("ema_periods = 5", "ema_periods"),
     ("ema_periods = 5,10,20", "ema_periods"),
@@ -230,8 +228,6 @@ def test_config_range_fault_names_file_line_and_key(tmp_path, line, rule):
     ("arima_max_p = -1", "config key 'arima_max_p': must be at least 0, got -1"),
     ("stationarity_threshold = 2", "config key 'stationarity_threshold': must be in (0, 1], "
                                    "got 2"),
-    ("csv_format = xml", "config key 'csv_format': must be one of auto, plain, vendor, "
-                         "got xml"),
     ("stepwise_direction = sideways", "config key 'stepwise_direction': must be one of "
                                       "forward, backward, got sideways"),
     ("stepwise_criterion = sic", "config key 'stepwise_criterion': must be one of aic, bic, "
@@ -260,6 +256,12 @@ def test_config_rule_fault_names_file_line_and_key(tmp_path, line, message):
 def test_config_rejects_the_minibatch_keys(tmp_path, key):
     path, message = _load_fault(tmp_path, f"{key} = 32")
     assert message == f"{path}, line 5: unknown key {key!r}"
+
+
+def test_config_rejects_csv_format(tmp_path):
+    """A CSV's header decides its layout, so no config key sets it."""
+    path, message = _load_fault(tmp_path, "csv_format = auto")
+    assert message == f"{path}, line 5: unknown key 'csv_format'"
 
 
 def test_config_range_fault_in_an_override_names_the_key_only(tmp_path):
@@ -706,6 +708,16 @@ def test_predictions_before_a_cut_ignore_later_bars(bundled_run, tmp_path_factor
         before = [line for line in text.splitlines()[1:] if line[:10] < cut]
         rerun = (root / "out" / f"predictions_{stage}.csv").read_text().splitlines()[1:]
         assert rerun[:len(before)] == before, stage
+
+
+def test_swapping_the_companions_keeps_every_accuracy(demo_bundle, tmp_path):
+    """Exchanging ``eurusd_csv`` and ``oil_csv`` exchanges the companion
+    columns x2 and x3 and nothing else, so all five stage accuracies keep
+    their bits."""
+    config = demo_bundle["config"]
+    swapped = run(dataclasses.replace(config, eurusd_csv=config.oil_csv,
+                                      oil_csv=config.eurusd_csv, out_dir=tmp_path))
+    assert swapped.stage_accuracies == demo_bundle["report"].stage_accuracies
 
 
 def test_fixed_hidden_size_run(demo_bundle, tmp_path):

@@ -1,7 +1,11 @@
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 from chaincast import pipeline
+from chaincast.cli import main
 from chaincast.synthetic import make_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,6 +21,30 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["preds"]) == 260
+
+
+def _output_after(command: str) -> str:
+    """The first plain code block after the ``sh`` block ending in
+    ``command``: what the README says ``command`` prints."""
+    after = README.read_text(encoding="utf-8").split(f"{command}\n```\n", 1)[1]
+    return re.search(r"^```\n(.*?)^```", after, re.DOTALL | re.MULTILINE).group(1)
+
+
+@pytest.mark.parametrize("command", [
+    "chaincast pipeline run --config demo/pipeline.cfg",
+    "chaincast fit-arima --input demo/oil.csv --config demo/pipeline.cfg",
+    "chaincast stepwise --config demo/pipeline.cfg --direction backward",
+])
+def test_example_output_is_what_the_command_prints(command, demo_bundle, monkeypatch,
+                                                    capsys):
+    """Each example block is the stdout of the command above it, run on the
+    bundled data that `make-fixture` writes.  `pipeline run` prints the
+    bundled run's stage accuracies through `cli._cmd_pipeline` without
+    running the chain again."""
+    monkeypatch.setattr(pipeline, "run", lambda config: demo_bundle["report"])
+    root = demo_bundle["root"]
+    assert main(shlex.split(command.replace("demo/", f"{root}/"))[1:]) == 0
+    assert capsys.readouterr().out.replace(str(root), "demo") == _output_after(command)
 
 
 def test_config_table_matches_the_loader():
