@@ -9,7 +9,7 @@ values squashed through tanh, so every visited point is stationary and
 invertible by construction; the fitted polynomial roots are still checked
 explicitly before a fit is accepted.
 
-CSS is a nonlinear least-squares problem, and `minimize` solves it by
+CSS is a nonlinear least-squares problem, and `solver.minimize` solves it by
 Levenberg-Marquardt iteration (Marquardt 1963) on the residual vector.  The
 Jacobian is analytic: each residual derivative comes out of the same MA
 inversion (`_InverseMA`, built once per coefficient vector) that produces the
@@ -21,7 +21,7 @@ one filter as well.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,9 +29,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import FitError
 from .metrics import _criteria
 from .series import Series, _durbin_levinson, acf, difference
+from .solver import minimize
 
 MAX_ORDER = 5  # cap on p + q; larger models are never competitive on ~1000 days
 ROOT_MARGIN = 1e-6
+
+# `fit`'s solver settings: one attempt's iteration cap, stopping tolerances
+# (see `solver.minimize`) and initial damping, and the seeded restarts.
+MAX_ITERATIONS = 2000
+XATOL = 1e-6
+FATOL = 1e-10
+DAMPING = 1e-3
+RESTARTS = 4
 
 # The screening pass of `select_order`: its stopping tolerances, and the
 # margin of loose criterion within which a cell is refitted in full.  At
@@ -76,30 +85,9 @@ class ArimaSpec:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver budget and tolerances for `fit`.
+    """The seed of `fit`'s restarts from random points."""
 
-    ``max_iterations`` caps the Levenberg-Marquardt iterations of one
-    attempt and ``restarts`` the extra attempts from seeded random points
-    after a failed one.  The solver stops when the largest component of a
-    proposed step (in the tanh-transformed coordinates) is at most
-    ``xatol``, or when two accepted steps in a row each lower the
-    conditional sum of squares by at most ``fatol`` relative to its
-    previous value.
-
-    `select_order` screens its grid at looser tolerances first (at least
-    `SCREEN_XATOL` and `SCREEN_FATOL`, with no restarts) and refits at this
-    config only the cells whose loose criterion is within `SCREEN_DELTA`
-    of the best refitted one, and cells whose loose fit failed.  Its result
-    equals fitting every cell at this config unless a cell left out would
-    improve on its loose criterion by `SCREEN_DELTA` or more; over 1,845
-    cell fits on 41 fixtures the largest such gap was 0.048.
-    """
-
-    max_iterations: int = 2000
-    restarts: int = 4
     seed: int = 0
-    xatol: float = 1e-6
-    fatol: float = 1e-10
 
     def __post_init__(self):
         if self.seed < 0:
@@ -128,19 +116,6 @@ class ArimaFit:
     aic: float
     sic: float
     n_effective: int
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Outcome of `minimize`: the final point and sum of squares, the
-    evaluation and iteration counts, and why the search stopped."""
-
-    x: np.ndarray
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
-    message: str
 
 
 def ar_from_pacf(pac: np.ndarray) -> np.ndarray:
@@ -332,65 +307,6 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     return x0
 
 
-def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
-             fatol: float, damping: float = 1e-3) -> MinimizeResult:
-    """Levenberg-Marquardt minimisation of a sum of squared residuals.
-
-    ``residuals(x)`` returns the residual vector at ``x`` and a function of
-    no arguments that returns its Jacobian there.  Each iteration solves
-    ``(J'J + lam * diag(J'J)) step = -J'e``, with ``lam`` starting at
-    ``damping``; the step is taken when the sum of squares does not rise,
-    and ``lam`` then falls threefold, otherwise it rises tenfold and the
-    step is tried again.  The search converges when a proposed step's
-    largest component is at most ``xatol`` or two accepted steps in a row
-    each lower the sum of squares by at most ``fatol`` relative to its
-    previous value.  ``nfev`` counts every call of
-    ``residuals``.
-    """
-    x = np.array(x0, dtype=float)
-    e, jacobian = residuals(x)
-    nfev, iteration = 1, 0
-    css = float(e @ e)
-
-    def result(success: bool, message: str) -> MinimizeResult:
-        return MinimizeResult(x=x, fun=css, nfev=nfev, nit=iteration,
-                              success=success, message=message)
-
-    if not np.isfinite(css):
-        return result(False, "residuals are not finite at the starting point")
-    lam, small_before = damping, False
-    jac = jacobian()
-    for iteration in range(1, max_iterations + 1):
-        if jac is not None:  # a new point; a rejected step solves these again
-            curvature, gradient = jac.T @ jac, jac.T @ e
-            scale = np.diag(curvature)
-            scale, jac = np.diag(np.maximum(scale, 1e-12 * scale.max())), None
-        if not gradient.any():
-            return result(True, "gradient is zero")
-        step = np.linalg.solve(curvature + lam * scale, -gradient)
-        if np.max(np.abs(step)) <= xatol:
-            return result(True, "step is below xatol")
-        e_new, jacobian_new = residuals(x + step)
-        nfev += 1
-        css_new = float(e_new @ e_new)
-        if not css_new <= css:  # also rejects a NaN
-            lam *= 10.0
-            continue
-        css_old, css = css, css_new
-        x, e = x + step, e_new
-        # one step that overshoots across a narrow valley can land barely
-        # lower while still far from the minimum, so take two in a row
-        small = css_old - css <= fatol * css_old
-        if small and small_before:
-            return result(True, "relative decrease is below fatol")
-        small_before = small
-        # falling slower than it rises lets lam settle where steps are taken
-        # in a row, instead of alternating a rejected and an accepted step
-        lam = max(lam / 3.0, 1e-12)
-        jac = jacobian_new()
-    return result(False, "maximum number of iterations reached")
-
-
 def _roots_outside(coeffs: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
     """True when the polynomial 1 - c1 z - ... - ck z^k has all roots
     strictly outside the unit circle."""
@@ -406,7 +322,7 @@ def fit(train: Series, spec: ArimaSpec,
 
     Differencing happens internally according to ``spec.d``.  Estimation
     minimises the conditional sum of squares by Levenberg-Marquardt
-    iteration (`minimize`) over the transformed coefficients, with the
+    iteration (`solver.minimize`) over the transformed coefficients, with the
     analytic Jacobian of the residuals.  The first attempt starts from a
     Hannan-Rissanen regression: at zero the AR and MA lag columns of the
     Jacobian coincide, so the first steps would split each lag arbitrarily
@@ -415,6 +331,11 @@ def fit(train: Series, spec: ArimaSpec,
     model whose polynomial roots sit on or inside the unit circle is
     rejected.
     """
+    return _fit(train, spec, XATOL, FATOL, RESTARTS, config.seed)
+
+
+def _fit(train, spec, xatol: float, fatol: float, restarts: int, seed: int) -> ArimaFit:
+    """`fit` at the given stopping tolerances and number of restarts."""
     p, d, q = spec.p, spec.d, spec.q
     if len(train) < 10 * spec.n_params():
         raise ValueError(
@@ -436,12 +357,11 @@ def fit(train: Series, spec: ArimaSpec,
         _, e, m = _css_residuals(w, p, phi, ma)
         return e, lambda: _css_jacobian(w, p, ma, e, m) @ dcoef
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     failures: list[str] = []
-    for attempt in range(config.restarts + 1):
+    for attempt in range(restarts + 1):
         x0 = _hannan_rissanen(w, p, q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
-        result = minimize(residuals, x0, config.max_iterations,
-                          config.xatol, config.fatol)
+        result = minimize(residuals, x0, MAX_ITERATIONS, xatol, fatol, DAMPING)
         if not result.success:
             failures.append(f"attempt {attempt}: {result.message}")
             continue
@@ -452,7 +372,7 @@ def fit(train: Series, spec: ArimaSpec,
         mu, resid, _ = _css_residuals(w, p, phi, _InverseMA(theta))
         return _finish(spec, mu, phi, theta, resid)
     raise FitError(
-        f"({p},{d},{q}) estimation failed after {config.restarts + 1} attempts: "
+        f"({p},{d},{q}) estimation failed after {restarts + 1} attempts: "
         + "; ".join(failures)
     )
 
@@ -478,23 +398,25 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
     """Grid search over (p, q) at fixed d, returning the best fit.
 
     Cells with p + q > `MAX_ORDER` (5) are skipped, so the default 3 x 3
-    grid never fits (3, 3).  Ranking is by the requested information
-    criterion; exact ties go to the smaller total order p + q, then to the
-    smaller p.  Grid cells whose estimation fails are skipped; if every cell
-    fails, so does the search.
+    grid never fits (3, 3).  Every cell is ranked by the requested
+    information criterion on one common sample, the last n - d - min(max_p,
+    5) residuals of its fit (Ng and Perron 2005): a cell's own sample shrinks
+    as p grows, so criteria over their own samples would move against each
+    other with the unit of the series.  Exact ties go to the smaller total
+    order p + q, then to the smaller p.  The returned fit's ``aic`` and
+    ``sic`` are its own, over all its residuals.  Grid cells whose
+    estimation fails are skipped; if every cell fails, so does the search.
 
     The search runs in two passes, after ``auto.arima`` (Hyndman and
     Khandakar 2008).  The screening pass fits every cell once, from the
     Hannan-Rissanen start only, at the loose tolerances `SCREEN_XATOL` and
-    `SCREEN_FATOL` (or ``config``'s, where those are looser).  The second
-    pass refits cells from scratch at ``config``, in order of their loose
-    criterion, until the next cell's loose criterion exceeds the best
-    refitted criterion by more than `SCREEN_DELTA`; a cell whose loose fit
-    failed is always refitted.  A full fit follows the loose fit's
-    iterates and goes on from where they stop, so it never scores worse,
-    and each refit is the fit a one-pass search makes of that cell.  The
-    result is therefore the one-pass search's, bit for bit, unless a cell
-    left out improves on its loose criterion by `SCREEN_DELTA` or more.
+    `SCREEN_FATOL`.  The second pass refits cells from scratch by `fit`, in
+    order of their loose criterion, until the next cell's loose criterion
+    exceeds the best refitted criterion by more than `SCREEN_DELTA`; a cell
+    whose loose fit failed is always refitted.  Each refit is the fit a
+    one-pass search makes of that cell, so the result is the one-pass
+    search's, bit for bit, unless a cell left out improves on its loose
+    criterion by `SCREEN_DELTA` or more.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
@@ -502,24 +424,28 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
         raise ValueError("order bounds must be non-negative")
     cells = [ArimaSpec(p, d, q) for p in range(max_p + 1) for q in range(max_q + 1)
              if p + q <= MAX_ORDER]
-    # no restarts: a cell whose first attempt fails is refitted anyway
-    loose = replace(config, restarts=0, xatol=max(SCREEN_XATOL, config.xatol),
-                    fatol=max(SCREEN_FATOL, config.fatol))
+    common, pick = len(train) - d - min(max_p, MAX_ORDER), CRITERIA.index(criterion)
+
+    def score(f: ArimaFit) -> float:
+        tail = f.residuals[-common:]
+        return _criteria(float(np.mean(tail**2)), common, f.spec.n_params())[pick]
+
     screened = []
     for spec in cells:
         try:
-            screened.append((getattr(fit(train, spec, loose), criterion), spec))
+            loose = _fit(train, spec, SCREEN_XATOL, SCREEN_FATOL, 0, config.seed)
+            screened.append((score(loose), spec))
         except (FitError, ValueError):
             screened.append((-np.inf, spec))
     screened.sort(key=operator.itemgetter(0))  # stable: failed cells in grid order
 
     def rank(f: ArimaFit):
-        return getattr(f, criterion), f.spec.p + f.spec.q, f.spec.p
+        return score(f), f.spec.p + f.spec.q, f.spec.p
 
     best: ArimaFit | None = None
     failures: dict[ArimaSpec, str] = {}
-    for score, spec in screened:
-        if best is not None and score > getattr(best, criterion) + SCREEN_DELTA:
+    for loose_score, spec in screened:
+        if best is not None and loose_score > score(best) + SCREEN_DELTA:
             break
         try:
             refit = fit(train, spec, config)

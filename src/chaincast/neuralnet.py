@@ -3,7 +3,7 @@
 One hidden layer of rectified units and a linear output, fitted by least
 squares to the min-max-scaled target.  Training is Levenberg-Marquardt
 iteration (Hagan and Menhaj 1994) by the solver that also fits the ARIMA
-models, `arima.minimize`: `_residuals` gives it the residual vector and its
+models, `solver.minimize`: `_residuals` gives it the residual vector and its
 analytic Jacobian on folded weights, in which each hidden unit's bias is
 the last column of its input weights (the inputs gain a column of ones) and
 the output bias follows the output weights.  `MlpModel` keeps the weights
@@ -25,19 +25,22 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import arima
 from .ingest import json_text
 from .metrics import mape
 from .regression import FeatureMatrix
+from .solver import MinimizeResult, minimize
 
 # Seeded starts `train` fits, keeping the one with the lowest training sum of
 # squares: from a single start, a fit can settle in a nearly linear basin
 # whose sum of squares is several times the others', at any initial damping.
 TRAIN_STARTS = 3
 # When one fit has converged: the largest component of a proposed weight
-# step, and the relative fall of the sum of squares (see `arima.minimize`).
+# step, and the relative fall of the sum of squares (see `solver.minimize`).
 _XATOL = 1e-8
 _FATOL = 1e-9
+# `gradient_check`'s rows and central-difference step
+_CHECK_ROWS = 16
+_CHECK_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def _forward(w1: np.ndarray, w_out: np.ndarray, b_out: float, x1: np.ndarray):
 
 
 def _residuals(x1: np.ndarray, ys: np.ndarray, hidden: int):
-    """The residual function `arima.minimize` fits ``hidden`` units with.
+    """The residual function `solver.minimize` fits ``hidden`` units with.
 
     At folded weights ``theta`` it returns the outputs on the rows of
     ``x1`` minus ``ys``, and a function of no arguments that returns their
@@ -201,7 +204,7 @@ def _residuals(x1: np.ndarray, ys: np.ndarray, hidden: int):
     weight while the unit is active, its output weight moves it by the
     unit's activation, and the output bias by 1.  A dead unit's columns are
     zero.  Every Jacobian is written into one buffer, so it holds until the
-    next one is made; `arima.minimize` only ever uses the latest.
+    next one is made; `solver.minimize` only ever uses the latest.
     """
     n, width = x1.shape
     cut = hidden * width
@@ -271,14 +274,14 @@ def _split(m: FeatureMatrix, validation_fraction: float) -> _Split:
 
 
 def _fit(data: _Split, hidden: int, rng: np.random.Generator,
-         config: TrainConfig) -> arima.MinimizeResult:
+         config: TrainConfig) -> MinimizeResult:
     """One start: weights drawn from ``rng`` (the biases at zero), then
     Levenberg-Marquardt from there, with initial damping
     ``config.learning_rate``, for at most ``config.epochs`` iterations."""
     w_hidden, w_out = _init_params(data.x1.shape[1] - 1, hidden, rng)
-    return arima.minimize(_residuals(data.x1, data.ys, hidden),
-                          _fold(w_hidden, np.zeros(hidden), w_out, 0.0),
-                          config.epochs, _XATOL, _FATOL, damping=config.learning_rate)
+    return minimize(_residuals(data.x1, data.ys, hidden),
+                    _fold(w_hidden, np.zeros(hidden), w_out, 0.0),
+                    config.epochs, _XATOL, _FATOL, config.learning_rate)
 
 
 def _trained(data: _Split, hidden: int, seed: int, starts: int,
@@ -336,21 +339,20 @@ def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
                        chosen=chosen, model=fitted[chosen][0])
 
 
-def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
-                   batch: int = 16, step: float = 1e-6) -> float:
+def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0) -> float:
     """Largest relative gap between the solver's gradient and central
     differences of the loss.
 
     Checks what training minimises with: the gradient of half the sum of
     squares is ``J'e``, from the residual function `_residuals` that
-    `arima.minimize` runs on.  Uses freshly initialised weights on the
-    first ``batch`` scaled rows, with biases nudged off zero so every
+    `solver.minimize` runs on.  Uses freshly initialised weights on the
+    first `_CHECK_ROWS` scaled rows, with biases nudged off zero so every
     parameter sits at a generic point.  Meant for verification, not
     training.
     """
     scaler = fit_scaler(m)
-    x1 = _with_ones(scaler.apply_x(m.x[:batch]))
-    ys = scaler.apply_y(m.y[:batch])
+    x1 = _with_ones(scaler.apply_x(m.x[:_CHECK_ROWS]))
+    ys = scaler.apply_y(m.y[:_CHECK_ROWS])
     rng = np.random.default_rng(seed)
     w_hidden, w_out = _init_params(x1.shape[1] - 1, hidden, rng)
     vec = _fold(w_hidden, rng.uniform(-0.1, 0.1, hidden), w_out, rng.uniform(-0.1, 0.1))
@@ -365,11 +367,11 @@ def gradient_check(m: FeatureMatrix, hidden: int = 3, seed: int = 0,
     worst = 0.0
     for j in range(vec.size):
         bumped = vec.copy()
-        bumped[j] = vec[j] + step
+        bumped[j] = vec[j] + _CHECK_STEP
         up = loss(bumped)
-        bumped[j] = vec[j] - step
+        bumped[j] = vec[j] - _CHECK_STEP
         down = loss(bumped)
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * _CHECK_STEP)
         denom = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / denom)
     return worst

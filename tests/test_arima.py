@@ -71,12 +71,12 @@ def _reference_fit(train, spec, config=arima.DEFAULT_FIT_CONFIG):
 
     rng = np.random.default_rng(config.seed)
     failures = []
-    for attempt in range(config.restarts + 1):
+    for attempt in range(arima.RESTARTS + 1):
         x0 = np.zeros(p + q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
         result = scipy_minimize(
             objective, x0, method="Nelder-Mead",
-            options={"maxiter": config.max_iterations,
-                     "xatol": config.xatol, "fatol": config.fatol},
+            options={"maxiter": arima.MAX_ITERATIONS,
+                     "xatol": arima.XATOL, "fatol": arima.FATOL},
         )
         if not result.success:
             failures.append(f"attempt {attempt}: {result.message}")
@@ -88,7 +88,7 @@ def _reference_fit(train, spec, config=arima.DEFAULT_FIT_CONFIG):
         mu, resid = _reference_css_residuals(w, p, q, phi, theta)
         return arima._finish(spec, mu, phi, theta, resid)
     raise FitError(
-        f"({p},{d},{q}) estimation failed after {config.restarts + 1} attempts: "
+        f"({p},{d},{q}) estimation failed after {arima.RESTARTS + 1} attempts: "
         + "; ".join(failures)
     )
 
@@ -404,10 +404,19 @@ def _fixture_training(seed, long=False):
                 for name, train in _training_series(config).items()}
 
 
+def _on_common_sample(fitted, train, max_p=3):
+    """``fitted`` with its criteria taken on the sample every cell of a
+    search up to ``max_p`` shares, its last n - d - max_p residuals."""
+    common = len(train) - fitted.spec.d - min(max_p, arima.MAX_ORDER)
+    return arima._finish(fitted.spec, fitted.mu, fitted.phi, fitted.theta,
+                         fitted.residuals[-common:])
+
+
 def _reference_select_order(train, d, max_p=3, max_q=3, criterion="sic",
                             config=arima.DEFAULT_FIT_CONFIG, fit=fit):
-    """`select_order` as it stood before the screening pass, kept verbatim
-    as the oracle: every cell fitted once at ``config`` (by ``fit``)."""
+    """`select_order` as it stood before the screening pass, kept as the
+    oracle: every cell fitted once at ``config`` (by ``fit``) and ranked on
+    the common sample."""
     candidates = []
     failures = []
     for p in range(max_p + 1):
@@ -422,12 +431,16 @@ def _reference_select_order(train, d, max_p=3, max_q=3, criterion="sic",
         raise FitError(
             f"no candidate order at d={d} could be fitted: " + "; ".join(failures)
         )
-    return min(candidates,
-               key=lambda f: (getattr(f, criterion), f.spec.p + f.spec.q, f.spec.p))
+    return min(candidates, key=lambda f: (getattr(_on_common_sample(f, train, max_p), criterion),
+                                          f.spec.p + f.spec.q, f.spec.p))
 
 
 def _sic_gap(train, d):
-    return select_order(train, d).sic - _reference_select_order(train, d, fit=_reference_fit).sic
+    """Common-sample SIC of the search's choice minus the Nelder-Mead
+    one-pass search's."""
+    ref = _reference_select_order(train, d, fit=_reference_fit)
+    return (_on_common_sample(select_order(train, d), train).sic
+            - _on_common_sample(ref, train).sic)
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_ORDERS))
@@ -509,7 +522,7 @@ def test_screen_tolerances_keep_the_winning_cell_within_the_margin(monkeypatch):
 
     def loose(xatol, fatol):
         counts.clear()
-        fitted = fit(train, spec, FitConfig(restarts=0, xatol=xatol, fatol=fatol))
+        fitted = arima._fit(train, spec, xatol, fatol, 0, 0)
         return sum(counts), fitted
 
     evaluations, fitted = loose(1e-3, 1e-6)
@@ -560,10 +573,12 @@ def test_fit_config_rejects_negative_seed():
         FitConfig(seed=-1)
 
 
-def test_fit_budget_exhausted_names_cell_and_attempts():
+def test_fit_budget_exhausted_names_cell_and_attempts(monkeypatch):
     levels = simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, 1, 800, seed=22)
+    monkeypatch.setattr(arima, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(arima, "RESTARTS", 1)
     with pytest.raises(FitError, match=r"\(2,1,2\).*2 attempts"):
-        fit(Series(levels), ArimaSpec(2, 1, 2), FitConfig(max_iterations=1, restarts=1))
+        fit(Series(levels), ArimaSpec(2, 1, 2))
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -6,8 +6,9 @@ library names that arrived in 3.11, and, where a CPython 3.10 interpreter
 is installed, must compile under it.  Running the suite on 3.10 is what
 would show behaviour.
 
-The same walk over the sources holds one format decision in one place:
-only `ingest` calls ``json.dumps``.
+The same walk over the sources holds one format decision in one place,
+only `ingest` calls ``json.dumps``, and keeps the two models apart: both
+are fitted by `solver`, and neither model module imports the other.
 """
 
 import ast
@@ -120,6 +121,53 @@ def test_only_ingest_writes_json():
     calls = {path.name: json_dumps_calls(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {name for name, n in calls.items() if n} == {"ingest.py"}
+
+
+def defined_names(tree: ast.AST) -> set[str]:
+    """Functions and classes defined at the top level of ``tree``."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Dotted names ``tree`` imports, relative ones without their dots:
+    ``from chaincast import arima`` gives ``chaincast`` and
+    ``chaincast.arima``, ``from . import arima`` gives ``arima``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            names.update([base] if base else [])
+            names.update(f"{base}.{a.name}" if base else a.name for a in node.names)
+    return names
+
+
+def test_models_share_one_solver_and_import_neither_other():
+    """`minimize` and `MinimizeResult` live in `solver` alone, `arima` and
+    `neuralnet` do not import each other, and `FitConfig` holds nothing
+    but the seed: the ARIMA solver settings are constants beside the
+    search's."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    for name in ("minimize", "MinimizeResult"):
+        assert [f for f, tree in trees.items() if name in defined_names(tree)] == ["solver.py"]
+    assert not {"arima", "chaincast.arima"} & imported_modules(trees["neuralnet.py"])
+    assert not {"neuralnet", "chaincast.neuralnet"} & imported_modules(trees["arima.py"])
+    fit_config = next(node for node in trees["arima.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "FitConfig")
+    assert [node.target.id for node in fit_config.body
+            if isinstance(node, ast.AnnAssign)] == ["seed"]
+
+
+@pytest.mark.parametrize("snippet, expected", [
+    ("from . import arima", {"arima"}),
+    ("from .arima import fit", {"arima", "arima.fit"}),
+    ("from chaincast import arima", {"chaincast", "chaincast.arima"}),
+    ("import chaincast.arima", {"chaincast.arima"}),
+])
+def test_guard_reads_each_import_form(snippet, expected):
+    assert imported_modules(ast.parse(snippet)) == expected
 
 
 @pytest.mark.parametrize("snippet, expected", [

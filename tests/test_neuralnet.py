@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincast import arima, neuralnet
+from chaincast import neuralnet, solver
 from chaincast.metrics import accuracy, mape
 from chaincast.neuralnet import (
     MlpModel,
@@ -279,8 +279,8 @@ def test_lm_never_raises_the_training_loss():
 
     rng = np.random.default_rng(1)
     w_hidden, w_out = neuralnet._init_params(2, 4, rng)
-    result = arima.minimize(recording, neuralnet._fold(w_hidden, np.zeros(4), w_out, 0.0),
-                            200, 1e-8, 1e-9, damping=1e-12)
+    result = solver.minimize(recording, neuralnet._fold(w_hidden, np.zeros(4), w_out, 0.0),
+                             200, 1e-8, 1e-9, 1e-12)
     accepted = [losses[0]]
     for loss in losses[1:]:
         if loss <= accepted[-1]:

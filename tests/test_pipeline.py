@@ -720,6 +720,34 @@ def test_swapping_the_companions_keeps_every_accuracy(demo_bundle, tmp_path):
     assert swapped.stage_accuracies == demo_bundle["report"].stage_accuracies
 
 
+def _choices(body):
+    """What the chain chose: each asset's order and every selected column set."""
+    return ({name: body["assets"][name]["order"] for name in pipeline.ASSETS},
+            body["full_ols"]["included"], body["stepwise"]["forward"]["included"],
+            body["stepwise"]["backward"]["included"], body["neural_net"]["columns"])
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("asset", pipeline.ASSETS)
+def test_changing_an_assets_price_unit_keeps_every_choice(demo_bundle, tmp_path, asset, k):
+    """Multiplying one asset's bars by 2**k is exact, so only the unit
+    changes: every order and column choice stays, and each stage accuracy
+    moves by rounding alone, within 1e-9 points (1.4e-14 at most today).
+    Ranking grid cells on their own samples moved gold to (2,0,0) at
+    k = -10 and oil to (3,1,0) at k = 10."""
+    config = demo_bundle["config"]
+    frame = parse_csv(getattr(config, f"{asset}_csv"))
+    c = 2.0 ** k
+    path = tmp_path / f"{asset}.csv"
+    write_csv(dataclasses.replace(frame, opens=frame.opens * c, highs=frame.highs * c,
+                                  lows=frame.lows * c, closes=frame.closes * c), path)
+    scaled = run(dataclasses.replace(config, **{f"{asset}_csv": path}, out_dir=tmp_path / "out"))
+    base = demo_bundle["report"]
+    assert _choices(scaled.body) == _choices(base.body)
+    for stage, accuracy in base.stage_accuracies.items():
+        assert scaled.stage_accuracies[stage] == pytest.approx(accuracy, rel=0.0, abs=1e-9), stage
+
+
 def test_fixed_hidden_size_run(demo_bundle, tmp_path):
     out2 = tmp_path / "fixed"
     config = load_config(demo_bundle["cfg_path"],
