@@ -204,18 +204,18 @@ def compute(frame: PriceFrame, params: IndicatorParams = IndicatorParams()) -> I
     closes = frame.close_series()
     columns: dict[str, np.ndarray] = {}
 
-    def place(name: str, values: Series, offset: int) -> None:
+    def place(name: str, values: Series) -> None:
+        # an indicator's warm-up is the rows its output falls short of the frame by
         col = np.full(n, np.nan)
-        col[offset:] = values.values
+        col[n - len(values):] = values.values
         columns[name] = col
 
     for period in params.ema_periods:
-        place(f"ema{period}", ema(closes, period), 0)
-    place(f"rsi{params.rsi_period}", rsi(closes, params.rsi_period), params.rsi_period)
+        place(f"ema{period}", ema(closes, period))
+    place(f"rsi{params.rsi_period}", rsi(closes, params.rsi_period))
     k = stochastic_k(frame, params.stoch_period)
-    place("stoch_k", k, params.stoch_period - 1)
-    place("stoch_d", stochastic_d(k, params.stoch_d_period),
-          params.stoch_period - 1 + params.stoch_d_period - 1)
+    place("stoch_k", k)
+    place("stoch_d", stochastic_d(k, params.stoch_d_period))
     # %R is the complement of the %K at hand, as `williams_r` computes it
-    place("williams_r", Series(100.0 - k.values), params.stoch_period - 1)
+    place("williams_r", Series(100.0 - k.values))
     return IndicatorSet(dates=tuple(frame.dates), columns=columns, params=params)

@@ -13,9 +13,10 @@ thousands separators inside numbers, and rows listed newest first.  Volume
 and percent-change columns are ignored; rows are re-sorted oldest first.
 
 Every bar obeys one rule: all four prices finite, the low positive, and
-open and close within [low, high].  `PriceFrame` enforces it over whole
-columns, for parsed and generated frames alike, and takes the error text
-for a broken bar from `_bar_fault`, as the parser does.
+open and close within [low, high].  One function, `_first_broken_bar`,
+checks it over whole columns and words the error; `PriceFrame` calls it
+for parsed and generated frames alike, and the parser to name the first
+broken row in file order.
 
 `table_text` renders every table the package writes, price files included:
 one key column (a date or an integer) followed by float columns.
@@ -41,27 +42,28 @@ PLAIN_HEADER = ("date", "close", "open", "high", "low")
 VENDOR_HEADER = ("Date", "Price", "Open", "High", "Low", "Vol.", "Change %")
 
 
-def _bar_fault(date, open, high, low, close) -> str | None:
-    """Why one bar breaks the bar rule, or None if it keeps it."""
-    if not all(math.isfinite(p) and p > 0.0 for p in (open, high, low, close)):
-        return f"{date}: prices must be finite and positive"
-    if not (low <= open <= high):
-        return f"{date}: open {open} outside [{low}, {high}]"
-    if not (low <= close <= high):
-        return f"{date}: close {close} outside [{low}, {high}]"
-    return None
+def _first_broken_bar(dates, opens, highs, lows, closes) -> tuple[int, str] | None:
+    """The index of the first row that breaks the bar rule and the text
+    saying why, or None if every row keeps it.
 
-
-def _broken_bars(opens, highs, lows, closes) -> np.ndarray:
-    """Indices of the rows that break the bar rule, over whole columns.
-
-    A finite high above a positive low bounds the other three prices, and
-    every comparison with a NaN is false, so testing the high alone for
-    finiteness covers all four.
+    The rule is one chain, ``0 < low <= open, close <= high < inf``.  A
+    broken row is named for a price that is not a finite positive number
+    first, then for its open outside [low, high], then for its close.
     """
-    ok = np.isfinite(highs) & (lows > 0.0)
-    ok &= (lows <= opens) & (opens <= highs) & (lows <= closes) & (closes <= highs)
-    return np.flatnonzero(~ok)
+    open_in = (lows <= opens) & (opens <= highs)
+    close_in = (lows <= closes) & (closes <= highs)
+    broken = np.flatnonzero(~((lows > 0.0) & (highs < math.inf) & open_in & close_in))
+    if not broken.size:
+        return None
+    i = int(broken[0])
+    o, h, lo, c = (float(column[i]) for column in (opens, highs, lows, closes))
+    if not all(0.0 < p < math.inf for p in (o, h, lo, c)):
+        why = "prices must be finite and positive"
+    elif not open_in[i]:
+        why = f"open {o} outside [{lo}, {h}]"
+    else:
+        why = f"close {c} outside [{lo}, {h}]"
+    return i, f"{dates[i]}: {why}"
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,9 @@ class PriceFrame:
             raise ValueError(f"price frame '{self.asset}' has mismatched column lengths")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError(f"price frame '{self.asset}' dates must strictly increase")
-        broken = _broken_bars(self.opens, self.highs, self.lows, self.closes)
-        if broken.size:
-            i = int(broken[0])
-            fault = _bar_fault(self.dates[i], float(self.opens[i]), float(self.highs[i]),
-                               float(self.lows[i]), float(self.closes[i]))
-            raise ValueError(f"price frame '{self.asset}': {fault}")
+        fault = _first_broken_bar(self.dates, self.opens, self.highs, self.lows, self.closes)
+        if fault:
+            raise ValueError(f"price frame '{self.asset}': {fault[1]}")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -249,12 +248,9 @@ def parse_csv(path) -> PriceFrame:
 
     def check_bars():
         """Raise for the first row so far, in file order, that breaks the bar rule."""
-        broken = _broken_bars(*np.array(prices, float).reshape(-1, 4).T)
-        if broken.size:
-            i = int(broken[0])
-            raise DataFormatError(
-                f"{path}, line {seen[dates[i]]}: {_bar_fault(dates[i], *prices[i])}"
-            ) from None
+        fault = _first_broken_bar(dates, *np.array(prices, float).reshape(-1, 4).T)
+        if fault:
+            raise DataFormatError(f"{path}, line {seen[dates[fault[0]]]}: {fault[1]}") from None
 
     try:
         for line_no, row in rows:

@@ -21,7 +21,7 @@ import io
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -135,6 +135,8 @@ class PipelineConfig:
     def __post_init__(self):
         # the rules a loaded config meets, for one built or replaced in code
         _check(values := _values(self), values)
+        # the network trains from the config's one seed, whatever nn_train says
+        object.__setattr__(self, "nn_train", replace(self.nn_train, seed=self.seed))
 
 
 def _values(config: PipelineConfig) -> dict:
@@ -207,7 +209,7 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
         split=SplitSpec(**{key: parsed.pop(key) for key in vars(DEFAULT_SPLIT)}),
         indicator_params=indicators.IndicatorParams(
             **{key: parsed.pop(key) for key in vars(indicators.IndicatorParams())}),
-        nn_train=neuralnet.TrainConfig(seed=parsed["seed"], **{
+        nn_train=neuralnet.TrainConfig(**{
             name: parsed.pop(f"nn_{name}") for name in vars(neuralnet.DEFAULT_TRAIN_CONFIG)
             if name != "seed"}),
         **parsed,

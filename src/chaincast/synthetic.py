@@ -77,23 +77,18 @@ def random_frame(n: int, seed: int = 0, start_price: float = 100.0,
     if n < 1:
         raise ValueError("need at least one bar")
     rng = np.random.default_rng(seed)
-    dates = []
-    cur = start_date
-    while len(dates) < n:
-        if cur.weekday() < 5:
-            dates.append(cur)
-        cur += datetime.timedelta(days=1)
+    # n weekdays fit in n // 5 + 1 weeks
+    dates = business_days(start_date, start_date + datetime.timedelta(weeks=n // 5 + 1))[:n]
     closes = start_price * np.exp(np.cumsum(rng.normal(0.0, 0.01, n)))
     opens = closes * np.exp(rng.normal(0.0, 0.004, n))
-    spread = np.abs(rng.normal(0.0, 0.006, n)) * closes
-    highs = np.maximum(opens, closes) + spread
-    lows = np.minimum(opens, closes) - spread
+    highs, lows = _ohlc_around(rng, opens, closes, 0.006)
     return PriceFrame(f"random{seed}", tuple(dates), opens, highs, lows, closes)
 
 
-def _ohlc_around(rng: np.random.Generator, opens: np.ndarray,
-                 closes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    spread = np.abs(rng.normal(0.0, 1.0, closes.size)) * 0.004 * closes
+def _ohlc_around(rng: np.random.Generator, opens: np.ndarray, closes: np.ndarray,
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Highs and lows beyond the open and close by |N(0, scale)| of the close."""
+    spread = np.abs(rng.normal(0.0, 1.0, closes.size)) * scale * closes
     highs = np.maximum(opens, closes) + spread
     lows = np.minimum(opens, closes) - spread
     return highs, lows
@@ -199,9 +194,9 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
     if gold_close.min() <= 100.0:
         raise ValueError("gold path collapsed; choose another seed")
     oil_open = oil_close + rng.normal(0.0, 0.15, n)
-    oil_high, oil_low = _ohlc_around(rng, oil_open, oil_close)
+    oil_high, oil_low = _ohlc_around(rng, oil_open, oil_close, 0.004)
     eur_open = eurusd_close + rng.normal(0.0, 0.001, n)
-    eur_high, eur_low = _ohlc_around(rng, eur_open, eurusd_close)
+    eur_high, eur_low = _ohlc_around(rng, eur_open, eurusd_close, 0.004)
 
     paths = {}
     for asset, o, h, lo, c in (

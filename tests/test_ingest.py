@@ -310,6 +310,11 @@ def test_window_empty_error():
     (("opens",), 0, 3.0, "open 3.0 outside [1.0, 2.0]"),
     (("closes",), 1, -2.0, "prices must be finite and positive"),
     (("closes",), 2, 0.5, "close 0.5 outside [1.0, 2.0]"),
+    # the reason is the row's own: a NaN open inside a sound [low, high] is not a price
+    (("opens",), 1, np.nan, "prices must be finite and positive"),
+    (("opens", "closes"), 1, 3.0, "open 3.0 outside [1.0, 2.0]"),
+    # two broken rows: the earlier is named
+    (("closes",), [1, 2], 0.5, "close 0.5 outside [1.0, 2.0]"),
 ])
 def test_frame_rejects_broken_bars(fields, day, value, message):
     days = weekdays(3)
@@ -317,7 +322,8 @@ def test_frame_rejects_broken_bars(fields, day, value, message):
                "closes": np.ones(3)}
     for field in fields:
         columns[field][day] = value
-    with pytest.raises(ValueError, match=re.escape(f"price frame 'x': {days[day]}: {message}")):
+    named = days[np.min(day)]
+    with pytest.raises(ValueError, match=re.escape(f"price frame 'x': {named}: {message}")):
         PriceFrame(asset="x", dates=tuple(days), **columns)
 
 

@@ -609,6 +609,17 @@ def test_comparison_regression_column_follows_stepwise_direction(demo_bundle, tm
         ("forward", "2", "20")
 
 
+def test_replaced_seed_reaches_the_network(demo_bundle, tmp_path):
+    # a config holds one seed: the network trains from the seed the report
+    # echoes, even when the nn_train it is given carries another
+    base = demo_bundle["config"]
+    assert base.nn_train.seed == 0
+    body = run(dataclasses.replace(base, seed=5, nn_hidden=2, out_dir=tmp_path,
+                                   nn_train=dataclasses.replace(base.nn_train, epochs=20))).body
+    assert body["neural_net"]["sweep"]["2"]["seed"] == 5
+    assert body["config"]["seed"] == "5"
+
+
 def test_correlogram_artifact_shape(demo_bundle):
     lines = (demo_bundle["out_dir"] / "correlogram_gold.csv").read_text().splitlines()
     assert lines[0] == "lag,acf,pacf,band"
