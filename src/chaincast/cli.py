@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import arima, indicators, neuralnet, pipeline, regression, synthetic
+from . import arima, indicators, neuralnet, pipeline, synthetic
 from .errors import ChaincastError
 from .ingest import DEFAULT_SPLIT, parse_csv, split as split_frame, table_text, \
     write_table
@@ -39,6 +39,21 @@ def _key_flag(key: str):
         raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
 
     return parse
+
+
+def _key_option(parser, flag: str, key: str, text: str, parse=None) -> None:
+    """Declare ``flag`` as an override of config key ``key``, checked by its
+    `_KEYS` row unless ``parse`` is given; left out, it leaves the config's value."""
+    default, _, _, rule = pipeline._KEYS[key]
+    must = f"must be {rule[0]}; " if rule else ""
+    parser.add_argument(flag, dest=key, type=parse or _key_flag(key), default=argparse.SUPPRESS,
+                        help=f"{text} ({must}default: the config's {key}, else {default})")
+
+
+def _overrides(args: argparse.Namespace) -> dict[str, str]:
+    """The config keys the command line set, as text their rows parse."""
+    return {key: pipeline._key_text(value) for key, value in vars(args).items()
+            if key in pipeline._KEYS}
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -62,18 +77,16 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_fit_arima(args: argparse.Namespace) -> int:
     frame = parse_csv(args.input)
-    given = {key: value for key, value in (("max_p", args.max_p), ("max_q", args.max_q),
-                                           ("criterion", args.criterion))
-             if value is not None}
     if args.config:
         # the pipeline's own search settings, flags given here winning
-        config = pipeline.load_config(
-            args.config, {f"arima_{key}": str(value) for key, value in given.items()})
+        config = pipeline.load_config(args.config, _overrides(args))
         train, test = split_frame(frame, config.split)
         fitted = pipeline.fit_asset(train.close_series(), config, args.d)
         criterion = config.arima_criterion
     else:
         # what no flag gives is select_order's default, which is the config's
+        given = {key.removeprefix("arima_"): value for key, value in vars(args).items()
+                 if key.startswith("arima_")}
         train, test = split_frame(frame, DEFAULT_SPLIT)
         closes = train.close_series()
         d = args.d if args.d is not None else suggest_d(closes)
@@ -109,10 +122,9 @@ def _cmd_indicators(args: argparse.Namespace) -> int:
 
 
 def _cmd_stepwise(args: argparse.Namespace) -> int:
-    config = pipeline.load_config(args.config)
+    config = pipeline.load_config(args.config, _overrides(args))
     train_m, test_m = pipeline.feature_windows(config)
-    direction = args.direction or config.stepwise_direction
-    criterion = args.criterion or config.stepwise_criterion
+    direction, criterion = config.stepwise_direction, config.stepwise_criterion
     _, dropped, traces = pipeline.select_columns(train_m, (direction,), criterion)
     if dropped:
         print("dropped exactly collinear column(s): " + ", ".join(dropped))
@@ -130,10 +142,7 @@ def _cmd_stepwise(args: argparse.Namespace) -> int:
 
 def _cmd_train_nn(args: argparse.Namespace) -> int:
     # the config's checks apply to the size this command trains
-    overrides = {"nn_hidden": str(args.hidden or "sweep")}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    config = pipeline.load_config(args.config, overrides)
+    config = pipeline.load_config(args.config, _overrides(args))
     train_m, test_m = pipeline.feature_windows(config)
     direction = config.stepwise_direction
     _, _, traces = pipeline.select_columns(train_m, (direction,), config.stepwise_criterion)
@@ -160,12 +169,7 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["out_dir"] = str(Path(args.out).resolve())
-    config = pipeline.load_config(args.config, overrides)
+    config = pipeline.load_config(args.config, _overrides(args))
     report = pipeline.run(config)
     print(f"artifacts written to {config.out_dir}")
     for stage, acc in sorted(report.stage_accuracies.items()):
@@ -213,13 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config file supplying the train/test split and the "
                         "search settings (arima_*, stationarity_threshold, seed)")
     p.add_argument("--d", type=int, default=None)
-    skipped = f"; cells with p + q > {arima.MAX_ORDER} are skipped"
-    p.add_argument("--max-p", type=_key_flag("arima_max_p"), default=None,
-                   help="default: the config's arima_max_p, else 3" + skipped)
-    p.add_argument("--max-q", type=_key_flag("arima_max_q"), default=None,
-                   help="default: the config's arima_max_q, else 3" + skipped)
-    p.add_argument("--criterion", default=None, choices=arima.CRITERIA,
-                   help="default: the config's arima_criterion, else sic")
+    skipped = f"cells with p + q > {arima.MAX_ORDER} are skipped"
+    _key_option(p, "--max-p", "arima_max_p", "largest AR order searched; " + skipped)
+    _key_option(p, "--max-q", "arima_max_q", "largest MA order searched; " + skipped)
+    _key_option(p, "--criterion", "arima_criterion", "criterion ranking the orders")
     p.add_argument("--out", default=None, help="write predictions CSV here")
     p.set_defaults(func=_cmd_fit_arima)
 
@@ -230,17 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("stepwise", help="variable selection trace")
     p.add_argument("--config", required=True)
-    p.add_argument("--direction", default=None, choices=regression.DIRECTIONS,
-                   help="default: the config's stepwise_direction")
-    p.add_argument("--criterion", default=None, choices=regression.CRITERIA,
-                   help="default: the config's stepwise_criterion")
+    _key_option(p, "--direction", "stepwise_direction", "search direction")
+    _key_option(p, "--criterion", "stepwise_criterion", "criterion ranking the moves")
     p.set_defaults(func=_cmd_stepwise)
 
     p = subs.add_parser("train-nn", help="train the network or sweep hidden sizes")
     p.add_argument("--config", required=True)
-    p.add_argument("--hidden", default="sweep", type=_key_flag("nn_hidden"),
-                   help="'sweep' or a hidden-layer size (default: sweep)")
-    p.add_argument("--seed", type=_key_flag("seed"), default=None)
+    _key_option(p, "--hidden", "nn_hidden", "hidden-layer size, or a sweep of sizes")
+    _key_option(p, "--seed", "seed", "seed of every stage")
     p.add_argument("--out", default=None, help="write model JSON here")
     p.set_defaults(func=_cmd_train_nn)
 
@@ -248,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_subs = p.add_subparsers(dest="pipeline_command", required=True)
     pr = pipe_subs.add_parser("run", help="execute the configured chain")
     pr.add_argument("--config", required=True)
-    pr.add_argument("--seed", type=_key_flag("seed"), default=None, help="override config seed")
-    pr.add_argument("--out", default=None, help="override output directory")
+    _key_option(pr, "--seed", "seed", "seed of every stage")
+    _key_option(pr, "--out", "out_dir", "output directory, from the working directory",
+                parse=lambda text: str(Path(text).resolve()))
     pr.set_defaults(func=_cmd_pipeline)
 
     p = subs.add_parser("make-fixture", help="write deterministic demo data")

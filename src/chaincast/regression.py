@@ -20,7 +20,7 @@ from .ingest import PriceFrame
 from .metrics import _criteria
 
 # A column whose part orthogonal to the columns before it has a norm at most
-# this share of the largest column norm so far counts as dependent.
+# this share of its own norm counts as dependent, whatever its unit.
 RANK_TOL = 1e-10
 
 COLUMN_LEGEND = {
@@ -223,14 +223,14 @@ def _householder(design: np.ndarray,
     """QR of the design that skips dependent columns, left to right.
 
     Column ``j`` fails when its part orthogonal to the columns kept before
-    it, whose norm is ``|R[j, j]|``, is at most `RANK_TOL` times the largest
-    norm among those columns and itself (Businger and Golub 1965, with
-    rejection in place of pivoting, so the dependent columns are named in
-    the caller's order).  Each pass is one LAPACK QR of the kept columns
-    with ``y`` appended; the first failing column is deleted and the pass
-    repeats, so a full-rank design takes one pass.  Past the last row every
-    column fails.  Returns the kept column indices, the square upper
-    triangular ``R`` on them, and the matching leading entries of ``Q'y``.
+    it, whose norm is ``|R[j, j]|``, is at most `RANK_TOL` times its own
+    norm, whatever its unit (Businger and Golub 1965, with rejection in
+    place of pivoting, so the dependent columns are named in the caller's
+    order).  Each pass is one LAPACK QR of the kept columns with ``y``
+    appended; the first failing column is deleted and the pass repeats, so
+    a full-rank design takes one pass.  Past the last row every column
+    fails.  Returns the kept column indices, the square upper triangular
+    ``R`` on them, and the matching leading entries of ``Q'y``.
     """
     norms = np.linalg.norm(design, axis=0)
     kept = list(range(design.shape[1]))
@@ -240,7 +240,7 @@ def _householder(design: np.ndarray,
         # past the last row a column has no orthogonal part left
         diag = np.zeros(rank)
         diag[:len(r)] = np.abs(np.diagonal(r))[:rank]
-        failed = np.flatnonzero(~(diag > RANK_TOL * np.maximum.accumulate(norms[kept])))
+        failed = np.flatnonzero(~(diag > RANK_TOL * norms[kept]))
         if not failed.size:
             return kept, r[:rank, :rank], r[:rank, rank]
         del kept[failed[0]]

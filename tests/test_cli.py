@@ -1,4 +1,7 @@
+import argparse
+import ast
 import datetime
+import inspect
 import json
 import os
 import re
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import chaincast
-from chaincast import pipeline
+from chaincast import cli, pipeline
 from chaincast.cli import main
 from chaincast.ingest import write_csv
 from chaincast.synthetic import business_days, simulate_arima
@@ -68,15 +71,73 @@ def test_diagnose_invalid_d_exits_2(walk_csv, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["diagnose", "--threshold", "2"], "argument --threshold: must be in (0, 1], got '2'"),
-    (["fit-arima", "--max-p", "-1"], "argument --max-p: must be at least 0, got '-1'"),
-    (["fit-arima", "--max-q", "x"], "argument --max-q: must be at least 0, got 'x'"),
+    (["diagnose", "--input", "{walk}", "--threshold", "2"],
+     "argument --threshold: must be in (0, 1], got '2'"),
+    (["fit-arima", "--input", "{walk}", "--max-p", "-1"],
+     "argument --max-p: must be at least 0, got '-1'"),
+    (["fit-arima", "--input", "{walk}", "--max-q", "x"],
+     "argument --max-q: must be at least 0, got 'x'"),
+    (["fit-arima", "--input", "{walk}", "--config", "{cfg}", "--criterion", "bic"],
+     "argument --criterion: must be one of aic, sic, got 'bic'"),
+    (["stepwise", "--config", "{cfg}", "--direction", "sideways"],
+     "argument --direction: must be one of forward, backward, got 'sideways'"),
 ])
-def test_flag_that_sets_a_config_key_takes_its_rule(walk_csv, capsys, argv, message):
+def test_flag_that_sets_a_config_key_takes_its_rule(walk_csv, demo_bundle, capsys, argv,
+                                                    message):
+    """The parser exits on the flag, so the command never starts."""
+    fields = {"walk": walk_csv, "cfg": demo_bundle["cfg_path"]}
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--input", str(walk_csv)])
+        main([arg.format(**fields) for arg in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def _leaf_parsers(parser, name=()):
+    """Each command's own parser, by its words (``pipeline run``)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(name), parser
+    for action in subs:
+        for word, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*name, word))
+
+
+def test_every_flag_that_sets_a_config_key_is_an_override():
+    """In a command that reads a config, an option whose dest is a config
+    key has no default, so only a flag given overrides the file; no command
+    reads such a key from ``args`` but through `cli._overrides`, apart from
+    fit-arima's branch without a config, which calls `select_order` itself
+    (make-fixture's ``--seed`` sets no config key)."""
+    keys = {name: sorted(a.dest for a in sub._actions if a.dest in pipeline._KEYS)
+            for name, sub in _leaf_parsers(cli.build_parser())
+            if any(a.dest == "config" for a in sub._actions)}
+    assert keys == {
+        "fit-arima": ["arima_criterion", "arima_max_p", "arima_max_q"],
+        "stepwise": ["stepwise_criterion", "stepwise_direction"],
+        "train-nn": ["nn_hidden", "seed"],
+        "pipeline run": ["out_dir", "seed"],
+    }
+    functions = set()
+    for name, sub in _leaf_parsers(cli.build_parser()):
+        if name in keys:
+            functions.add(sub.get_default("func").__name__)
+            for action in sub._actions:
+                if action.dest in pipeline._KEYS:
+                    assert action.default is argparse.SUPPRESS, (name, action.dest)
+
+    tree = ast.parse(inspect.getsource(cli))
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Attribute)
+                and node.test.attr == "config"):
+            allowed.update(id(n) for branch in node.orelse for n in ast.walk(branch))
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in functions]
+    assert len(commands) == 4
+    read = [(f.name, node.attr) for f in commands for node in ast.walk(f)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and node.attr in pipeline._KEYS
+            and id(node) not in allowed]
+    assert read == []
 
 
 def test_fit_arima_reports_fit_and_accuracy(walk_csv, tmp_path, capsys):
@@ -146,16 +207,22 @@ def test_train_nn_fixed_size_writes_model(demo_bundle, tmp_path, capsys):
     assert len(payload["w_hidden"]) == 3
 
 
-def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path):
+def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path, capsys):
     paths = demo_bundle["paths"]
     cfg = tmp_path / "short.cfg"
     cfg.write_text("".join(f"{name}_csv = {paths[name]}\n" for name in ("gold", "eurusd", "oil"))
                    + "nn_epochs = 60\nnn_hidden = 4\nout_dir = out\n")
     assert main(["pipeline", "run", "--config", str(cfg)]) == 0
+    # without --hidden, the config's nn_hidden is the size trained
     model_path = tmp_path / "m.json"
-    assert main(["train-nn", "--config", str(cfg), "--hidden", "4",
-                 "--out", str(model_path)]) == 0
+    assert main(["train-nn", "--config", str(cfg), "--out", str(model_path)]) == 0
     assert model_path.read_bytes() == (tmp_path / "out" / "model_nn.json").read_bytes()
+    # --hidden sweep overrides it
+    capsys.readouterr()
+    assert main(["train-nn", "--config", str(cfg), "--hidden", "sweep"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("hidden ")] == [
+        f"hidden {h:>2}" for h in range(1, 11)]
     # --seed sets the config's seed key in both commands
     assert main(["pipeline", "run", "--config", str(cfg), "--seed", "5",
                  "--out", str(tmp_path / "seeded")]) == 0

@@ -738,14 +738,15 @@ def _choices(body):
             body["stepwise"]["backward"]["included"], body["neural_net"]["columns"])
 
 
-@pytest.mark.parametrize("k", [-10, 10])
+@pytest.mark.parametrize("k", [-20, -10, 10, 20])
 @pytest.mark.parametrize("asset", pipeline.ASSETS)
 def test_changing_an_assets_price_unit_keeps_every_choice(demo_bundle, tmp_path, asset, k):
     """Multiplying one asset's bars by 2**k is exact, so only the unit
     changes: every order and column choice stays, and each stage accuracy
     moves by rounding alone, within 1e-9 points (1.4e-14 at most today).
     Ranking grid cells on their own samples moved gold to (2,0,0) at
-    k = -10 and oil to (3,1,0) at k = 10."""
+    k = -10 and oil to (3,1,0) at k = 10; testing a column's rank against
+    the largest column norm dropped x2 at gold k = 20 and eurusd k = -20."""
     config = demo_bundle["config"]
     frame = parse_csv(getattr(config, f"{asset}_csv"))
     c = 2.0 ** k

@@ -312,11 +312,15 @@ def test_evaluate_missing_column_rejected():
 
 # The rank check the Householder pass replaced: pivoted QR of the whole
 # design, then one pivoted QR per column from left to right to name the
-# dependent ones.  Kept as the oracle for the error text and the names.
+# dependent ones.  Kept as the oracle for the error text and the names, on
+# the design with each non-zero column scaled to unit norm, so no column's
+# unit decides its rank.
 
 def _reference_rank_error(m, subset):
-    """The parent's RankDeficiencyError text and columns, or None."""
+    """The RankDeficiencyError text and columns, or None."""
     design = np.column_stack([np.ones(len(m)), m.design(subset)])
+    norms = np.linalg.norm(design, axis=0)
+    design = design / np.where(norms > 0.0, norms, 1.0)
     names = ("intercept",) + tuple(subset)
     _, r, _ = linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -364,7 +368,8 @@ def test_rank_deficiency_text_and_columns_match_pivoted_qr():
                 ("x1", "x2", "x3", "x4", "x5")),
         "scaled": ({"x1": 1300 + 40 * a, "x2": 1e-3 * b, "x3": 2.0 * (1300 + 40 * a)},
                    ("x1", "x2", "x3")),
-        # small next to the largest column, though not next to itself
+        # small next to the largest column, yet full rank: each column
+        # is measured against its own norm
         "tiny": ({"x1": 1e8 * a, "x2": 1e-3 * b}, ("x1", "x2")),
     }
     for name, (cols, subset) in designs.items():
@@ -386,7 +391,8 @@ def test_full_rank_subset_matches_pivoted_qr_on_bundled_fixture(demo_bundle):
 
 
 # The rank pass before it ran on LAPACK: one left-to-right Householder pass
-# in Python, kept verbatim as the oracle for the kept columns and the solve.
+# in Python, kept as the oracle for the kept columns and the solve.  It tests
+# each column against its own norm, as the LAPACK pass does.
 
 def _reference_householder(design: np.ndarray,
                            y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -394,19 +400,17 @@ def _reference_householder(design: np.ndarray,
     work = np.column_stack([design, y])
     norms = np.linalg.norm(design, axis=0)
     kept: list[int] = []
-    scale = 0.0
     for j in range(k):
         r = len(kept)
         col = work[r:, j]
         alpha = float(np.linalg.norm(col))
-        if not alpha > RANK_TOL * max(scale, norms[j]):
+        if not alpha > RANK_TOL * norms[j]:
             continue
         v = col.copy()
         v[0] += math.copysign(alpha, col[0])
         v /= np.linalg.norm(v)
         work[r:, j:] -= np.outer(2.0 * v, v @ work[r:, j:])
         kept.append(j)
-        scale = max(scale, norms[j])
     rank = len(kept)
     return kept, np.triu(work[:rank, kept]), work[:rank, k]
 
@@ -414,7 +418,7 @@ def _reference_householder(design: np.ndarray,
 def _random_design(rng, n_rows: int, kinds: list[str]) -> np.ndarray:
     """An intercept, then one column per kind: ``noise`` (scale up to 1e3),
     ``big`` and ``tiny`` (noise times 1e6 and 1e-6, so a tiny column after a
-    big one fails on the running norm), ``combo`` (an integer combination of
+    big one must still be kept on its own norm), ``combo`` (an integer combination of
     earlier columns), ``complement`` (100 minus an earlier column, as
     Williams %R is to %K), ``constant``, ``copy`` or ``zero``."""
     cols = [np.ones(n_rows)]
