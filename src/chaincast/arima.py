@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import FitError
 from .metrics import _criteria
 from .series import Series, _durbin_levinson, acf, difference
-from .solver import minimize
+from .solver import _householder, minimize
 
 MAX_ORDER = 5  # cap on p + q; larger models are never competitive on ~1000 days
 ROOT_MARGIN = 1e-6
@@ -112,7 +112,6 @@ class ArimaFit:
     theta: np.ndarray
     residuals: np.ndarray
     sigma2: float
-    css: float
     aic: float
     sic: float
     n_effective: int
@@ -280,10 +279,10 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     A long Yule-Walker autoregression (order ``log(n)**2``, at least
     ``2 * (p + q)``; the Durbin-Levinson recursion solves it without an
     ``n``-row design matrix) estimates the shocks.  Regressing ``w`` on its
-    own ``p`` lags and ``q`` lagged shock estimates gives AR and MA
-    coefficients, which the step-down recursion and artanh map back to the
-    search coordinates.  A block that comes out non-stationary or
-    non-invertible starts at zero.
+    own ``p`` lags and ``q`` lagged shock estimates (`solver._householder`;
+    a lag rejected as dependent gets 0) gives AR and MA coefficients, which
+    the step-down recursion and artanh map back to the search coordinates.
+    A block that comes out non-stationary or non-invertible starts at zero.
     """
     n = w.size
     shocks = np.zeros(n)
@@ -298,7 +297,9 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     design = np.column_stack([np.ones(n - start)]
                              + [w[start - i:n - i] for i in range(1, p + 1)]
                              + [shocks[start - j:n - j] for j in range(1, q + 1)])
-    coef = np.linalg.lstsq(design, w[start:], rcond=None)[0]
+    kept, r, qty = _householder(design, w[start:])
+    coef = np.zeros(design.shape[1])
+    coef[kept] = np.linalg.solve(r, qty)
     x0 = np.zeros(p + q)
     for block, coeffs in ((slice(0, p), coef[1:p + 1]), (slice(p, p + q), -coef[p + 1:])):
         pac = _pacf_from_ar(coeffs)
@@ -384,8 +385,7 @@ def _finish(spec: ArimaSpec, mu: float, phi: np.ndarray, theta: np.ndarray,
     aic, sic = _criteria(sigma2, n_eff, spec.n_params())
     return ArimaFit(
         spec=spec, mu=mu, phi=phi, theta=theta, residuals=resid,
-        sigma2=sigma2, css=float(np.sum(resid**2)), aic=aic, sic=sic,
-        n_effective=n_eff,
+        sigma2=sigma2, aic=aic, sic=sic, n_effective=n_eff,
     )
 
 

@@ -144,7 +144,6 @@ class TrainReport:
     train_sse: float
     epochs_run: int
     seed: int
-    hidden_size: int
     early_stopped: bool
 
 
@@ -299,7 +298,7 @@ def _trained(data: _Split, hidden: int, seed: int, starts: int,
     return model, TrainReport(
         train_mape=mape(data.fit.y, predict_prices(model, data.fit)),
         validation_mape=math.nan if held is None else mape(held.y, predict_prices(model, held)),
-        train_sse=best.fun, epochs_run=best.nit, seed=seed, hidden_size=hidden,
+        train_sse=best.fun, epochs_run=best.nit, seed=seed,
         early_stopped=best.success,
     )
 

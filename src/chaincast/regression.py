@@ -18,10 +18,7 @@ from .errors import RankDeficiencyError
 from .indicators import IndicatorSet
 from .ingest import PriceFrame
 from .metrics import _criteria
-
-# A column whose part orthogonal to the columns before it has a norm at most
-# this share of its own norm counts as dependent, whatever its unit.
-RANK_TOL = 1e-10
+from .solver import _householder
 
 COLUMN_LEGEND = {
     "x1": "target open, day t",
@@ -117,7 +114,6 @@ class RegressionFit:
     sse: float
     aic: float
     bic: float
-    n: int
 
     def equation(self) -> str:
         """Human-readable fitted equation."""
@@ -218,38 +214,10 @@ def build_features(target: PriceFrame, indicators: IndicatorSet,
     )
 
 
-def _householder(design: np.ndarray,
-                 y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """QR of the design that skips dependent columns, left to right.
-
-    Column ``j`` fails when its part orthogonal to the columns kept before
-    it, whose norm is ``|R[j, j]|``, is at most `RANK_TOL` times its own
-    norm, whatever its unit (Businger and Golub 1965, with rejection in
-    place of pivoting, so the dependent columns are named in the caller's
-    order).  Each pass is one LAPACK QR of the kept columns with ``y``
-    appended; the first failing column is deleted and the pass repeats, so
-    a full-rank design takes one pass.  Past the last row every column
-    fails.  Returns the kept column indices, the square upper triangular
-    ``R`` on them, and the matching leading entries of ``Q'y``.
-    """
-    norms = np.linalg.norm(design, axis=0)
-    kept = list(range(design.shape[1]))
-    while True:
-        r = np.linalg.qr(np.column_stack([design[:, kept], y]), mode="r")
-        rank = len(kept)
-        # past the last row a column has no orthogonal part left
-        diag = np.zeros(rank)
-        diag[:len(r)] = np.abs(np.diagonal(r))[:rank]
-        failed = np.flatnonzero(~(diag > RANK_TOL * norms[kept]))
-        if not failed.size:
-            return kept, r[:rank, :rank], r[:rank, rank]
-        del kept[failed[0]]
-
-
 def ols(m: FeatureMatrix, subset) -> RegressionFit:
     """Least squares of the target on a subset of columns plus an intercept.
 
-    Solved through a Householder QR decomposition; if the design is rank
+    Solved through the QR of `solver._householder`; if the design is rank
     deficient the dependent columns are reported by name and no
     coefficients are returned, because they would not be identifiable.
     An empty subset fits the intercept-only model.
@@ -278,7 +246,7 @@ def ols(m: FeatureMatrix, subset) -> RegressionFit:
     aic, bic = _criteria(sse / n, n, len(subset) + 1)
     return RegressionFit(
         included=subset, intercept=float(coef[0]), coefficients=coef[1:],
-        sse=sse, aic=aic, bic=bic, n=n,
+        sse=sse, aic=aic, bic=bic,
     )
 
 

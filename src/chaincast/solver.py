@@ -1,11 +1,16 @@
-"""Levenberg-Marquardt least squares (Marquardt 1963), the solver of both
-`arima.fit` and `neuralnet.train` (Hagan and Menhaj 1994)."""
+"""The two least-squares solvers: QR rejecting dependent columns left to right
+(`_householder`) for OLS and the Hannan-Rissanen start, and Levenberg-Marquardt
+(`minimize`; Marquardt 1963, Hagan and Menhaj 1994) that fits both models."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# A column whose part orthogonal to the columns before it has a norm at most
+# this share of its own norm counts as dependent, whatever its unit.
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,3 +83,31 @@ def minimize(residuals, x0: np.ndarray, max_iterations: int, xatol: float,
         lam = max(lam / 3.0, 1e-12)
         jac = jacobian_new()
     return result(False, "maximum number of iterations reached")
+
+
+def _householder(design: np.ndarray,
+                 y: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """QR of the design that skips dependent columns, left to right.
+
+    Column ``j`` fails when its part orthogonal to the columns kept before
+    it, whose norm is ``|R[j, j]|``, is at most `RANK_TOL` times its own
+    norm, whatever its unit (Businger and Golub 1965, with rejection in
+    place of pivoting, so the dependent columns are named in the caller's
+    order).  Each pass is one LAPACK QR of the kept columns with ``y``
+    appended; the first failing column is deleted and the pass repeats, so
+    a full-rank design takes one pass.  Past the last row every column
+    fails.  Returns the kept column indices, the square upper triangular
+    ``R`` on them, and the matching leading entries of ``Q'y``.
+    """
+    norms = np.linalg.norm(design, axis=0)
+    kept = list(range(design.shape[1]))
+    while True:
+        r = np.linalg.qr(np.column_stack([design[:, kept], y]), mode="r")
+        rank = len(kept)
+        # past the last row a column has no orthogonal part left
+        diag = np.zeros(rank)
+        diag[:len(r)] = np.abs(np.diagonal(r))[:rank]
+        failed = np.flatnonzero(~(diag > RANK_TOL * norms[kept]))
+        if not failed.size:
+            return kept, r[:rank, :rank], r[:rank, rank]
+        del kept[failed[0]]

@@ -7,8 +7,10 @@ is installed, must compile under it.  Running the suite on 3.10 is what
 would show behaviour.
 
 The same walk over the sources holds one format decision in one place,
-only `ingest` calls ``json.dumps``, and keeps the two models apart: both
-are fitted by `solver`, and neither model module imports the other.
+only `ingest` calls ``json.dumps``; holds one rank rule for every linear
+solve, only `solver` calls numpy's QR, least squares or SVD; and keeps the
+two models apart: both are fitted by `solver`, and neither model module
+imports the other.
 """
 
 import ast
@@ -123,6 +125,35 @@ def test_only_ingest_writes_json():
     assert {name for name, n in calls.items() if n} == {"ingest.py"}
 
 
+FACTORIZATIONS = {"qr", "lstsq", "svd"}
+
+
+def factorization_calls(tree: ast.AST) -> int:
+    """Calls of ``numpy.linalg``'s qr, lstsq or svd in ``tree``, through a
+    ``linalg`` attribute, a module imported as ``linalg`` or a name imported
+    from it."""
+    imported, modules = set(), {"linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            imported.update(a.asname or a.name for a in node.names if a.name in FACTORIZATIONS)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            modules.update(a.asname or a.name for a in node.names if a.name == "linalg")
+    return sum(isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr in FACTORIZATIONS
+        and (isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+             or isinstance(node.func.value, ast.Name) and node.func.value.id in modules)
+        or isinstance(node.func, ast.Name) and node.func.id in imported)
+        for node in ast.walk(tree))
+
+
+def test_only_solver_factors_designs():
+    """Every least-squares solve goes through `solver`, so one rank rule,
+    `solver.RANK_TOL` against each column's own norm, decides them all."""
+    calls = {path.name: factorization_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {name for name, n in calls.items() if n} == {"solver.py"}
+
+
 def defined_names(tree: ast.AST) -> set[str]:
     """Functions and classes defined at the top level of ``tree``."""
     return {node.name for node in tree.body
@@ -145,12 +176,12 @@ def imported_modules(tree: ast.AST) -> set[str]:
 
 
 def test_models_share_one_solver_and_import_neither_other():
-    """`minimize` and `MinimizeResult` live in `solver` alone, `arima` and
-    `neuralnet` do not import each other, and `FitConfig` holds nothing
-    but the seed: the ARIMA solver settings are constants beside the
-    search's."""
+    """`minimize`, `MinimizeResult` and the QR `_householder` live in
+    `solver` alone, `arima` and `neuralnet` do not import each other, and
+    `FitConfig` holds nothing but the seed: the ARIMA solver settings are
+    constants beside the search's."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    for name in ("minimize", "MinimizeResult"):
+    for name in ("minimize", "MinimizeResult", "_householder"):
         assert [f for f, tree in trees.items() if name in defined_names(tree)] == ["solver.py"]
     assert not {"arima", "chaincast.arima"} & imported_modules(trees["neuralnet.py"])
     assert not {"neuralnet", "chaincast.neuralnet"} & imported_modules(trees["arima.py"])
@@ -178,6 +209,18 @@ def test_guard_reads_each_import_form(snippet, expected):
 ])
 def test_guard_counts_json_dumps_calls(snippet, expected):
     assert json_dumps_calls(ast.parse(snippet)) == expected
+
+
+@pytest.mark.parametrize("snippet, expected", [
+    ("import numpy as np\nnp.linalg.qr(a, mode='r')", 1),
+    ("import numpy\nnumpy.linalg.lstsq(a, b, rcond=None)", 1),
+    ("from numpy import linalg\nlinalg.svd(a)", 1),
+    ("from numpy import linalg as la\nla.svd(a)", 1),
+    ("from numpy.linalg import qr as q\nq(a)", 1),
+    ("import numpy as np\nnp.linalg.solve(a, b)\nnp.linalg.norm(a)", 0),
+])
+def test_guard_counts_factorization_calls(snippet, expected):
+    assert factorization_calls(ast.parse(snippet)) == expected
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 cannot parse except* at all")

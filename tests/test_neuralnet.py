@@ -189,8 +189,8 @@ def test_train_loss_decreases_over_run():
 def test_train_report_bookkeeping():
     m = linear_matrix(noise=0.1)
     config = TrainConfig(epochs=30, seed=9)
-    _, report = train(m, hidden=2, config=config)
-    assert report.hidden_size == 2
+    model, report = train(m, hidden=2, config=config)
+    assert model.hidden_size == 2
     assert report.seed == 9
     assert 1 <= report.epochs_run <= 30
     # early_stopped means the kept start converged before the cap

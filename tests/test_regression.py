@@ -12,15 +12,14 @@ from chaincast.indicators import IndicatorParams, compute
 from chaincast.metrics import accuracy, mape
 from chaincast.regression import (
     COLUMN_LEGEND,
-    RANK_TOL,
     FeatureMatrix,
     RegressionFit,
-    _householder,
     build_features,
     full_rank_subset,
     ols,
     stepwise,
 )
+from chaincast.solver import RANK_TOL, _householder
 from chaincast.synthetic import random_frame
 
 from conftest import weekdays
@@ -294,7 +293,7 @@ def test_full_rank_subset_drops_exact_identity():
 def test_evaluate_worked_example_rates():
     fit = RegressionFit(included=("x1",), intercept=0.0,
                         coefficients=np.array([1.0]), sse=0.0,
-                        aic=-np.inf, bic=-np.inf, n=3)
+                        aic=-np.inf, bic=-np.inf)
     test = matrix({"x1": [110.0, 180.0, 330.0]}, [100.0, 200.0, 300.0])
     preds = fit.predict(test)
     np.testing.assert_array_equal(preds, [110.0, 180.0, 330.0])
