@@ -84,20 +84,6 @@ class ArimaSpec:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """The seed of `fit`'s restarts from random points."""
-
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-DEFAULT_FIT_CONFIG = FitConfig()
-
-
-@dataclass(frozen=True)
 class ArimaFit:
     """A fitted model plus the in-sample evidence used to judge it.
 
@@ -317,8 +303,7 @@ def _roots_outside(coeffs: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
     return bool(np.all(np.abs(roots) > 1.0 + margin))
 
 
-def fit(train: Series, spec: ArimaSpec,
-        config: FitConfig = DEFAULT_FIT_CONFIG) -> ArimaFit:
+def fit(train: Series, spec: ArimaSpec, seed: int = 0) -> ArimaFit:
     """Estimate an ARIMA model on a level series.
 
     Differencing happens internally according to ``spec.d``.  Estimation
@@ -328,11 +313,14 @@ def fit(train: Series, spec: ArimaSpec,
     Hannan-Rissanen regression: at zero the AR and MA lag columns of the
     Jacobian coincide, so the first steps would split each lag arbitrarily
     between the two and can settle in a worse local minimum.  Later attempts
-    start from seeded random points when an attempt fails to converge; a
-    model whose polynomial roots sit on or inside the unit circle is
-    rejected.
+    start from random points, drawn from one generator seeded with ``seed``,
+    when an attempt fails to converge; a model whose polynomial roots sit on
+    or inside the unit circle is rejected.  A negative ``seed`` is refused
+    before anything is fitted.
     """
-    return _fit(train, spec, XATOL, FATOL, RESTARTS, config.seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return _fit(train, spec, XATOL, FATOL, RESTARTS, seed)
 
 
 def _fit(train, spec, xatol: float, fatol: float, restarts: int, seed: int) -> ArimaFit:
@@ -393,8 +381,7 @@ CRITERIA = ("aic", "sic")  # what `select_order` can rank models by
 
 
 def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
-                 criterion: str = "sic",
-                 config: FitConfig = DEFAULT_FIT_CONFIG) -> ArimaFit:
+                 criterion: str = "sic", seed: int = 0) -> ArimaFit:
     """Grid search over (p, q) at fixed d, returning the best fit.
 
     Cells with p + q > `MAX_ORDER` (5) are skipped, so the default 3 x 3
@@ -416,8 +403,11 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
     whose loose fit failed is always refitted.  Each refit is the fit a
     one-pass search makes of that cell, so the result is the one-pass
     search's, bit for bit, unless a cell left out improves on its loose
-    criterion by `SCREEN_DELTA` or more.
+    criterion by `SCREEN_DELTA` or more.  Every fit is seeded with ``seed``,
+    and a negative one is refused before the first.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if max_p < 0 or max_q < 0:
@@ -433,7 +423,7 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
     screened = []
     for spec in cells:
         try:
-            loose = _fit(train, spec, SCREEN_XATOL, SCREEN_FATOL, 0, config.seed)
+            loose = _fit(train, spec, SCREEN_XATOL, SCREEN_FATOL, 0, seed)
             screened.append((score(loose), spec))
         except (FitError, ValueError):
             screened.append((-np.inf, spec))
@@ -448,7 +438,7 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
         if best is not None and loose_score > score(best) + SCREEN_DELTA:
             break
         try:
-            refit = fit(train, spec, config)
+            refit = fit(train, spec, seed)
         except (FitError, ValueError) as exc:
             failures[spec] = str(exc)
             continue

@@ -104,12 +104,12 @@ class TrainConfig:
     value starts with shorter steps, closer to the gradient's direction.
     The last ``validation_fraction`` of the rows is held out of the fit.
     ``batch_size`` is a class constant meaning "full batch": every
-    iteration uses every fitting row.
+    iteration uses every fitting row.  The seed of the initial weights is
+    not part of the budget: `train` and `sweep` take it as ``seed``.
     """
 
     epochs: int = 500
     learning_rate: float = 0.01
-    seed: int = 0
     validation_fraction: float = 0.15
     batch_size: ClassVar[int] = sys.maxsize
 
@@ -119,8 +119,6 @@ class TrainConfig:
         if not 0.0 < self.learning_rate < math.inf:  # also refuses NaN
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation fraction must be in [0, 0.5)")
 
@@ -253,10 +251,6 @@ class _Split:
     ys: np.ndarray
 
 
-def _rows(m: FeatureMatrix, part: slice) -> FeatureMatrix:
-    return FeatureMatrix(m.dates[part], m.target_dates[part], m.columns, m.x[part], m.y[part])
-
-
 def _split(m: FeatureMatrix, validation_fraction: float) -> _Split:
     """Hold out the last ``validation_fraction`` of the rows
     (chronologically); the scaler sees only the earlier ones."""
@@ -266,9 +260,9 @@ def _split(m: FeatureMatrix, validation_fraction: float) -> _Split:
     n_fit = len(m) - n_val
     if n_fit < 10:
         raise ValueError("validation split leaves too few training rows")
-    fit_rows = _rows(m, slice(None, n_fit))
+    fit_rows = m.rows(slice(None, n_fit))
     scaler = fit_scaler(fit_rows)
-    return _Split(fit_rows, _rows(m, slice(n_fit, None)) if n_val else None, scaler,
+    return _Split(fit_rows, m.rows(slice(n_fit, None)) if n_val else None, scaler,
                   _with_ones(scaler.apply_x(fit_rows.x)), scaler.apply_y(fit_rows.y))
 
 
@@ -303,35 +297,39 @@ def _trained(data: _Split, hidden: int, seed: int, starts: int,
     )
 
 
-def train(m: FeatureMatrix, hidden: int,
-          config: TrainConfig = DEFAULT_TRAIN_CONFIG) -> tuple[MlpModel, TrainReport]:
+def train(m: FeatureMatrix, hidden: int, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
+          seed: int = 0) -> tuple[MlpModel, TrainReport]:
     """Fit one network on a training matrix.
 
     The last ``validation_fraction`` of rows (chronologically) are held out
     for size selection; the scaler and the fit see only the earlier rows.
     `TRAIN_STARTS` starts are drawn in turn from one generator seeded with
-    ``config.seed``, and the one with the lowest training sum of squares is
-    kept.
+    ``seed``, and the one with the lowest training sum of squares is kept.
+    A negative ``seed`` is refused before anything is fitted.
     """
     if hidden < 1:
         raise ValueError(f"hidden size must be positive, got {hidden}")
-    return _trained(_split(m, config.validation_fraction), hidden, config.seed,
-                    TRAIN_STARTS, config)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return _trained(_split(m, config.validation_fraction), hidden, seed, TRAIN_STARTS, config)
 
 
 def sweep(m: FeatureMatrix, config: TrainConfig = DEFAULT_TRAIN_CONFIG,
-          max_hidden: int = 10) -> SweepResult:
+          max_hidden: int = 10, seed: int = 0) -> SweepResult:
     """Train hidden sizes 1..max_hidden and keep the best by validation MAPE.
 
-    Size ``h`` is fitted from one start, seeded with ``config.seed + h``, so
-    each entry is what `train` gives that size alone at that seed with one
-    start.  Ties on validation MAPE go to the smaller network."""
+    Size ``h`` is fitted from one start, seeded with ``seed + h``, so each
+    entry is what `train` gives that size alone at that seed with one start.
+    Ties on validation MAPE go to the smaller network.  A negative ``seed``
+    is refused before anything is fitted."""
     if max_hidden < 1:
         raise ValueError("max_hidden must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     data = _split(m, config.validation_fraction)
     if data.held_out is None:
         raise ValueError("sweep needs a validation fraction that holds out rows")
-    fitted = {h: _trained(data, h, config.seed + h, 1, config)
+    fitted = {h: _trained(data, h, seed + h, 1, config)
               for h in range(1, max_hidden + 1)}
     chosen = min(fitted, key=lambda h: (fitted[h][1].validation_mape, h))
     return SweepResult(reports={h: report for h, (_, report) in fitted.items()},

@@ -21,7 +21,7 @@ import io
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -135,16 +135,13 @@ class PipelineConfig:
     def __post_init__(self):
         # the rules a loaded config meets, for one built or replaced in code
         _check(values := _values(self), values)
-        # the network trains from the config's one seed, whatever nn_train says
-        object.__setattr__(self, "nn_train", replace(self.nn_train, seed=self.seed))
 
 
 def _values(config: PipelineConfig) -> dict:
     """Each config key's value in ``config``, as its `_KEYS` row parses it."""
     return {**{key: getattr(config, key) for key in _KEYS if hasattr(config, key)},
             **vars(config.split), **vars(config.indicator_params),
-            **{f"nn_{name}": value for name, value in vars(config.nn_train).items()
-               if name != "seed"}}
+            **{f"nn_{name}": value for name, value in vars(config.nn_train).items()}}
 
 
 def _key_text(value) -> str:
@@ -210,8 +207,7 @@ def parse_config_text(text: str, base_dir: Path, overrides: dict[str, str] | Non
         indicator_params=indicators.IndicatorParams(
             **{key: parsed.pop(key) for key in vars(indicators.IndicatorParams())}),
         nn_train=neuralnet.TrainConfig(**{
-            name: parsed.pop(f"nn_{name}") for name in vars(neuralnet.DEFAULT_TRAIN_CONFIG)
-            if name != "seed"}),
+            name: parsed.pop(f"nn_{name}") for name in vars(neuralnet.DEFAULT_TRAIN_CONFIG)}),
         **parsed,
     )
 
@@ -252,11 +248,8 @@ def fit_asset(train: Series, config: PipelineConfig, d: int | None = None
     differencing order instead of suggesting one."""
     if d is None:
         d = suggest_d(train, config.stationarity_threshold)
-    return arima.select_order(
-        train, d, max_p=config.arima_max_p, max_q=config.arima_max_q,
-        criterion=config.arima_criterion,
-        config=arima.FitConfig(seed=config.seed),
-    )
+    return arima.select_order(train, d, config.arima_max_p, config.arima_max_q,
+                              config.arima_criterion, config.seed)
 
 
 def _whiteness(fitted: arima.ArimaFit, name: str) -> dict:
@@ -378,10 +371,11 @@ def train_network(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
     entry: dict = {"subset_source": f"{config.stepwise_direction} stepwise",
                    "columns": list(subset)}
     if config.nn_hidden is None:
-        result = neuralnet.sweep(nn_train_m, config.nn_train, config.nn_max_hidden)
+        result = neuralnet.sweep(nn_train_m, config.nn_train, config.nn_max_hidden, config.seed)
         model, reports, chosen = result.model, result.reports, result.chosen
     else:
-        model, report = neuralnet.train(nn_train_m, config.nn_hidden, config.nn_train)
+        model, report = neuralnet.train(nn_train_m, config.nn_hidden, config.nn_train,
+                                        config.seed)
         reports, chosen = {config.nn_hidden: report}, config.nn_hidden
     entry["chosen_hidden"] = chosen
     entry["sweep"] = {

@@ -9,6 +9,7 @@ names (``x1`` .. ``x9``) with a legend mapping them to their meaning.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 from dataclasses import dataclass
 
@@ -37,9 +38,9 @@ COLUMN_LEGEND = {
 class FeatureMatrix:
     """Aligned regressors and next-day target.
 
-    ``dates`` are the feature days (day ``t``); ``target_dates`` are the
-    corresponding next trading days whose close is being predicted.  Every
-    cell is finite; rows with any undefined input are excluded up front.
+    ``dates`` are the feature days (day ``t``), ascending; ``target_dates``
+    are the next trading days whose closes are predicted.  Every cell is
+    finite; rows with any undefined input are excluded up front.
     """
 
     dates: tuple[datetime.date, ...]
@@ -92,16 +93,16 @@ class FeatureMatrix:
 
     def window_by_target(self, start: datetime.date, end: datetime.date) -> "FeatureMatrix":
         """Rows whose predicted day falls in [start, end]."""
-        keep = [i for i, d in enumerate(self.target_dates) if start <= d <= end]
-        if not keep:
+        lo = bisect.bisect_left(self.target_dates, start)
+        hi = bisect.bisect_right(self.target_dates, end)
+        if lo >= hi:
             raise ValueError(f"no rows with target dates between {start} and {end}")
-        return FeatureMatrix(
-            dates=tuple(self.dates[i] for i in keep),
-            target_dates=tuple(self.target_dates[i] for i in keep),
-            columns=self.columns,
-            x=self.x[keep],
-            y=self.y[keep],
-        )
+        return self.rows(slice(lo, hi))
+
+    def rows(self, part: slice) -> "FeatureMatrix":
+        """The rows ``part`` picks, as views of this matrix's arrays."""
+        return FeatureMatrix(self.dates[part], self.target_dates[part], self.columns,
+                             self.x[part], self.y[part])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from chaincast import indicators
-from chaincast.arima import ArimaSpec, FitConfig, fit, rolling_one_step, select_order
+from chaincast.arima import ArimaSpec, fit, rolling_one_step, select_order
 from chaincast.neuralnet import TrainConfig, gradient_check, sweep, train
 from chaincast.regression import FeatureMatrix, ols, stepwise
 from chaincast.series import Series, difference, integrate, ljung_box, pacf
@@ -100,7 +100,7 @@ def test_c03_arima_estimation_recovers_coefficients_and_order():
     t0 = time.perf_counter()
     truth = np.array([0.5, -0.3, 0.4, 0.2])
     x = simulate_arima([0.5, -0.3], [0.4, 0.2], 0.0, 1, 3000, sigma=1.0, seed=7)
-    fitted = fit(Series(x), ArimaSpec(2, 1, 2), FitConfig(seed=0))
+    fitted = fit(Series(x), ArimaSpec(2, 1, 2), seed=0)
     estimates = np.concatenate([fitted.phi, fitted.theta])
     coef_err = np.max(np.abs(estimates - truth))
 
@@ -110,8 +110,7 @@ def test_c03_arima_estimation_recovers_coefficients_and_order():
             [0.5, -0.3], [0.4, 0.2], 0.0, 1, 3000, sigma=1.0, seed=seed
         )
         best = select_order(
-            Series(xs), 1, max_p=3, max_q=3, criterion="sic",
-            config=FitConfig(seed=0),
+            Series(xs), 1, max_p=3, max_q=3, criterion="sic", seed=0,
         )
         if (best.spec.p, best.spec.d, best.spec.q) == (2, 1, 2):
             hits += 1
@@ -140,16 +139,15 @@ def test_c04_random_walk_rolling_forecast_is_previous_close_plus_drift():
 
 
 def test_c05_ljung_box_separates_white_from_structured_residuals():
-    cfg = FitConfig(seed=0)
     white = 0
     for seed in range(20):
         x = simulate_arma([0.5], [], 0.0, 500, sigma=1.0, seed=seed)
-        f = fit(Series(x), ArimaSpec(1, 0, 0), cfg)
+        f = fit(Series(x), ArimaSpec(1, 0, 0), seed=0)
         white += ljung_box(Series(f.residuals), 10, fitted_params=1).is_white
     flagged = 0
     for seed in range(20):
         x = simulate_arma([0.8], [], 0.0, 500, sigma=1.0, seed=100 + seed)
-        f = fit(Series(x), ArimaSpec(0, 0, 0), cfg)  # mean-only misfit
+        f = fit(Series(x), ArimaSpec(0, 0, 0), seed=0)  # mean-only misfit
         flagged += not ljung_box(Series(f.residuals), 10, fitted_params=0).is_white
     _report(
         5,
@@ -290,7 +288,7 @@ def test_c10_network_fits_linear_targets_and_sweep_avoids_underfitting():
     a = rng.uniform(0, 10, 200)
     b = rng.uniform(0, 5, 200)
     lin = _matrix({"x1": a, "x2": b}, 100.0 + 3.0 * a + 2.0 * b)
-    _, report = train(lin, 6, TrainConfig(epochs=1500, learning_rate=0.1, seed=0))
+    _, report = train(lin, 6, TrainConfig(epochs=1500, learning_rate=0.1), seed=0)
 
     chosen = []
     for seed in range(5):
@@ -298,8 +296,8 @@ def test_c10_network_fits_linear_targets_and_sweep_avoids_underfitting():
         v = rng.uniform(-1, 1, 200)
         fold = _matrix({"x1": v}, 50.0 + 10.0 * np.abs(v) + rng.normal(0, 0.05, 200))
         res = sweep(
-            fold, TrainConfig(epochs=300, learning_rate=0.1, seed=seed),
-            max_hidden=5,
+            fold, TrainConfig(epochs=300, learning_rate=0.1),
+            max_hidden=5, seed=seed,
         )
         chosen.append(res.chosen)
     _report(

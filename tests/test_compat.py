@@ -8,12 +8,15 @@ would show behaviour.
 
 The same walk over the sources holds one format decision in one place,
 only `ingest` calls ``json.dumps``; holds one rank rule for every linear
-solve, only `solver` calls numpy's QR, least squares or SVD; and keeps the
+solve, only `solver` calls numpy's QR, least squares or SVD; keeps the
 two models apart: both are fitted by `solver`, and neither model module
-imports the other.
+imports the other; and passes a seed one way, as a function's ``seed``
+argument, so the only dataclasses with a ``seed`` field are the config that
+holds the run's one seed and the report that records it.
 """
 
 import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import chaincast
+from chaincast import arima, neuralnet, synthetic
 
 PACKAGE = Path(chaincast.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -177,18 +181,48 @@ def imported_modules(tree: ast.AST) -> set[str]:
 
 def test_models_share_one_solver_and_import_neither_other():
     """`minimize`, `MinimizeResult` and the QR `_householder` live in
-    `solver` alone, `arima` and `neuralnet` do not import each other, and
-    `FitConfig` holds nothing but the seed: the ARIMA solver settings are
-    constants beside the search's."""
+    `solver` alone, and `arima` and `neuralnet` do not import each other."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     for name in ("minimize", "MinimizeResult", "_householder"):
         assert [f for f, tree in trees.items() if name in defined_names(tree)] == ["solver.py"]
     assert not {"arima", "chaincast.arima"} & imported_modules(trees["neuralnet.py"])
     assert not {"neuralnet", "chaincast.neuralnet"} & imported_modules(trees["arima.py"])
-    fit_config = next(node for node in trees["arima.py"].body
-                      if isinstance(node, ast.ClassDef) and node.name == "FitConfig")
-    assert [node.target.id for node in fit_config.body
-            if isinstance(node, ast.AnnAssign)] == ["seed"]
+
+
+def seed_fields(tree: ast.AST) -> set[str]:
+    """Names of the dataclasses in ``tree`` that declare a ``seed`` field."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found.update(node.name for field in node.body if isinstance(field, ast.AnnAssign)
+                         and isinstance(field.target, ast.Name) and field.target.id == "seed")
+    return found
+
+
+SEEDED = (arima.fit, arima.select_order, neuralnet.train, neuralnet.sweep,
+          neuralnet.gradient_check, synthetic.simulate_arma, synthetic.simulate_arima,
+          synthetic.random_frame, synthetic.make_fixture)
+
+
+def test_a_seed_is_an_argument_and_one_config_key():
+    """Every seeded function takes its seed as ``seed``; the only
+    dataclasses with a ``seed`` field are `PipelineConfig`, whose key it
+    is, and `TrainReport`, which records the seed a network trained at."""
+    holders = set().union(*(seed_fields(ast.parse(path.read_text(encoding="utf-8")))
+                            for path in SOURCES))
+    assert holders == {"PipelineConfig", "TrainReport"}
+    assert [f.__name__ for f in SEEDED if "seed" not in inspect.signature(f).parameters] == []
+
+
+@pytest.mark.parametrize("snippet, expected", [
+    ("@dataclass(frozen=True)\nclass A:\n    seed: int = 0", {"A"}),
+    ("@dataclasses.dataclass\nclass A:\n    epochs: int\n    seed: int", {"A"}),
+    ("@dataclass\nclass A:\n    seeds: int\n    def f(self, seed: int): pass", set()),
+    ("class A:\n    seed: int = 0", set()),
+])
+def test_guard_finds_each_dataclass_seed_field(snippet, expected):
+    assert seed_fields(ast.parse(snippet)) == expected
 
 
 @pytest.mark.parametrize("snippet, expected", [

@@ -139,7 +139,7 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("learning_rate", math.nan),
-                                          ("learning_rate", math.inf), ("seed", -1)])
+                                          ("learning_rate", math.inf)])
 def test_train_config_rejects_rate_or_seed_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"got {value}$"):
         TrainConfig(**{field: value})
@@ -156,9 +156,9 @@ def test_train_input_validation():
 
 def test_train_is_bitwise_deterministic():
     m = linear_matrix(noise=0.1)
-    config = TrainConfig(epochs=40, seed=5)
-    model_a, report_a = train(m, hidden=3, config=config)
-    model_b, report_b = train(m, hidden=3, config=config)
+    config = TrainConfig(epochs=40)
+    model_a, report_a = train(m, hidden=3, config=config, seed=5)
+    model_b, report_b = train(m, hidden=3, config=config, seed=5)
     np.testing.assert_array_equal(model_a.w_hidden, model_b.w_hidden)
     np.testing.assert_array_equal(model_a.b_hidden, model_b.b_hidden)
     np.testing.assert_array_equal(model_a.w_out, model_b.w_out)
@@ -188,14 +188,13 @@ def test_train_loss_decreases_over_run():
 
 def test_train_report_bookkeeping():
     m = linear_matrix(noise=0.1)
-    config = TrainConfig(epochs=30, seed=9)
-    model, report = train(m, hidden=2, config=config)
+    model, report = train(m, hidden=2, config=TrainConfig(epochs=30), seed=9)
     assert model.hidden_size == 2
     assert report.seed == 9
     assert 1 <= report.epochs_run <= 30
     # early_stopped means the kept start converged before the cap
     assert report.early_stopped == (report.epochs_run < 30)
-    _, capped = train(m, hidden=2, config=TrainConfig(epochs=2, seed=9))
+    _, capped = train(m, hidden=2, config=TrainConfig(epochs=2), seed=9)
     assert (capped.epochs_run, capped.early_stopped) == (2, False)
 
 
@@ -211,13 +210,13 @@ def test_train_keeps_the_lowest_sse_start():
     has the lowest training sum of squares, so it is never worse than the
     one-start fit (today's first draw)."""
     m = kinked_matrix()
-    config = TrainConfig(epochs=100, seed=4)
+    config = TrainConfig(epochs=100)
     data = neuralnet._split(m, config.validation_fraction)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(4)
     starts = [neuralnet._fit(data, 3, rng, config) for _ in range(neuralnet.TRAIN_STARTS)]
     assert neuralnet.TRAIN_STARTS == 3
     best = min(range(3), key=lambda i: starts[i].fun)
-    model, report = train(m, 3, config)
+    model, report = train(m, 3, config, seed=4)
     w1, w_out, b_out = neuralnet._unfold(starts[best].x, 3, 2)
     np.testing.assert_array_equal(model.w_hidden, w1[:, :-1])
     np.testing.assert_array_equal(model.b_hidden, w1[:, -1])
@@ -336,8 +335,8 @@ def test_jacobian_matches_central_differences_of_residuals(seed):
 
 def test_sweep_covers_every_size_and_picks_best():
     m = linear_matrix(noise=0.1)
-    config = TrainConfig(epochs=60, learning_rate=0.05, seed=3)
-    result = sweep(m, config, max_hidden=4)
+    config = TrainConfig(epochs=60, learning_rate=0.05)
+    result = sweep(m, config, max_hidden=4, seed=3)
     assert set(result.reports) == {1, 2, 3, 4}
     assert result.model.hidden_size == result.chosen
     best = min(result.reports,
@@ -366,9 +365,8 @@ def sweep_cases(draw):
     rows = draw(st.integers(30, 80))
     m = _random_matrix(rows, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
     config = TrainConfig(epochs=draw(st.integers(1, 60)),
-                         learning_rate=draw(st.sampled_from([1e-3, 0.01, 1.0, 100.0])),
-                         seed=draw(st.integers(0, 100)))
-    return m, config, draw(st.integers(1, 4))
+                         learning_rate=draw(st.sampled_from([1e-3, 0.01, 1.0, 100.0])))
+    return m, config, draw(st.integers(0, 100)), draw(st.integers(1, 4))
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -376,12 +374,12 @@ def sweep_cases(draw):
 def test_sweep_entries_equal_train_alone(case):
     """Sweep entry h is, bit for bit, `train` of that size alone from one
     start at seed ``seed + h``."""
-    m, config, max_hidden = case
-    result = sweep(m, config, max_hidden=max_hidden)
+    m, config, seed, max_hidden = case
+    result = sweep(m, config, max_hidden=max_hidden, seed=seed)
     assert set(result.reports) == set(range(1, max_hidden + 1))
     with mock.patch.object(neuralnet, "TRAIN_STARTS", 1):
         for h in range(1, max_hidden + 1):
-            model, report = train(m, h, replace(config, seed=config.seed + h))
+            model, report = train(m, h, config, seed=seed + h)
             assert result.reports[h] == report
             if h == result.chosen:
                 for name in ("w_hidden", "b_hidden", "w_out", "b_out"):

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincast import arima, cli, neuralnet, pipeline
+from chaincast import arima, cli, neuralnet, pipeline, synthetic
 from chaincast.errors import DataFormatError, StageError
 from chaincast.indicators import IndicatorParams, compute
-from chaincast.ingest import DEFAULT_SPLIT, align_calendars, parse_csv, split as split_frame, \
-    write_csv, write_table
+from chaincast.ingest import DEFAULT_SPLIT, SplitSpec, align_calendars, parse_csv, \
+    split as split_frame, write_csv, write_table
 from chaincast.metrics import mape
 from chaincast.neuralnet import model_from_json, predict_prices
 from chaincast.pipeline import PREDICTION_HEADER, load_config, parse_config_text, run
+from chaincast.regression import FeatureMatrix
 from chaincast.series import Series, suggest_d
 
-from conftest import doji_frame
+from conftest import doji_frame, weekdays
 
 
 def read_predictions(path):
@@ -74,7 +75,8 @@ def test_library_defaults_equal_the_config_defaults(tmp_path):
     search = inspect.signature(arima.select_order).parameters
     assert (search["max_p"].default, search["max_q"].default, search["criterion"].default) \
         == (config.arima_max_p, config.arima_max_q, config.arima_criterion)
-    assert config.seed == arima.DEFAULT_FIT_CONFIG.seed
+    assert {inspect.signature(f).parameters["seed"].default for f in (
+        arima.fit, arima.select_order, neuralnet.train, neuralnet.sweep)} == {config.seed}
     assert config.nn_train == neuralnet.DEFAULT_TRAIN_CONFIG
     assert config.indicator_params == IndicatorParams()
 
@@ -102,7 +104,6 @@ def test_config_comments_and_blanks_ignored(tmp_path):
     text = "# demo\n\n" + BASE + "\n# trailing comment\nseed = 3\n"
     config = parse_config_text(text, tmp_path)
     assert config.seed == 3
-    assert config.nn_train.seed == 3
 
 
 def test_config_overrides_replace_file_values(tmp_path):
@@ -278,6 +279,28 @@ def test_config_object_rejects_negative_seed(tmp_path):
     config = parse_config_text(BASE, tmp_path)
     with pytest.raises(ValueError, match="config key 'seed': must be at least 0, got -1"):
         dataclasses.replace(config, seed=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda levels, m: arima.fit(levels, arima.ArimaSpec(1, 1, 0), seed=-1),
+    # fits without drawing, so numpy's generator would never see the seed
+    lambda levels, m: arima.fit(levels, arima.ArimaSpec(0, 1, 0), seed=-1),
+    # each cell's numpy refusal would be a failed cell, not the seed's error
+    lambda levels, m: arima.select_order(levels, 1, seed=-1),
+    lambda levels, m: neuralnet.train(m, 2, seed=-1),
+    # sizes 1.. would otherwise train at seeds 0..
+    lambda levels, m: neuralnet.sweep(m, seed=-1),
+], ids=["fit", "fit-mean-only", "select_order", "train", "sweep"])
+def test_seeded_fits_refuse_a_negative_seed_before_fitting(call, monkeypatch):
+    def fitted(*args):
+        raise AssertionError("fitted before refusing the seed")
+    monkeypatch.setattr(arima, "_fit", fitted)
+    monkeypatch.setattr(neuralnet, "_trained", fitted)
+    levels = Series(100.0 + np.cumsum(np.random.default_rng(0).normal(0.0, 1.0, 200)))
+    days, x = weekdays(61), np.arange(60.0)
+    m = FeatureMatrix(tuple(days[:-1]), tuple(days[1:]), ("x1",), x[:, None], 10.0 + x)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        call(levels, m)
 
 
 def test_config_missing_csv_named(tmp_path):
@@ -610,10 +633,8 @@ def test_comparison_regression_column_follows_stepwise_direction(demo_bundle, tm
 
 
 def test_replaced_seed_reaches_the_network(demo_bundle, tmp_path):
-    # a config holds one seed: the network trains from the seed the report
-    # echoes, even when the nn_train it is given carries another
+    # a config holds one seed: the network trains from the seed the report echoes
     base = demo_bundle["config"]
-    assert base.nn_train.seed == 0
     body = run(dataclasses.replace(base, seed=5, nn_hidden=2, out_dir=tmp_path,
                                    nn_train=dataclasses.replace(base.nn_train, epochs=20))).body
     assert body["neural_net"]["sweep"]["2"]["seed"] == 5
@@ -667,9 +688,7 @@ def test_feature_rows_use_no_future_data(demo_bundle):
     eur = aligned["eurusd"]
     train_frame, _ = split_frame(eur, config.split)
     order = body["assets"]["eurusd"]["order"]
-    fitted = arima.fit(train_frame.close_series(),
-                       arima.ArimaSpec(*order),
-                       arima.FitConfig(seed=config.seed))
+    fitted = arima.fit(train_frame.close_series(), arima.ArimaSpec(*order), config.seed)
     assert fitted.mu == body["assets"]["eurusd"]["mu"]
     full_hist = arima.one_step_history(fitted, eur.close_series())
     dummied = np.concatenate([eur.closes[:pos + 1], [999.0]])
@@ -758,6 +777,23 @@ def test_changing_an_assets_price_unit_keeps_every_choice(demo_bundle, tmp_path,
     assert _choices(scaled.body) == _choices(base.body)
     for stage, accuracy in base.stage_accuracies.items():
         assert scaled.stage_accuracies[stage] == pytest.approx(accuracy, rel=0.0, abs=1e-9), stage
+
+
+def test_shifting_every_date_by_whole_weeks_keeps_every_result(demo_bundle, tmp_path):
+    """The bundled fixture drawn 52 weeks later, and the split moved with
+    it: every row keeps its weekday and its place, so every choice, the
+    chosen size and the bits of each stage accuracy stay."""
+    config, shift = demo_bundle["config"], datetime.timedelta(weeks=52)
+    window = inspect.signature(synthetic.make_fixture).parameters
+    paths = synthetic.make_fixture(tmp_path, start=window["start"].default + shift,
+                                   end=window["end"].default + shift)
+    moved = run(dataclasses.replace(
+        config, **{f"{name}_csv": path for name, path in paths.items()}, out_dir=tmp_path / "out",
+        split=SplitSpec(**{key: day + shift for key, day in vars(config.split).items()})))
+    base = demo_bundle["report"]
+    assert _choices(moved.body) == _choices(base.body)
+    assert moved.body["neural_net"]["chosen_hidden"] == base.body["neural_net"]["chosen_hidden"]
+    assert moved.stage_accuracies == base.stage_accuracies
 
 
 def test_fixed_hidden_size_run(demo_bundle, tmp_path):
