@@ -274,8 +274,7 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     shocks = np.zeros(n)
     if q:
         m = int(min(n // 4, max(2 * (p + q), np.log(n) ** 2)))
-        rho = np.concatenate([[1.0], acf(Series(w), m).coefficients])
-        ar = _durbin_levinson(rho, m)[1]
+        ar = _durbin_levinson(acf(Series(w), m).coefficients)[1]
         shocks[m:] = np.convolve(w - w.mean(), np.concatenate([[1.0], -ar]))[m:n]
         start = m + q
     else:

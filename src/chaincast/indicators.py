@@ -64,9 +64,9 @@ class _Smoother:
 
     ``carry`` holds ``decay * y[t-1]`` and `step` adds the new input's share
     to it, the operation order of a direct-form II transposed filter, one
-    scalar at a time.  `ema`, `rsi` and the fixture generator all step
-    through here, so a value computed for a whole series and one carried
-    day by day are the same float.
+    scalar at a time.  `ema`, `rsi` and the fixture's EMA, RSI and oil walk
+    all step through here, so a value computed for a whole series and one
+    carried day by day are the same float.
     """
 
     def __init__(self, gain: float, decay: float, previous: float):

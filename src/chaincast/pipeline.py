@@ -254,13 +254,8 @@ def fit_asset(train: Series, config: PipelineConfig, d: int | None = None
 
 def _whiteness(fitted: arima.ArimaFit, name: str) -> dict:
     lags = min(10 + fitted.spec.p + fitted.spec.q, fitted.n_effective - 1)
-    report = ljung_box(Series(fitted.residuals, name=f"{name} residuals"), lags,
-                       fitted_params=fitted.spec.p + fitted.spec.q)
-    return {
-        "statistic": report.statistic, "dof": report.dof,
-        "p_value": report.p_value, "lags": report.lags,
-        "is_white": report.is_white,
-    }
+    return vars(ljung_box(Series(fitted.residuals, name=f"{name} residuals"), lags,
+                          fitted_params=fitted.spec.p + fitted.spec.q))
 
 
 # --- the chain's stages; `run` times and names each one with `stage()`

@@ -155,34 +155,26 @@ def acf(s: Series, max_lag: int) -> Correlogram:
     return Correlogram(np.arange(1, max_lag + 1), coeffs, CONFIDENCE_Z / np.sqrt(n))
 
 
-def _durbin_levinson(rho: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Durbin (1960) recursion from autocorrelations (rho[0] == 1).
+def _durbin_levinson(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Durbin (1960) recursion from the autocorrelations at lags 1..m.
 
-    Returns the partial autocorrelations at lags 1..max_lag and the
-    coefficients of the order-``max_lag`` autoregression that solves the
-    Yule-Walker equations.
+    Returns the partial autocorrelations at lags 1..m and the coefficients
+    of the order-m autoregression that solves the Yule-Walker equations.
     """
-    pacf = np.empty(max_lag)
-    phi_prev = np.empty(0)
-    for k in range(1, max_lag + 1):
-        if k == 1:
-            a = rho[1]
-        else:
-            num = rho[k] - np.dot(phi_prev, rho[k - 1:0:-1])
-            den = 1.0 - np.dot(phi_prev, rho[1:k])
-            if abs(den) < 1e-14:
-                raise ValueError(
-                    "partial autocorrelation recursion degenerate "
-                    f"at lag {k} (perfectly predictable series)"
-                )
-            a = num / den
-        phi_cur = np.empty(k)
-        if k > 1:
-            phi_cur[: k - 1] = phi_prev - a * phi_prev[::-1]
-        phi_cur[k - 1] = a
-        pacf[k - 1] = a
-        phi_prev = phi_cur
-    return pacf, phi_prev
+    rho = np.concatenate([[1.0], coefficients])
+    pacf = np.empty(rho.size - 1)
+    phi = np.empty(0)
+    for k in range(1, rho.size):
+        num = rho[k] - np.dot(phi, rho[k - 1:0:-1])
+        den = 1.0 - np.dot(phi, rho[1:k])
+        if abs(den) < 1e-14:
+            raise ValueError(
+                "partial autocorrelation recursion degenerate "
+                f"at lag {k} (perfectly predictable series)"
+            )
+        pacf[k - 1] = a = num / den
+        phi = np.append(phi - a * phi[::-1], a)
+    return pacf, phi
 
 
 def pacf(s: Series, max_lag: int) -> Correlogram:
@@ -193,8 +185,7 @@ def pacf(s: Series, max_lag: int) -> Correlogram:
     zero-padded, demeaned design.
     """
     full = acf(s, max_lag)
-    rho = np.concatenate([[1.0], full.coefficients])
-    return Correlogram(full.lags, _durbin_levinson(rho, max_lag)[0], full.band)
+    return Correlogram(full.lags, _durbin_levinson(full.coefficients)[0], full.band)
 
 
 def suggest_d(s: Series, threshold: float = STATIONARITY_THRESHOLD) -> int:

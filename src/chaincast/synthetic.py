@@ -5,8 +5,10 @@ and for generating demonstration inputs with known structure.  The fixture
 builder writes three aligned daily CSV files, one per asset, in which the
 target asset's next-day close is driven by the current day's open, its
 moving average and a partly non-linear function of its oscillator state,
-so every stage of the model chain has something real to find.  Generated
-prices go to `PriceFrame` as whole columns, which checks the bar rule once.
+so every stage of the model chain has something real to find.  Dates come
+from numpy's weekday calendar, recursions step through `indicators._Smoother`,
+bars go through `_ohlc_around`, and prices go to `PriceFrame` as whole
+columns, which checks the bar rule once.
 """
 
 from __future__ import annotations
@@ -62,13 +64,8 @@ def business_days(start: datetime.date, end: datetime.date) -> list[datetime.dat
     """Weekdays from start to end inclusive."""
     if end < start:
         raise ValueError("end date before start date")
-    days = []
-    cur = start
-    while cur <= end:
-        if cur.weekday() < 5:
-            days.append(cur)
-        cur += datetime.timedelta(days=1)
-    return days
+    days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
+    return days[np.is_busday(days)].tolist()
 
 
 def random_frame(n: int, seed: int = 0, start_price: float = 100.0,
@@ -81,14 +78,15 @@ def random_frame(n: int, seed: int = 0, start_price: float = 100.0,
     dates = business_days(start_date, start_date + datetime.timedelta(weeks=n // 5 + 1))[:n]
     closes = start_price * np.exp(np.cumsum(rng.normal(0.0, 0.01, n)))
     opens = closes * np.exp(rng.normal(0.0, 0.004, n))
-    highs, lows = _ohlc_around(rng, opens, closes, 0.006)
+    highs, lows = _ohlc_around(rng.normal(0.0, 1.0, n), opens, closes, 0.006)
     return PriceFrame(f"random{seed}", tuple(dates), opens, highs, lows, closes)
 
 
-def _ohlc_around(rng: np.random.Generator, opens: np.ndarray, closes: np.ndarray,
+def _ohlc_around(share: np.ndarray, opens: np.ndarray, closes: np.ndarray,
                  scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Highs and lows beyond the open and close by |N(0, scale)| of the close."""
-    spread = np.abs(rng.normal(0.0, 1.0, closes.size)) * scale * closes
+    """Highs and lows beyond the open and close by ``|share| * scale`` of
+    the close, ``share`` being one standard normal draw per bar."""
+    spread = np.abs(share) * scale * closes
     highs = np.maximum(opens, closes) + spread
     lows = np.minimum(opens, closes) - spread
     return highs, lows
@@ -133,12 +131,8 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
     eurusd_close = 1.10 + np.cumsum(rng.normal(0.0, 0.004, n))
     eurusd_close = np.maximum(eurusd_close, 0.5)
 
-    oil_steps = np.empty(n)
-    shocks = rng.normal(0.0, 0.45, n)
-    oil_steps[0] = shocks[0]
-    for t in range(1, n):
-        oil_steps[t] = 0.55 * oil_steps[t - 1] + shocks[t]
-    oil_close = 60.0 + np.cumsum(oil_steps)
+    oil_walk = _Smoother(1.0, 0.55, 0.0)
+    oil_close = 60.0 + np.cumsum([oil_walk.step(x) for x in rng.normal(0.0, 0.45, n).tolist()])
     if oil_close.min() <= 5.0:
         raise ValueError("oil walk went too low; choose another seed")
 
@@ -156,21 +150,18 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
     # combination of trailing averages can recover it
     noise = rng.normal(0.0, 1.5, n)
     gap_noise = rng.normal(0.0, 4.0, n)
-    spread_noise = np.abs(rng.normal(0.0, 1.0, n))
-    warm_spread = spread_noise[:warm] * 0.004 * gold_close[:warm]
-    gold_high[:warm] = np.maximum(gold_open[:warm], gold_close[:warm]) + warm_spread
-    gold_low[:warm] = np.minimum(gold_open[:warm], gold_close[:warm]) - warm_spread
+    share = rng.normal(0.0, 1.0, n)
+    gold_high[:warm], gold_low[:warm] = _ohlc_around(share[:warm], gold_open[:warm],
+                                                     gold_close[:warm], 0.004)
     # EMA-10 and RSI-14 of the closes so far, carried from day to day
     ema_state = _Smoother.ema(10, gold_close[0])
-    for close in gold_close[:warm - 1].tolist():
-        ema_state.step(close)
-    changes = np.diff(gold_close[:warm - 1])
-    rsi_state = _RsiState(changes[:14])
-    for change in changes[14:].tolist():
-        rsi_state.step(change)
-    for t in range(warm - 1, n - 1):
+    rsi_state = _RsiState(np.diff(gold_close[:15]))  # from the first 14 changes
+    for t in range(n - 1):
         ema10 = ema_state.step(gold_close[t])
-        rsi_state.step(gold_close[t] - gold_close[t - 1])
+        if t > 14:
+            rsi_state.step(gold_close[t] - gold_close[t - 1])
+        if t < warm - 1:
+            continue
         rsi14 = rsi_state.value()
         hh = gold_high[t - stoch_n + 1:t + 1].max()
         ll = gold_low[t - stoch_n + 1:t + 1].min()
@@ -188,15 +179,16 @@ def make_fixture(out_dir, seed: int = FIXTURE_SEED,
             + 0.35 * (min(abs(k - 50.0), 35.0) - 20.0)
             + noise[t]
         )
-        spread = spread_noise[t + 1] * 0.004 * gold_close[t + 1]
+        # `_ohlc_around` one bar at a time: tomorrow's %K reads this bar
+        spread = abs(share[t + 1]) * 0.004 * gold_close[t + 1]
         gold_high[t + 1] = max(gold_open[t + 1], gold_close[t + 1]) + spread
         gold_low[t + 1] = min(gold_open[t + 1], gold_close[t + 1]) - spread
     if gold_close.min() <= 100.0:
         raise ValueError("gold path collapsed; choose another seed")
     oil_open = oil_close + rng.normal(0.0, 0.15, n)
-    oil_high, oil_low = _ohlc_around(rng, oil_open, oil_close, 0.004)
+    oil_high, oil_low = _ohlc_around(rng.normal(0.0, 1.0, n), oil_open, oil_close, 0.004)
     eur_open = eurusd_close + rng.normal(0.0, 0.001, n)
-    eur_high, eur_low = _ohlc_around(rng, eur_open, eurusd_close, 0.004)
+    eur_high, eur_low = _ohlc_around(rng.normal(0.0, 1.0, n), eur_open, eurusd_close, 0.004)
 
     paths = {}
     for asset, o, h, lo, c in (

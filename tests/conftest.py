@@ -10,13 +10,8 @@ from chaincast.ingest import PriceFrame
 
 
 def weekdays(n, start=datetime.date(2020, 1, 6)):
-    out = []
-    cur = start
-    while len(out) < n:
-        if cur.weekday() < 5:
-            out.append(cur)
-        cur += datetime.timedelta(days=1)
-    return out
+    """The first ``n`` weekdays from ``start``; n weekdays fit in n // 5 + 1 weeks."""
+    return synthetic.business_days(start, start + datetime.timedelta(weeks=n // 5 + 1))[:n]
 
 
 def doji_frame(closes, asset="test", start=datetime.date(2020, 1, 6)):

@@ -72,8 +72,8 @@ def _sha256(data: bytes) -> str:
 
 
 def run_fixture(root: Path, name: str) -> Path:
-    """Write one fixture and its config under ``root`` and run the chain;
-    returns the config's path."""
+    """Write one fixture and its config under ``root`` and run the chain
+    into ``root / "out"``; returns the config's path."""
     seed, year, extra = FIXTURES[name]
     synthetic.make_fixture(root, seed=seed, start=datetime.date(year, 1, 1))
     cfg = root / "pipeline.cfg"
@@ -99,9 +99,10 @@ def fixture_entry(out_dir: Path) -> dict:
     }
 
 
-def stage_digests(root: Path, cfg: Path) -> dict:
-    """sha256 of each stage subcommand's stdout, ``root`` written as demo."""
-    digests = {}
+def stage_digests(cfg: Path) -> dict:
+    """sha256 of each stage subcommand's stdout on the fixture beside
+    ``cfg``, its directory written as demo."""
+    root, digests = cfg.parent, {}
     for name, argv in STAGE_COMMANDS.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -110,21 +111,19 @@ def stage_digests(root: Path, cfg: Path) -> dict:
     return digests
 
 
-def record(scratch: Path, bundled: tuple[Path, Path] | None = None) -> dict:
-    """The whole record, each fixture run under ``scratch``.  ``bundled``
-    is the data directory and config of a finished bundled seed-11 run to
-    reuse instead of running it again."""
-    fixtures = {}
+def record(scratch: Path, bundled_cfg: Path | None = None) -> dict:
+    """The whole record, each fixture run under ``scratch``.  ``bundled_cfg``
+    is the config of a finished bundled seed-11 run, with its artifacts in
+    ``out`` beside it, to reuse instead of running it again."""
+    configs = {}
     for name in FIXTURES:
-        if name == "bundled-11" and bundled is not None:
-            root, cfg = bundled
-        else:
-            root = scratch / name
-            cfg = run_fixture(root, name)
-        fixtures[name] = fixture_entry(root / "out")
-        if name == "bundled-11":
-            stdout = stage_digests(root, cfg)
-    return {"environment": environment(), "fixtures": fixtures, "stdout": stdout}
+        reuse = name == "bundled-11" and bundled_cfg is not None
+        configs[name] = bundled_cfg if reuse else run_fixture(scratch / name, name)
+    return {
+        "environment": environment(),
+        "fixtures": {name: fixture_entry(cfg.parent / "out") for name, cfg in configs.items()},
+        "stdout": stage_digests(configs["bundled-11"]),
+    }
 
 
 def _digests(rec: dict) -> dict:
@@ -137,7 +136,7 @@ def _digests(rec: dict) -> dict:
 
 def test_outputs_match_the_golden_record(demo_bundle, tmp_path):
     want = json.loads(RECORD.read_text(encoding="utf-8"))
-    got = record(tmp_path, (demo_bundle["root"], demo_bundle["cfg_path"]))
+    got = record(tmp_path, demo_bundle["cfg_path"])
     assert len(_digests(want)) == 49
     for fixture, expected in want["fixtures"].items():
         entry = got["fixtures"][fixture]

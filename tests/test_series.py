@@ -6,6 +6,7 @@ from chaincast.series import (
     CONFIDENCE_Z,
     Series,
     _chi2_sf,
+    _durbin_levinson,
     acf,
     difference,
     integrate,
@@ -13,6 +14,7 @@ from chaincast.series import (
     pacf,
     suggest_d,
 )
+from chaincast.synthetic import simulate_arma
 
 
 def test_difference_first_order():
@@ -187,3 +189,56 @@ def test_chi2_tail_matches_scipy():
             if expected > 1e-300:
                 assert _chi2_sf(float(x), dof) == pytest.approx(expected, rel=1e-10, abs=0.0)
     assert _chi2_sf(0.0, 3) == 1.0
+
+
+def _durbin_levinson_from_lag0(rho, max_lag):
+    """The recursion as it was written when its callers prepended the lag-0
+    one and passed the order, with lag 1 as its own branch; kept as the
+    oracle for `_durbin_levinson`."""
+    pacf = np.empty(max_lag)
+    phi_prev = np.empty(0)
+    for k in range(1, max_lag + 1):
+        if k == 1:
+            a = rho[1]
+        else:
+            num = rho[k] - np.dot(phi_prev, rho[k - 1:0:-1])
+            den = 1.0 - np.dot(phi_prev, rho[1:k])
+            if abs(den) < 1e-14:
+                raise ValueError(
+                    "partial autocorrelation recursion degenerate "
+                    f"at lag {k} (perfectly predictable series)"
+                )
+            a = num / den
+        phi_cur = np.empty(k)
+        if k > 1:
+            phi_cur[: k - 1] = phi_prev - a * phi_prev[::-1]
+        phi_cur[k - 1] = a
+        pacf[k - 1] = a
+        phi_prev = phi_cur
+    return pacf, phi_prev
+
+
+def test_durbin_levinson_matches_the_lag0_recursion_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for seed in range(40):
+        phi = rng.uniform(-0.45, 0.45, rng.integers(0, 3))
+        theta = rng.uniform(-0.8, 0.8, rng.integers(0, 3))
+        w = simulate_arma(phi, theta, 0.2, int(rng.integers(60, 900)), seed=seed)
+        m = int(rng.integers(1, 40))
+        coefficients = acf(Series(w), m).coefficients
+        got = _durbin_levinson(coefficients)
+        want = _durbin_levinson_from_lag0(np.concatenate([[1.0], coefficients]), m)
+        for g, x in zip(got, want):
+            assert g.shape == x.shape and g.tobytes() == x.tobytes(), seed
+
+
+# a constant, an alternating and a sampled sinusoid, whose order-2 recursion
+# predicts it exactly
+@pytest.mark.parametrize("coefficients", [[1.0, 1.0], [-1.0, 1.0, -1.0],
+                                          np.cos(0.3 * np.arange(1, 6)).tolist()])
+def test_durbin_levinson_degenerate_lag_message_is_unchanged(coefficients):
+    with pytest.raises(ValueError) as want:
+        _durbin_levinson_from_lag0(np.concatenate([[1.0], coefficients]), len(coefficients))
+    with pytest.raises(ValueError, match="degenerate at lag") as got:
+        _durbin_levinson(np.array(coefficients))
+    assert str(got.value) == str(want.value)

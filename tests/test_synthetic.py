@@ -1,15 +1,18 @@
 import datetime
 import hashlib
 
+import numpy as np
 import pytest
 
-from chaincast.synthetic import make_fixture, random_frame
+from chaincast.synthetic import business_days, make_fixture, random_frame
 
 # sha256 of the CSVs that make_fixture wrote before it carried its moving
 # average and RSI from day to day (it used to recompute both over the whole
-# price prefix every simulated day); the one-pass loop must write the same
-# bytes.  Bundled length (2015-2018) for seeds 11, 3 and 84, twelve years
-# (2007-2018) for seeds 11 and 160.
+# price prefix every simulated day); the one daily loop, which steps those
+# states from day 0 and oil's walk through `_Smoother`, and builds every bar
+# by `_ohlc_around`'s rule, must write the same bytes.  Bundled length
+# (2015-2018) for seeds 11, 3 and 84, twelve years (2007-2018) for seeds 11
+# and 160.
 FIXTURE_SHA256 = {
     (11, 2015): {
         "gold": "0d939e4995b9271b317fdade237ab85acf9bee1e1efa4826a322f05c2d4d24dd",
@@ -64,3 +67,38 @@ def test_random_frame_is_pinned(n, seed):
     for column in (frame.opens, frame.highs, frame.lows, frame.closes):
         digest.update(column.tobytes())
     assert digest.hexdigest() == RANDOM_FRAME_SHA256[(n, seed)]
+
+
+def _business_days_by_loop(start, end):
+    """`business_days` as it was written before it used numpy's weekday
+    calendar, one day at a time; kept as the oracle."""
+    if end < start:
+        raise ValueError("end date before start date")
+    days = []
+    cur = start
+    while cur <= end:
+        if cur.weekday() < 5:
+            days.append(cur)
+        cur += datetime.timedelta(days=1)
+    return days
+
+
+def test_business_days_match_the_day_by_day_loop():
+    rng = np.random.default_rng(5)
+    origin = datetime.date(1960, 1, 1)
+    starts = rng.integers(0, 30000, 300).tolist()
+    lengths = rng.integers(0, 900, 300).tolist()
+    pairs = [(origin + datetime.timedelta(a), origin + datetime.timedelta(a + b))
+             for a, b in zip(starts, lengths)]
+    saturday, sunday, monday = (datetime.date(2021, 1, d) for d in (2, 3, 4))
+    # weekend ends, one-day ranges on a weekday and a weekend day, and a
+    # weekend with no weekday in it
+    pairs += [(saturday, datetime.date(2021, 1, 31)), (monday, datetime.date(2021, 1, 9)),
+              (monday, monday), (sunday, sunday), (saturday, sunday)]
+    for start, end in pairs:
+        got = business_days(start, end)
+        assert got == _business_days_by_loop(start, end), (start, end)
+        assert all(type(day) is datetime.date for day in got)
+    for start, end in ((monday, sunday), (sunday, saturday)):
+        with pytest.raises(ValueError, match="^end date before start date$"):
+            business_days(start, end)
