@@ -89,7 +89,7 @@ class ArimaFit:
 
     ``residuals`` live on the differenced scale and start at the first
     position with a full AR lag window, so their count is the effective
-    sample size ``n_effective``.
+    sample size.
     """
 
     spec: ArimaSpec
@@ -100,7 +100,6 @@ class ArimaFit:
     sigma2: float
     aic: float
     sic: float
-    n_effective: int
 
 
 def ar_from_pacf(pac: np.ndarray) -> np.ndarray:
@@ -367,13 +366,10 @@ def _fit(train, spec, xatol: float, fatol: float, restarts: int, seed: int) -> A
 
 def _finish(spec: ArimaSpec, mu: float, phi: np.ndarray, theta: np.ndarray,
             resid: np.ndarray) -> ArimaFit:
-    n_eff = resid.size
     sigma2 = float(np.mean(resid**2))
-    aic, sic = _criteria(sigma2, n_eff, spec.n_params())
-    return ArimaFit(
-        spec=spec, mu=mu, phi=phi, theta=theta, residuals=resid,
-        sigma2=sigma2, aic=aic, sic=sic, n_effective=n_eff,
-    )
+    aic, sic = _criteria(sigma2, resid.size, spec.n_params())
+    return ArimaFit(spec=spec, mu=mu, phi=phi, theta=theta, residuals=resid,
+                    sigma2=sigma2, aic=aic, sic=sic)
 
 
 CRITERIA = ("aic", "sic")  # what `select_order` can rank models by
@@ -485,7 +481,9 @@ def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
     Each day's prediction conditions on all actual values through the
     previous day; after predicting, the actual value is consumed and the
     shock history updated.  ``anchors`` must be the last ``p + d`` (or more)
-    training levels so the recursion continues where `fit` left off.
+    training levels so the recursion continues where `fit` left off, and the
+    window must begin the day after the anchors end, as nothing here sees the
+    days between; across a gap, slice `one_step_history` instead.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
     anchors = np.asarray(anchors, dtype=float)

@@ -100,11 +100,13 @@ def _cmd_fit_arima(args: argparse.Namespace) -> int:
     if spec.q:
         print("ma coefficients: " + ", ".join(f"{x:.4f}" for x in fitted.theta))
     print(f"sigma^2 = {fitted.sigma2:.6g}   aic = {fitted.aic:.2f}   sic = {fitted.sic:.2f}")
-    preds = arima.rolling_one_step(fitted, test.close_series(), train.closes)
-    acc = accuracy(test.closes, preds.values)
+    # the held-out days' stretch of the one-step track over the file's calendar
+    start = frame.dates.index(test.dates[0])
+    preds = arima.one_step_history(fitted, frame.close_series())[start:start + len(test)]
+    acc = accuracy(test.closes, preds)
     print(f"rolling one-step accuracy on {len(test)} held-out days: {acc:.2f}%")
     if args.out:
-        write_table(args.out, pipeline.PREDICTION_HEADER, test.dates, test.closes, preds.values)
+        write_table(args.out, pipeline.PREDICTION_HEADER, test.dates, test.closes, preds)
         print(f"predictions written to {args.out}")
     return 0
 

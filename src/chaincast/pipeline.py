@@ -3,11 +3,12 @@
 The chain models the target asset (gold) with two companions (EUR-USD and
 oil).  Per run: ingest and align the three calendars, split train/test, pick
 a differencing order and ARIMA model per asset, roll one-step forecasts of
-both companions across the whole calendar, compute the target's indicators,
-assemble the feature matrix, fit the full least-squares equation plus both
-stepwise directions, train the network sweep on the selected subset, and
-write every artifact (prediction CSVs, correlograms, model weights, report)
-into one output directory.
+every asset across the whole calendar (the target's scored, the companions'
+fed to the regression), compute the target's indicators, assemble the
+feature matrix, fit the full least-squares equation plus both stepwise
+directions, train the network sweep on the selected subset, and write every
+artifact (prediction CSVs, correlograms, model weights, report) into one
+output directory.
 
 Accuracies for every stage are measured on the identical test window, as
 100 minus the MAPE of one-step-ahead predictions.
@@ -30,7 +31,7 @@ import numpy as np
 from . import arima, indicators, neuralnet, regression
 from .errors import DataFormatError, StageError
 from .ingest import DEFAULT_SPLIT, PriceFrame, SplitSpec, align_calendars, \
-    json_text, parse_csv, split, write_table
+    json_text, parse_csv, write_table
 from .metrics import accuracy
 from .series import STATIONARITY_THRESHOLD, Series, acf, difference, ljung_box, pacf, \
     suggest_d
@@ -253,7 +254,7 @@ def fit_asset(train: Series, config: PipelineConfig, d: int | None = None
 
 
 def _whiteness(fitted: arima.ArimaFit, name: str) -> dict:
-    lags = min(10 + fitted.spec.p + fitted.spec.q, fitted.n_effective - 1)
+    lags = min(10 + fitted.spec.p + fitted.spec.q, fitted.residuals.size - 1)
     return vars(ljung_box(Series(fitted.residuals, name=f"{name} residuals"), lags,
                           fitted_params=fitted.spec.p + fitted.spec.q))
 
@@ -263,15 +264,15 @@ def _whiteness(fitted: arima.ArimaFit, name: str) -> dict:
 
 @contextlib.contextmanager
 def stage(name: str, timings: dict[str, float]):
-    """Record the block's seconds under ``name``; re-raise a failure as
-    `StageError` naming the stage."""
+    """Add the block's seconds to those under ``name``, which may name more
+    than one block; re-raise a failure as `StageError` naming the stage."""
     clock = time.perf_counter
     started = clock()
     try:
         yield
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
-    timings[name] = clock() - started
+    timings[name] = timings.get(name, 0.0) + clock() - started
 
 
 def _read_frames(config: PipelineConfig) -> dict[str, PriceFrame]:
@@ -283,10 +284,10 @@ def _align(frames: dict[str, PriceFrame]) -> dict[str, PriceFrame]:
 
 
 def _split(aligned: dict[str, PriceFrame], spec: SplitSpec
-           ) -> tuple[dict[str, PriceFrame], dict[str, PriceFrame]]:
-    halves = {name: split(aligned[name], spec) for name in ASSETS}
-    return ({name: h[0] for name, h in halves.items()},
-            {name: h[1] for name, h in halves.items()})
+           ) -> tuple[dict[str, PriceFrame], PriceFrame]:
+    """Every asset's training frame, and the target's test window."""
+    train = {name: aligned[name].window(spec.train_start, spec.train_end) for name in ASSETS}
+    return train, aligned["gold"].window(spec.test_start, spec.test_end)
 
 
 def _windows(aligned: dict[str, PriceFrame], indicator_set: indicators.IndicatorSet,
@@ -419,13 +420,12 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
     with stage("align", timings):
         aligned = _align(frames)
     with stage("split", timings):
-        train, test = _split(aligned, config.split)
+        train, window = _split(aligned, config.split)
         body["split"] = {
             **{key: day.isoformat() for key, day in vars(config.split).items()},
             "train_rows": len(train["gold"]),
-            "test_rows": len(test["gold"]),
+            "test_rows": len(window),
         }
-    window = test["gold"]
     predicted: dict[str, np.ndarray] = {}
 
     def scored(name: str, values: np.ndarray) -> float:
@@ -442,15 +442,14 @@ def _run_stages(config: PipelineConfig, out: Path, body: dict,
         with stage(f"arima_{name}", timings):
             train_series = train[name].close_series()
             fitted = fit_asset(train_series, config)
-            entry = _arima_entry(fitted, train_series, out / f"correlogram_{name}.csv")
-            if name == "gold":
-                preds = arima.rolling_one_step(fitted, window.close_series(), train[name].closes)
-                entry["test_accuracy"] = scored("arima_gold", preds.values)
-            else:
-                # one-step forecast track across the whole calendar, used as
-                # a regression feature on both windows
-                tracks[name] = arima.one_step_history(fitted, aligned[name].close_series())
-            body["assets"][name] = entry
+            body["assets"][name] = _arima_entry(fitted, train_series,
+                                                out / f"correlogram_{name}.csv")
+            # one-step track across the whole calendar; the companions' are features
+            tracks[name] = arima.one_step_history(fitted, aligned[name].close_series())
+    with stage("arima_gold", timings):
+        start = aligned["gold"].dates.index(window.dates[0])
+        body["assets"]["gold"]["test_accuracy"] = scored(
+            "arima_gold", tracks["gold"][start:start + len(window)])
 
     with stage("indicators", timings):
         indicator_set = indicators.compute(aligned["gold"], config.indicator_params)

@@ -50,7 +50,8 @@ class FeatureMatrix:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, float))
+        # C order, so a model's numbers follow the values, not their layout
+        object.__setattr__(self, "x", np.ascontiguousarray(self.x, float))
         object.__setattr__(self, "y", np.asarray(self.y, float))
         n, k = len(self.dates), len(self.columns)
         if self.x.shape != (n, k) or self.y.shape != (n,):

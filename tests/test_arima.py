@@ -179,16 +179,16 @@ def test_fit_drift_only_closed_form():
     w = np.diff(levels.values)
     assert fitted.mu == w.mean()
     np.testing.assert_array_equal(fitted.residuals, w - w.mean())
-    assert fitted.n_effective == w.size
+    assert fitted.residuals.size == w.size
     assert fitted.sigma2 == pytest.approx(np.mean((w - w.mean()) ** 2))
-    assert fitted.sigma2 * fitted.n_effective == pytest.approx(np.sum((w - w.mean()) ** 2))
+    assert fitted.sigma2 * fitted.residuals.size == pytest.approx(np.sum((w - w.mean()) ** 2))
 
 
 def test_information_criteria_formulas():
     levels = Series(simulate_arma([0.5], [], 1.0, 300, seed=1))
     fitted = fit(levels, ArimaSpec(1, 0, 0))
     k = fitted.spec.n_params()
-    n = fitted.n_effective
+    n = fitted.residuals.size
     assert fitted.aic == pytest.approx(n * np.log(fitted.sigma2) + 2 * k)
     assert fitted.sic == pytest.approx(n * np.log(fitted.sigma2) + k * np.log(n))
     assert fitted.sic > fitted.aic  # ln(297) > 2

@@ -10,9 +10,11 @@ The same walk over the sources holds one format decision in one place,
 only `ingest` calls ``json.dumps``; holds one rank rule for every linear
 solve, only `solver` calls numpy's QR, least squares or SVD; keeps the
 two models apart: both are fitted by `solver`, and neither model module
-imports the other; and passes a seed one way, as a function's ``seed``
+imports the other; passes a seed one way, as a function's ``seed``
 argument, so the only dataclasses with a ``seed`` field are the config that
-holds the run's one seed and the report that records it.
+holds the run's one seed and the report that records it; and predicts one
+step ahead one way in the chain, so `pipeline` and `cli` never call
+`arima.rolling_one_step`.
 """
 
 import ast
@@ -158,6 +160,29 @@ def test_only_solver_factors_designs():
     assert {name for name, n in calls.items() if n} == {"solver.py"}
 
 
+def rolling_one_step_calls(tree: ast.AST) -> int:
+    """Calls of ``rolling_one_step`` in ``tree``, through an attribute, its
+    own name or the name it is imported as."""
+    names = {"rolling_one_step"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names
+                         if a.name == "rolling_one_step" and a.asname)
+    return sum(isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "rolling_one_step"
+        or isinstance(node.func, ast.Name) and node.func.id in names)
+        for node in ast.walk(tree))
+
+
+def test_the_chain_predicts_one_step_one_way():
+    """`pipeline` and `cli` read every ARIMA stage's predictions off
+    `arima.one_step_history`, so the target's and the companions' see the
+    same days; `rolling_one_step` stays library API only."""
+    calls = {path.name: rolling_one_step_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES if path.name in ("pipeline.py", "cli.py")}
+    assert calls == {"cli.py": 0, "pipeline.py": 0}
+
+
 def defined_names(tree: ast.AST) -> set[str]:
     """Functions and classes defined at the top level of ``tree``."""
     return {node.name for node in tree.body
@@ -255,6 +280,16 @@ def test_guard_counts_json_dumps_calls(snippet, expected):
 ])
 def test_guard_counts_factorization_calls(snippet, expected):
     assert factorization_calls(ast.parse(snippet)) == expected
+
+
+@pytest.mark.parametrize("snippet, expected", [
+    ("from chaincast import arima\narima.rolling_one_step(f, t, a)", 1),
+    ("from .arima import rolling_one_step\nrolling_one_step(f, t, a)", 1),
+    ("from .arima import rolling_one_step as roll\nroll(f, t, a)", 1),
+    ("from . import arima\narima.one_step_history(f, s)", 0),
+])
+def test_guard_counts_rolling_one_step_calls(snippet, expected):
+    assert rolling_one_step_calls(ast.parse(snippet)) == expected
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 cannot parse except* at all")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincast import neuralnet, solver
+from chaincast import neuralnet, pipeline, solver
 from chaincast.metrics import accuracy, mape
 from chaincast.neuralnet import (
     MlpModel,
@@ -385,6 +385,17 @@ def test_sweep_entries_equal_train_alone(case):
                 for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
                     np.testing.assert_array_equal(getattr(result.model, name),
                                                   getattr(model, name))
+
+
+def test_sweep_follows_the_values_not_their_memory_order(demo_bundle):
+    """The bundled training rows on the backward-selected columns, copied in
+    C and in Fortran order, train the same networks to the last bit."""
+    config = demo_bundle["config"]
+    train_m, _ = pipeline.feature_windows(config)
+    m = train_m.with_columns(demo_bundle["report"].body["stepwise"]["backward"]["included"])
+    c, f = (replace(m, x=order(m.x)) for order in (np.ascontiguousarray, np.asfortranarray))
+    assert sweep(c, max_hidden=3, seed=config.seed).reports \
+        == sweep(f, max_hidden=3, seed=config.seed).reports
 
 
 # --- verification and persistence ------------------------------------------

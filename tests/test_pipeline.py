@@ -750,6 +750,57 @@ def test_swapping_the_companions_keeps_every_accuracy(demo_bundle, tmp_path):
     assert swapped.stage_accuracies == demo_bundle["report"].stage_accuracies
 
 
+@pytest.fixture(scope="module")
+def gap_run(demo_bundle, tmp_path_factory):
+    """The bundled fixture split with half a year between the windows, and
+    the config that ran it; the network is cut short, since only the ARIMA
+    stage is read.  Also gold's one-step track over the aligned calendar,
+    on the test window, built here from the library directly."""
+    root = tmp_path_factory.mktemp("gap")
+    cfg = root / "pipeline.cfg"
+    cfg.write_text("".join(f"{name}_csv = {path}\n"
+                           for name, path in demo_bundle["paths"].items())
+                   + "train_end = 2017-06-30\ntest_start = 2018-01-02\n"
+                   + "nn_hidden = 1\nnn_epochs = 5\nout_dir = out\n")
+    config = load_config(cfg)
+    report = run(config)
+    gold = pipeline._align(pipeline._read_frames(config))["gold"]
+    spec = config.split
+    fitted = pipeline.fit_asset(
+        gold.window(spec.train_start, spec.train_end).close_series(), config)
+    window = gold.window(spec.test_start, spec.test_end)
+    first = gold.dates.index(window.dates[0])
+    # the split leaves days out between the windows
+    assert gold.dates[first - 1] > spec.train_end
+    track = arima.one_step_history(fitted, gold.close_series())[first:first + len(window)]
+    return cfg, report, window, track
+
+
+def test_gold_is_scored_from_its_track_across_a_split_gap(gap_run):
+    """Gold's test-window predictions are its one-step track over the
+    aligned calendar, bit for bit, so the days between the windows
+    condition them as they condition the companions' features."""
+    cfg, report, window, track = gap_run
+    dates, actual, predicted = read_predictions(cfg.parent / "out"
+                                                / "predictions_arima_gold.csv")
+    assert dates == [day.isoformat() for day in window.dates]
+    np.testing.assert_array_equal(actual, window.closes)
+    assert predicted.tobytes() == track.tobytes()
+    assert report.stage_accuracies["arima_gold"] == 100.0 - mape(window.closes, track)
+
+
+def test_fit_arima_prints_the_pipelines_gold_accuracy_across_a_split_gap(gap_run, capsys):
+    """`fit-arima` reads its held-out predictions off the same track, over
+    the gold file's calendar, which is the aligned one here."""
+    cfg, report, window, track = gap_run
+    assert cli.main(["fit-arima", "--input", str(pipeline.load_config(cfg).gold_csv),
+                     "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    for acc in (report.stage_accuracies["arima_gold"], 100.0 - mape(window.closes, track)):
+        assert f"rolling one-step accuracy on {len(window)} held-out days: {acc:.2f}%" \
+            in printed
+
+
 def _choices(body):
     """What the chain chose: each asset's order and every selected column set."""
     return ({name: body["assets"][name]["order"] for name in pipeline.ASSETS},
