@@ -7,7 +7,7 @@ network on the selected subset.  Each stage is importable on its own; the
 ``chaincast`` executable wraps both.
 """
 
-from .arima import ArimaFit, ArimaSpec, fit, rolling_one_step, select_order
+from .arima import ArimaFit, ArimaSpec, fit, select_order
 from .errors import ChaincastError, DataFormatError, FitError, RankDeficiencyError, \
     StageError
 from .indicators import IndicatorParams, IndicatorSet, compute, ema, rsi, \

@@ -14,8 +14,8 @@ Levenberg-Marquardt iteration (Marquardt 1963) on the residual vector.  The
 Jacobian is analytic: each residual derivative comes out of the same MA
 inversion (`_InverseMA`, built once per coefficient vector) that produces the
 residuals, with the direction of the profiled mean projected out (variable
-projection, Kaufman 1975).  The one-step predictors run that inversion as
-one filter as well.
+projection, Kaufman 1975).  The one-step predictor, `one_step_history`,
+runs that inversion as one filter as well.
 """
 
 from __future__ import annotations
@@ -188,9 +188,8 @@ class _InverseMA:
         self.carry = state_inputs @ self.block[:q]
         self.carry_tail = self.carry[:, :-q - 1:-1]
 
-    def __call__(self, x: np.ndarray, past: np.ndarray | None = None) -> np.ndarray:
-        """Filter ``x`` along its last axis.  ``past`` holds the q outputs
-        before ``x[..., 0]``, oldest first; they are zero when it is None."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Filter ``x`` along its last axis, from zero outputs before it."""
         q = self.q
         if not q:
             return np.array(x, dtype=float)
@@ -205,8 +204,6 @@ class _InverseMA:
         # terms from the 2d entries up to it.
         tails = y[..., :-1, :-q - 1:-1]
         states = np.zeros(y.shape[:-1] + (q,))
-        if past is not None:
-            states[..., 0, :] = np.asarray(past, dtype=float)[::-1]
         states[..., 1:, :] = tails
         step, shift = self.carry_tail, 1
         while shift < blocks:
@@ -344,9 +341,10 @@ def _fit(train, spec, xatol: float, fatol: float, restarts: int, seed: int) -> A
         _, e, m = _css_residuals(w, p, phi, ma)
         return e, lambda: _css_jacobian(w, p, ma, e, m) @ dcoef
 
-    rng = np.random.default_rng(seed)
     failures: list[str] = []
     for attempt in range(restarts + 1):
+        if attempt == 1:  # first restart: a fit without one never imports numpy.random
+            rng = np.random.default_rng(seed)
         x0 = _hannan_rissanen(w, p, q) if attempt == 0 else rng.normal(0.0, 0.5, p + q)
         result = minimize(residuals, x0, MAX_ITERATIONS, xatol, fatol, DAMPING)
         if not result.success:
@@ -445,76 +443,41 @@ def select_order(train: Series, d: int, max_p: int = 3, max_q: int = 3,
     return best
 
 
-def _one_step(fitted: ArimaFit, levels: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """One-step predictions of ``levels[p + d:]``, parameters frozen.
+def one_step_history(fitted: ArimaFit, full: Series) -> np.ndarray:
+    """One-step predictions across a level series, parameters frozen.
 
-    The shocks come from one pass of the MA filter over the differenced
-    values minus their mean-plus-AR part, and each prediction adds the MA
-    terms of the shocks before it in one product with the lagged shocks.
-    (The actual value minus its shock is the same number in exact
-    arithmetic, but through rounding it would read its own day's value.)
-    ``shocks`` holds the ``q`` shocks before the first prediction, oldest
-    first.  Differenced predictions are re-integrated on the previous
+    Returns an array aligned with ``full``; the first ``p + d`` positions are
+    NaN (no complete lag window yet), and each later one conditions on the
+    actual values through the day before it, so held-out days are a slice.
+    The shocks come from one pass of the MA filter, pre-sample shocks at
+    zero, over the differenced values minus their mean-plus-AR part, and
+    each prediction adds the MA terms of the shocks before it in one product
+    with the lagged shocks.  (The actual value minus its shock is the same
+    number in exact arithmetic, but through rounding it would read its own
+    day's value.)  Differenced predictions are re-integrated on the previous
     actual levels.
     """
     p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
+    start = p + d
+    if len(full) <= start:
+        raise ValueError(f"series too short for ({p},{d},{q}) one-step history")
+    levels = full.values
     w = np.diff(levels, n=d)
     n = w.size
     steps = np.full(n - p, fitted.mu)
     for i in range(1, p + 1):
         steps += fitted.phi[i - 1] * w[p - i:n - i]
     if q:
-        e = np.concatenate([shocks, _InverseMA(fitted.theta)(w[p:] - steps, past=shocks)])
+        e = np.concatenate([np.zeros(q), _InverseMA(fitted.theta)(w[p:] - steps)])
         steps += sliding_window_view(e[:-1], q) @ fitted.theta[::-1]
-    if d == 0:
-        return steps
-    start = p + d
-    prev = levels[start - 1:-1]
-    if d == 1:
-        return prev + steps
-    return prev + (prev - levels[start - 2:-2]) + steps
-
-
-def rolling_one_step(fitted: ArimaFit, test: Series, anchors) -> Series:
-    """One-step-ahead predictions over a held-out window, parameters frozen.
-
-    Each day's prediction conditions on all actual values through the
-    previous day; after predicting, the actual value is consumed and the
-    shock history updated.  ``anchors`` must be the last ``p + d`` (or more)
-    training levels so the recursion continues where `fit` left off, and the
-    window must begin the day after the anchors end, as nothing here sees the
-    days between; across a gap, slice `one_step_history` instead.
-    """
-    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    anchors = np.asarray(anchors, dtype=float)
-    need = max(p + d, 1)
-    if anchors.ndim != 1 or anchors.size < need:
-        raise ValueError(
-            f"need at least {need} anchor levels for ({p},{d},{q}), got {anchors.size}"
-        )
-    if not np.all(np.isfinite(anchors)):
-        raise ValueError("anchors must be finite")
-    tail = anchors[-(p + d):] if p + d else np.empty(0)
-    levels = np.concatenate([tail, test.values])
-    shocks = fitted.residuals[-q:] if q else np.empty(0)
-    preds = _one_step(fitted, levels, shocks)
-    return Series(preds, name=f"{test.name}_pred", diff_level=test.diff_level)
-
-
-def one_step_history(fitted: ArimaFit, full: Series) -> np.ndarray:
-    """One-step predictions across an entire level series, same parameters.
-
-    Returns an array aligned with ``full``; the first ``p + d`` positions are
-    NaN (no complete lag window yet).  On the stretch past the training data
-    it runs the recursion of `rolling_one_step` over the same differenced
-    values.  With q = 0 the two agree exactly.  With q > 0 the shocks reach
-    that stretch through the whole history here and through the fit's
-    residuals there, so the two agree only to rounding.
-    """
-    p, d, q = fitted.spec.p, fitted.spec.d, fitted.spec.q
-    start = p + d
-    if len(full) <= start:
-        raise ValueError(f"series too short for ({p},{d},{q}) one-step history")
+    if d:
+        prev = levels[start - 1:-1]
+        steps += prev if d == 1 else prev + (prev - levels[start - 2:-2])
     out = np.full(len(full), np.nan)
-    out[start:] = _one_step(fitted, full.values, np.zeros(q))
+    out[start:] = steps
     return out
+
+
+# The same function under the name the benchmark's tracer (`bench/layers.py`)
+# still lists among the boundaries it wraps.
+rolling_one_step = one_step_history
