@@ -13,8 +13,9 @@ and, on bundled seed 11 only, the sha256 of the stdout of `diagnose`,
 with the data directory written as ``demo``.  That is 49 digests.
 
 Digests depend on the floating-point library, so they are compared only
-where numpy's version and BLAS are the record's; elsewhere the discrete
-choices must match exactly and the accuracies within 1e-9 relative.
+where numpy's version, its BLAS build and the core that BLAS runs on are
+the record's; elsewhere the discrete choices must match exactly and the
+accuracies within 1e-9 relative.
 A change that moves an output regenerates the record with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -23,6 +24,7 @@ and says which entries moved and why.
 """
 
 import contextlib
+import ctypes
 import datetime
 import hashlib
 import io
@@ -57,6 +59,20 @@ STAGE_COMMANDS = {
 }
 
 
+def blas_core() -> str:
+    """The core numpy's OpenBLAS chose when it loaded (one build carries
+    kernels for many), or "unknown" where the library does not say."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     """What the digests depend on beyond the code."""
     try:
@@ -64,7 +80,8 @@ def environment() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas, "core": blas_core(),
+            "machine": platform.machine()}
 
 
 def _sha256(data: bytes) -> str:
