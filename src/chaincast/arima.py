@@ -102,18 +102,14 @@ class ArimaFit:
     sic: float
 
 
-def ar_from_pacf(pac: np.ndarray) -> np.ndarray:
-    """Stationary AR coefficients from partial-correlation values in (-1, 1).
-
-    Levinson recursion; the coefficient vector it returns has all polynomial
-    roots outside the unit circle whenever every input lies inside (-1, 1).
-    """
-    return _levinson(pac)[0]
-
-
 def _levinson(pac) -> tuple[np.ndarray, np.ndarray]:
-    """`ar_from_pacf` and its Jacobian, ``dphi[i, k] = d phi_i / d pac_k``,
-    carried through the recursion in forward mode."""
+    """Stationary AR coefficients from partial-correlation values in (-1, 1),
+    and their Jacobian, ``dphi[i, k] = d phi_i / d pac_k``, carried through
+    the recursion in forward mode.
+
+    The coefficient vector has all polynomial roots outside the unit circle
+    whenever every input lies inside (-1, 1).
+    """
     pac = np.asarray(pac, dtype=float)
     phi = pac.copy()
     dphi = np.eye(pac.size)
@@ -126,7 +122,7 @@ def _levinson(pac) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pacf_from_ar(phi: np.ndarray) -> np.ndarray | None:
-    """Inverse of `ar_from_pacf` (the step-down recursion), or None when
+    """Inverse of `_levinson` (the step-down recursion), or None when
     ``phi`` is not stationary."""
     a = np.array(phi, dtype=float)
     pac = np.empty(a.size)
@@ -289,13 +285,13 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int) -> np.ndarray:
     return x0
 
 
-def _roots_outside(coeffs: np.ndarray, margin: float = ROOT_MARGIN) -> bool:
+def _roots_outside(coeffs: np.ndarray) -> bool:
     """True when the polynomial 1 - c1 z - ... - ck z^k has all roots
     strictly outside the unit circle."""
     if coeffs.size == 0:
         return True
     roots = np.roots(np.concatenate([-coeffs[::-1], [1.0]]))
-    return bool(np.all(np.abs(roots) > 1.0 + margin))
+    return bool(np.all(np.abs(roots) > 1.0 + ROOT_MARGIN))
 
 
 def fit(train: Series, spec: ArimaSpec, seed: int = 0) -> ArimaFit:

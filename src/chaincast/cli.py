@@ -172,9 +172,9 @@ def _cmd_train_nn(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config, _overrides(args))
-    report = pipeline.run(config)
+    body = pipeline.run(config)
     print(f"artifacts written to {config.out_dir}")
-    for stage, acc in sorted(report.stage_accuracies.items()):
+    for stage, acc in sorted(body["stage_accuracies"].items()):
         print(f"{stage:>18}: {acc:.2f}%")
     return 0
 

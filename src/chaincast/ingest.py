@@ -281,15 +281,11 @@ def parse_csv(path) -> PriceFrame:
         raise
 
 
-def serialize(frame: PriceFrame) -> str:
-    """Render a frame in the plain layout; parsing it reproduces the frame
-    bit for bit."""
-    return table_text(PLAIN_HEADER, frame.dates, frame.closes, frame.opens, frame.highs,
-                      frame.lows)
-
-
 def write_csv(frame: PriceFrame, path) -> None:
-    Path(path).write_text(serialize(frame), encoding="utf-8")
+    """Write a frame in the plain layout; parsing the file reproduces the
+    frame bit for bit."""
+    Path(path).write_text(table_text(PLAIN_HEADER, frame.dates, frame.closes, frame.opens,
+                                     frame.highs, frame.lows), encoding="utf-8")
 
 
 def table_text(header, keys, *columns) -> str:

@@ -90,10 +90,6 @@ class MlpModel:
     b_out: float
     scaler: Scaler
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_hidden.shape[0]
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -223,22 +223,6 @@ def load_config(path, overrides: dict[str, str] | None = None) -> PipelineConfig
     return parse_config_text(text, path.parent.resolve(), overrides, source=str(path))
 
 
-@dataclass
-class PipelineReport:
-    """Everything `run` learned, ready for serialisation.
-
-    ``timings`` (seconds per stage) is kept out of the JSON report so two
-    identical runs produce identical bytes; it is written separately.
-    """
-
-    body: dict
-    timings: dict[str, float]
-
-    @property
-    def stage_accuracies(self) -> dict[str, float]:
-        return self.body["stage_accuracies"]
-
-
 PREDICTION_HEADER = ("date", "actual", "predicted")
 _CORRELOGRAM_LAGS = 24
 
@@ -387,8 +371,10 @@ def train_network(subset: tuple[str, ...], train_m: regression.FeatureMatrix,
     return entry, model, neuralnet.predict_prices(model, test_m.with_columns(subset))
 
 
-def run(config: PipelineConfig) -> PipelineReport:
-    """Execute the whole chain and write artifacts to ``config.out_dir``.
+def run(config: PipelineConfig) -> dict:
+    """Execute the whole chain, write artifacts to ``config.out_dir`` and
+    return the body of ``report.json``; the seconds each stage took go to
+    ``timings.json`` only, so two identical runs write identical reports.
 
     Any failure is re-raised as a `StageError` naming the stage; artifacts
     from completed stages are already on disk at that point, plus a partial
@@ -410,7 +396,7 @@ def run(config: PipelineConfig) -> PipelineReport:
             (out / "report_partial.json").write_text(json_text(body), encoding="utf-8")
         raise
     (out / "timings.json").write_text(json_text(timings), encoding="utf-8")
-    return PipelineReport(body=body, timings=timings)
+    return body
 
 
 def _run_stages(config: PipelineConfig, out: Path, body: dict,

@@ -310,7 +310,7 @@ def test_c10_network_fits_linear_targets_and_sweep_avoids_underfitting():
 
 
 def test_c11_pipeline_accuracy_improves_along_the_chain(demo_bundle):
-    accs = demo_bundle["report"].stage_accuracies
+    accs = demo_bundle["report"]["stage_accuracies"]
     with open(demo_bundle["out_dir"] / "timings.json", encoding="utf-8") as fh:
         total = sum(json.load(fh).values())
     ok = (

@@ -15,7 +15,6 @@ from scipy.signal import lfilter
 from chaincast import arima, pipeline, synthetic
 from chaincast.arima import (
     ArimaSpec,
-    ar_from_pacf,
     fit,
     one_step_history,
     select_order,
@@ -31,8 +30,8 @@ from chaincast.synthetic import simulate_arima, simulate_arma
 
 def _reference_coeffs_from_raw(raw, p, q):
     r = np.clip(np.tanh(raw), -0.9999, 0.9999)
-    phi = ar_from_pacf(r[:p]) if p else np.empty(0)
-    theta = -ar_from_pacf(r[p:]) if q else np.empty(0)
+    phi = arima._levinson(r[:p])[0] if p else np.empty(0)
+    theta = -arima._levinson(r[p:])[0] if q else np.empty(0)
     return phi, theta
 
 
@@ -131,16 +130,23 @@ def test_ar_from_pacf_stays_stationary():
     rng = np.random.default_rng(0)
     for _ in range(200):
         pac = rng.uniform(-0.999, 0.999, rng.integers(1, 6))
-        phi = ar_from_pacf(pac)
+        phi = arima._levinson(pac)[0]
         roots = np.roots(np.concatenate([-phi[::-1], [1.0]]))
         assert np.all(np.abs(roots) > 1.0)
+
+
+def test_a_saturated_raw_value_clips_and_stops_moving():
+    # tanh(6) = 0.99998..., past the clip
+    phi, theta, dcoef = arima._coeffs_from_raw(np.array([6.0]), 1, 0)
+    assert phi.tolist() == [0.9999] and theta.size == 0
+    assert dcoef.tolist() == [[0.0]]
 
 
 def test_pacf_from_ar_inverts_ar_from_pacf():
     rng = np.random.default_rng(1)
     for _ in range(200):
         pac = rng.uniform(-0.999, 0.999, rng.integers(1, 6))
-        np.testing.assert_allclose(arima._pacf_from_ar(ar_from_pacf(pac)), pac,
+        np.testing.assert_allclose(arima._pacf_from_ar(arima._levinson(pac)[0]), pac,
                                    rtol=0.0, atol=1e-9)
     assert arima._pacf_from_ar(np.array([1.2])) is None
     assert arima._pacf_from_ar(np.array([0.5, 0.6])) is None  # a root at |z| = 0.94

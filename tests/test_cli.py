@@ -190,7 +190,7 @@ def test_stepwise_prints_trace_and_equation(demo_bundle, capsys):
     assert "y = " in out
     assert "test accuracy" in out
     # matches what the pipeline recorded for the same direction
-    included = demo_bundle["report"].body["stepwise"]["backward"]["included"]
+    included = demo_bundle["report"]["stepwise"]["backward"]["included"]
     selected_line = next(l for l in out.splitlines() if l.startswith("selected:"))
     assert selected_line == "selected: " + ", ".join(included)
 
@@ -236,7 +236,7 @@ def test_train_nn_model_matches_pipeline_model(demo_bundle, tmp_path, capsys):
 def test_train_nn_sweep_prints_the_pipeline_sweep(demo_bundle, capsys):
     assert main(["train-nn", "--config", str(demo_bundle["cfg_path"])]) == 0
     lines = capsys.readouterr().out.splitlines()
-    body = demo_bundle["report"].body
+    body = demo_bundle["report"]
     printed = dict(re.match(r"hidden +(\d+): validation MAPE ([\d.]+)%", line).groups()
                    for line in lines if line.startswith("hidden "))
     assert printed == {h: f"{entry['validation_mape']:.4f}"
@@ -264,7 +264,7 @@ def test_stepwise_defaults_come_from_config(demo_bundle, tmp_path, capsys):
     assert main(["stepwise", "--config", str(cfg),
                  "--direction", "backward", "--criterion", "bic"]) == 0
     out = capsys.readouterr().out
-    included = demo_bundle["report"].body["stepwise"]["backward"]["included"]
+    included = demo_bundle["report"]["stepwise"]["backward"]["included"]
     assert "selected: " + ", ".join(included) in out.splitlines()
     assert ": bic -> " in out and ": aic -> " not in out
 

@@ -12,7 +12,8 @@ solve, only `solver` calls numpy's QR, least squares or SVD; keeps the
 two models apart: both are fitted by `solver`, and neither model module
 imports the other; passes a seed one way, as a function's ``seed``
 argument, so the only dataclasses with a ``seed`` field are the config that
-holds the run's one seed and the report that records it.
+holds the run's one seed and the report that records it; and keeps the
+package root bare, so each public name has one import path, its module.
 """
 
 import ast
@@ -187,6 +188,18 @@ def test_models_share_one_solver_and_import_neither_other():
         assert [f for f, tree in trees.items() if name in defined_names(tree)] == ["solver.py"]
     assert not {"arima", "chaincast.arima"} & imported_modules(trees["neuralnet.py"])
     assert not {"neuralnet", "chaincast.neuralnet"} & imported_modules(trees["arima.py"])
+
+
+def test_the_package_root_imports_nothing():
+    """``chaincast/__init__.py`` holds a docstring and ``__version__``, so
+    a fresh ``import chaincast`` leaves numpy out of ``sys.modules``."""
+    init = PACKAGE / "__init__.py"
+    assert imported_modules(ast.parse(init.read_text(encoding="utf-8"))) == set()
+    script = "import sys, chaincast\nprint('numpy loaded:', 'numpy' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert result.returncode == 0, result.stderr
+    assert "numpy loaded: False" in result.stdout
 
 
 def seed_fields(tree: ast.AST) -> set[str]:

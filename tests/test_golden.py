@@ -24,6 +24,7 @@ and says which entries moved and why.
 """
 
 import contextlib
+import copy
 import ctypes
 import datetime
 import hashlib
@@ -35,6 +36,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chaincast import cli, pipeline, synthetic
 from chaincast.ingest import json_text
@@ -151,10 +153,9 @@ def _digests(rec: dict) -> dict:
     return found
 
 
-def test_outputs_match_the_golden_record(demo_bundle, tmp_path):
-    want = json.loads(RECORD.read_text(encoding="utf-8"))
-    got = record(tmp_path, demo_bundle["cfg_path"])
-    assert len(_digests(want)) == 49
+def compare(got: dict, want: dict) -> None:
+    """Hold the record ``got`` to ``want``: choices exactly, accuracies
+    within 1e-9 relative, and digests where the environments agree."""
     for fixture, expected in want["fixtures"].items():
         entry = got["fixtures"][fixture]
         for field in ("orders", "dropped_collinear", "selected", "chosen_hidden"):
@@ -168,6 +169,27 @@ def test_outputs_match_the_golden_record(demo_bundle, tmp_path):
         moved = sorted(k for k in found.keys() | expected.keys()
                        if found.get(k) != expected.get(k))
         assert not moved, f"entries that differ from {RECORD.name}: {moved}"
+
+
+def test_outputs_match_the_golden_record(demo_bundle, tmp_path):
+    want = json.loads(RECORD.read_text(encoding="utf-8"))
+    assert len(_digests(want)) == 49
+    compare(record(tmp_path, demo_bundle["cfg_path"]), want)
+
+
+def test_another_environment_ignores_digests_but_not_choices():
+    """A record made on another BLAS core, checked without running the
+    chain: its moved digest passes, its moved choice still fails."""
+    want = json.loads(RECORD.read_text(encoding="utf-8"))
+    got = copy.deepcopy(want)
+    got["stdout"]["diagnose"] = "0" * 64
+    with pytest.raises(AssertionError, match="stdout/diagnose"):
+        compare(got, want)
+    got["environment"]["core"] = "another core"
+    compare(got, want)
+    got["fixtures"]["long-5"]["orders"]["gold"] = [9, 9, 9]
+    with pytest.raises(AssertionError, match="orders"):
+        compare(got, want)
 
 
 if __name__ == "__main__":

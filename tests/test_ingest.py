@@ -17,7 +17,6 @@ from chaincast.ingest import (
     _parse_vendor_number,
     align_calendars,
     parse_csv,
-    serialize,
     split,
     table_text,
     write_csv,
@@ -231,8 +230,9 @@ def test_serialize_round_trip_bit_exact(tmp_path):
     assert back.dates == frame.dates
     for field in ("opens", "highs", "lows", "closes"):
         np.testing.assert_array_equal(getattr(back, field), getattr(frame, field))
-    # serializing the reparse reproduces the file byte for byte
-    assert serialize(back) == p.read_text()
+    # writing the reparse reproduces the file byte for byte
+    write_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
 
 
 def test_table_text_keys_empty_nan_and_repr_round_trip():

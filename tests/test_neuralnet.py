@@ -189,7 +189,7 @@ def test_train_loss_decreases_over_run():
 def test_train_report_bookkeeping():
     m = linear_matrix(noise=0.1)
     model, report = train(m, hidden=2, config=TrainConfig(epochs=30), seed=9)
-    assert model.hidden_size == 2
+    assert model.w_hidden.shape[0] == 2
     assert report.seed == 9
     assert 1 <= report.epochs_run <= 30
     # early_stopped means the kept start converged before the cap
@@ -288,6 +288,15 @@ def test_lm_never_raises_the_training_loss():
     assert np.isfinite(result.x).all()
 
 
+def test_minimize_stops_at_a_start_whose_residuals_are_not_finite():
+    result = solver.minimize(lambda x: (np.array([1.0, np.nan]), None), np.zeros(2),
+                             200, 1e-8, 1e-9, 1e-3)
+    assert not result.success
+    assert result.message == "residuals are not finite at the starting point"
+    assert (result.nfev, result.nit) == (1, 0)
+    np.testing.assert_array_equal(result.x, np.zeros(2))
+
+
 # --- the residual function the solver runs ---------------------------------
 
 
@@ -338,7 +347,7 @@ def test_sweep_covers_every_size_and_picks_best():
     config = TrainConfig(epochs=60, learning_rate=0.05)
     result = sweep(m, config, max_hidden=4, seed=3)
     assert set(result.reports) == {1, 2, 3, 4}
-    assert result.model.hidden_size == result.chosen
+    assert result.model.w_hidden.shape[0] == result.chosen
     best = min(result.reports,
                key=lambda h: (result.reports[h].validation_mape, h))
     assert result.chosen == best
@@ -392,7 +401,7 @@ def test_sweep_follows_the_values_not_their_memory_order(demo_bundle):
     C and in Fortran order, train the same networks to the last bit."""
     config = demo_bundle["config"]
     train_m, _ = pipeline.feature_windows(config)
-    m = train_m.with_columns(demo_bundle["report"].body["stepwise"]["backward"]["included"])
+    m = train_m.with_columns(demo_bundle["report"]["stepwise"]["backward"]["included"])
     c, f = (replace(m, x=order(m.x)) for order in (np.ascontiguousarray, np.asfortranarray))
     assert sweep(c, max_hidden=3, seed=config.seed).reports \
         == sweep(f, max_hidden=3, seed=config.seed).reports

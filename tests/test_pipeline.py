@@ -62,6 +62,12 @@ def test_config_defaults(tmp_path):
     assert config.out_dir == tmp_path / "out"
 
 
+def test_config_ema_periods_of_two_load(tmp_path):
+    write_trio(tmp_path)
+    config = parse_config_text(BASE + "ema_periods = 2,5\n", tmp_path)
+    assert config.indicator_params.ema_periods == (2, 5)
+
+
 def test_library_defaults_equal_the_config_defaults(tmp_path):
     """What a caller gets without a config (`fit-arima` and `diagnose`
     without `--config`, or the library's own defaults) is what the config
@@ -558,7 +564,7 @@ def test_report_structure(demo_bundle):
 
 def test_report_matches_returned_object(demo_bundle):
     body = json.loads((demo_bundle["out_dir"] / "report.json").read_text())
-    assert body == demo_bundle["report"].body
+    assert body == demo_bundle["report"]
 
 
 def test_timings_written_separately(demo_bundle):
@@ -572,7 +578,7 @@ def test_timings_written_separately(demo_bundle):
 
 def test_stage_accuracies_consistent_with_prediction_files(demo_bundle):
     out = demo_bundle["out_dir"]
-    accs = demo_bundle["report"].stage_accuracies
+    accs = demo_bundle["report"]["stage_accuracies"]
     files = {
         "arima_gold": "predictions_arima_gold.csv",
         "full_ols": "predictions_ols_full.csv",
@@ -636,7 +642,7 @@ def test_replaced_seed_reaches_the_network(demo_bundle, tmp_path):
     # a config holds one seed: the network trains from the seed the report echoes
     base = demo_bundle["config"]
     body = run(dataclasses.replace(base, seed=5, nn_hidden=2, out_dir=tmp_path,
-                                   nn_train=dataclasses.replace(base.nn_train, epochs=20))).body
+                                   nn_train=dataclasses.replace(base.nn_train, epochs=20)))
     assert body["neural_net"]["sweep"]["2"]["seed"] == 5
     assert body["config"]["seed"] == "5"
 
@@ -669,7 +675,7 @@ def test_feature_rows_use_no_future_data(demo_bundle):
     aligned = dict(zip(pipeline.ASSETS,
                        align_calendars([frames[a] for a in pipeline.ASSETS])))
     gold = aligned["gold"]
-    body = demo_bundle["report"].body
+    body = demo_bundle["report"]
 
     # pick a day in the middle of the test window
     test_start = config.split.test_start
@@ -747,7 +753,7 @@ def test_swapping_the_companions_keeps_every_accuracy(demo_bundle, tmp_path):
     config = demo_bundle["config"]
     swapped = run(dataclasses.replace(config, eurusd_csv=config.oil_csv,
                                       oil_csv=config.eurusd_csv, out_dir=tmp_path))
-    assert swapped.stage_accuracies == demo_bundle["report"].stage_accuracies
+    assert swapped["stage_accuracies"] == demo_bundle["report"]["stage_accuracies"]
 
 
 @pytest.fixture(scope="module")
@@ -786,7 +792,7 @@ def test_gold_is_scored_from_its_track_across_a_split_gap(gap_run):
     assert dates == [day.isoformat() for day in window.dates]
     np.testing.assert_array_equal(actual, window.closes)
     assert predicted.tobytes() == track.tobytes()
-    assert report.stage_accuracies["arima_gold"] == 100.0 - mape(window.closes, track)
+    assert report["stage_accuracies"]["arima_gold"] == 100.0 - mape(window.closes, track)
 
 
 def test_fit_arima_prints_the_pipelines_gold_accuracy_across_a_split_gap(gap_run, capsys):
@@ -796,7 +802,7 @@ def test_fit_arima_prints_the_pipelines_gold_accuracy_across_a_split_gap(gap_run
     assert cli.main(["fit-arima", "--input", str(pipeline.load_config(cfg).gold_csv),
                      "--config", str(cfg)]) == 0
     printed = capsys.readouterr().out
-    for acc in (report.stage_accuracies["arima_gold"], 100.0 - mape(window.closes, track)):
+    for acc in (report["stage_accuracies"]["arima_gold"], 100.0 - mape(window.closes, track)):
         assert f"rolling one-step accuracy on {len(window)} held-out days: {acc:.2f}%" \
             in printed
 
@@ -825,9 +831,10 @@ def test_changing_an_assets_price_unit_keeps_every_choice(demo_bundle, tmp_path,
                                   lows=frame.lows * c, closes=frame.closes * c), path)
     scaled = run(dataclasses.replace(config, **{f"{asset}_csv": path}, out_dir=tmp_path / "out"))
     base = demo_bundle["report"]
-    assert _choices(scaled.body) == _choices(base.body)
-    for stage, accuracy in base.stage_accuracies.items():
-        assert scaled.stage_accuracies[stage] == pytest.approx(accuracy, rel=0.0, abs=1e-9), stage
+    assert _choices(scaled) == _choices(base)
+    for stage, accuracy in base["stage_accuracies"].items():
+        assert scaled["stage_accuracies"][stage] == pytest.approx(accuracy, rel=0.0,
+                                                                  abs=1e-9), stage
 
 
 def test_shifting_every_date_by_whole_weeks_keeps_every_result(demo_bundle, tmp_path):
@@ -842,9 +849,9 @@ def test_shifting_every_date_by_whole_weeks_keeps_every_result(demo_bundle, tmp_
         config, **{f"{name}_csv": path for name, path in paths.items()}, out_dir=tmp_path / "out",
         split=SplitSpec(**{key: day + shift for key, day in vars(config.split).items()})))
     base = demo_bundle["report"]
-    assert _choices(moved.body) == _choices(base.body)
-    assert moved.body["neural_net"]["chosen_hidden"] == base.body["neural_net"]["chosen_hidden"]
-    assert moved.stage_accuracies == base.stage_accuracies
+    assert _choices(moved) == _choices(base)
+    assert moved["neural_net"]["chosen_hidden"] == base["neural_net"]["chosen_hidden"]
+    assert moved["stage_accuracies"] == base["stage_accuracies"]
 
 
 def test_fixed_hidden_size_run(demo_bundle, tmp_path):
@@ -852,8 +859,7 @@ def test_fixed_hidden_size_run(demo_bundle, tmp_path):
     config = load_config(demo_bundle["cfg_path"],
                          overrides={"nn_hidden": "4", "nn_epochs": "60",
                                     "out_dir": str(out2)})
-    report = run(config)
-    body = report.body
+    body = run(config)
     assert body["neural_net"]["chosen_hidden"] == 4
     assert list(body["neural_net"]["sweep"]) == ["4"]
     assert (out2 / "report.json").is_file()

@@ -262,6 +262,17 @@ def test_stepwise_trace_criterion_strictly_decreases():
         assert actions <= ({"add"} if direction == "forward" else {"drop"})
 
 
+def test_stepwise_forward_skips_a_column_that_repeats_another():
+    """Forward mode skips a candidate that makes the design rank deficient,
+    here x2 = 2 x1 beside x1 or x1 beside x2, and goes on adding."""
+    rng = np.random.default_rng(24)
+    x1, x3 = rng.normal(0, 1, 80), rng.normal(0, 1, 80)
+    m = matrix({"x1": x1, "x2": 2.0 * x1, "x3": x3}, x1 + 0.5 * x3 + rng.normal(0, 0.1, 80))
+    trace = stepwise(m, "forward")
+    assert sorted(trace.fit.included) in (["x1", "x3"], ["x2", "x3"])
+    assert len(trace.steps) == 2
+
+
 def test_stepwise_backward_step_count_bounded():
     m = noise_matrix(100, 6, seed=21)
     trace = stepwise(m, "backward")

@@ -50,6 +50,10 @@ def test_integrate_empty_diffs():
     assert integrate(np.array([]), [3.0]).size == 0
 
 
+def test_integrate_one_difference_gives_one_level():
+    np.testing.assert_array_equal(integrate(np.array([2.5]), [10.0]), [12.5])
+
+
 def test_integrate_anchor_mismatch():
     diffed = Series([1.0, 2.0], diff_level=1)
     with pytest.raises(ValueError):
@@ -88,6 +92,11 @@ def test_acf_constant_series_rejected():
 def test_acf_max_lag_too_large():
     with pytest.raises(ValueError):
         acf(Series([1.0, 2.0, 3.0]), 3)
+
+
+def test_acf_lag_error_names_the_largest_lag():
+    with pytest.raises(ValueError, match=r"^series of length 5 supports lags only up to 4$"):
+        acf(Series([1.0, 2.0, 4.0, 3.0, 5.0]), 7)
 
 
 def test_acf_affine_invariance():
@@ -129,6 +138,12 @@ def test_suggest_d_white_noise():
     assert suggest_d(Series(rng.normal(0, 1, 1000))) == 0
 
 
+def test_suggest_d_falls_back_to_two():
+    # a triple sum of noise: even the second difference is a random walk
+    rng = np.random.default_rng(7)
+    assert suggest_d(Series(np.cumsum(np.cumsum(np.cumsum(rng.normal(0, 1, 500)))))) == 2
+
+
 def test_suggest_d_linear_ramp():
     assert suggest_d(Series(np.arange(1.0, 101.0))) == 1
 
@@ -144,6 +159,13 @@ def test_ljung_box_white_noise_passes():
     assert rep.is_white
     assert rep.dof == 20
     assert rep.statistic >= 0
+
+
+def test_ljung_box_reads_white_up_to_the_five_percent_level():
+    rep = ljung_box(Series(np.random.default_rng(1).normal(0, 1, 500)), 10)
+    assert 0.05 < rep.p_value <= 0.1
+    assert rep.p_value == pytest.approx(chi2.sf(rep.statistic, 10), rel=1e-9)
+    assert rep.is_white
 
 
 def test_ljung_box_ar1_fails():
