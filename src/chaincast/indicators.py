@@ -216,6 +216,5 @@ def compute(frame: PriceFrame, params: IndicatorParams = IndicatorParams()) -> I
     k = stochastic_k(frame, params.stoch_period)
     place("stoch_k", k)
     place("stoch_d", stochastic_d(k, params.stoch_d_period))
-    # %R is the complement of the %K at hand, as `williams_r` computes it
-    place("williams_r", Series(100.0 - k.values))
+    place("williams_r", williams_r(frame, params.stoch_period))
     return IndicatorSet(dates=tuple(frame.dates), columns=columns, params=params)

@@ -254,8 +254,6 @@ def _split(m: FeatureMatrix, validation_fraction: float) -> _Split:
         raise ValueError(f"need at least 30 rows to train, got {len(m)}")
     n_val = int(round(len(m) * validation_fraction))
     n_fit = len(m) - n_val
-    if n_fit < 10:
-        raise ValueError("validation split leaves too few training rows")
     fit_rows = m.rows(slice(None, n_fit))
     scaler = fit_scaler(fit_rows)
     return _Split(fit_rows, m.rows(slice(n_fit, None)) if n_val else None, scaler,

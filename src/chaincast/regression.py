@@ -1,10 +1,12 @@
 """Next-day close regression: feature assembly, least squares, stepwise search.
 
-The feature matrix couples three sources for each trading day ``t``: the
-target asset's own bar (open, smoothed averages, oscillators), and one-step
-forecasts of the two companion assets for day ``t + 1``.  The response is
-the target asset's close on day ``t + 1``.  Columns keep short positional
-names (``x1`` .. ``x9``) with a legend mapping them to their meaning.
+The feature matrix keys each row by its target day, the trading day
+``t + 1`` whose close is the response.  Each column reads its source at a
+lead from day ``t``: 0 for the target asset's own bar (open, smoothed
+averages, oscillators) and 1 for the one-step forecasts of the two
+companion assets, which predict the target day itself.  Columns keep short
+positional names (``x1`` .. ``x9``) with a legend mapping them to their
+meaning.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ COLUMN_LEGEND = {
 class FeatureMatrix:
     """Aligned regressors and next-day target.
 
-    ``dates`` are the feature days (day ``t``), ascending; ``target_dates``
-    are the next trading days whose closes are predicted.  Every cell is
-    finite; rows with any undefined input are excluded up front.
+    Row ``t`` is keyed by ``target_dates[t]``, ascending: the trading day
+    whose close is ``y[t]``.  Its cells hold each column's source at that
+    column's lead from the trading day before (see `build_features`).
+    Every cell is finite; rows with any undefined input are excluded up
+    front.
     """
 
-    dates: tuple[datetime.date, ...]
     target_dates: tuple[datetime.date, ...]
     columns: tuple[str, ...]
     x: np.ndarray
@@ -53,11 +56,9 @@ class FeatureMatrix:
         # C order, so a model's numbers follow the values, not their layout
         object.__setattr__(self, "x", np.ascontiguousarray(self.x, float))
         object.__setattr__(self, "y", np.asarray(self.y, float))
-        n, k = len(self.dates), len(self.columns)
+        n, k = len(self.target_dates), len(self.columns)
         if self.x.shape != (n, k) or self.y.shape != (n,):
             raise ValueError("feature matrix shapes do not line up")
-        if len(self.target_dates) != n:
-            raise ValueError("one target date is needed per row")
         if n == 0:
             raise ValueError("feature matrix needs at least one row")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
@@ -66,7 +67,7 @@ class FeatureMatrix:
             raise ValueError("duplicate column names")
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.target_dates)
 
     def column_index(self, name: str) -> int:
         try:
@@ -84,13 +85,7 @@ class FeatureMatrix:
         names = tuple(names)
         if not names:
             raise ValueError("need at least one column")
-        return FeatureMatrix(
-            dates=self.dates,
-            target_dates=self.target_dates,
-            columns=names,
-            x=self.design(names),
-            y=self.y,
-        )
+        return FeatureMatrix(self.target_dates, names, self.design(names), self.y)
 
     def window_by_target(self, start: datetime.date, end: datetime.date) -> "FeatureMatrix":
         """Rows whose predicted day falls in [start, end]."""
@@ -102,8 +97,7 @@ class FeatureMatrix:
 
     def rows(self, part: slice) -> "FeatureMatrix":
         """The rows ``part`` picks, as views of this matrix's arrays."""
-        return FeatureMatrix(self.dates[part], self.target_dates[part], self.columns,
-                             self.x[part], self.y[part])
+        return FeatureMatrix(self.target_dates[part], self.columns, self.x[part], self.y[part])
 
 
 @dataclass(frozen=True)
@@ -150,9 +144,11 @@ def build_features(target: PriceFrame, indicators: IndicatorSet,
     The forecast arrays must be aligned to ``target.dates``: position ``i``
     holds the one-step prediction of the companion's close for date ``i``,
     conditioned only on days before it, with NaN where no prediction exists
-    yet.  Row ``t`` is emitted when every indicator is defined at ``t`` and
-    both forecasts are defined at ``t + 1``; warm-up rows are dropped, but a
-    hole after a column has started violates alignment and is an error.
+    yet.  Row ``t`` reads each column at day ``t + lead``: lead 0 for the
+    target's bar and indicators, lead 1 for both forecasts, whose day is the
+    row's target day.  It is emitted when every such cell is defined;
+    warm-up rows are dropped, but a hole after a column has started violates
+    alignment and is an error.
     """
     n = len(target)
     if tuple(indicators.dates) != tuple(target.dates):
@@ -166,54 +162,37 @@ def build_features(target: PriceFrame, indicators: IndicatorSet,
     if len(p.ema_periods) != 2:
         raise ValueError("exactly two smoothing periods are required")
     short_ema, long_ema = sorted(p.ema_periods)
-    source = {
-        "x1": target.opens,
-        "x2": c1,
-        "x3": c2,
-        "x4": indicators.columns[f"rsi{p.rsi_period}"],
-        "x5": indicators.columns["stoch_k"],
-        "x6": indicators.columns["stoch_d"],
-        "x7": indicators.columns["williams_r"],
-        "x8": indicators.columns[f"ema{short_ema}"],
-        "x9": indicators.columns[f"ema{long_ema}"],
+    source = {  # name: (values on the target calendar, lead)
+        "x1": (target.opens, 0),
+        "x2": (c1, 1),
+        "x3": (c2, 1),
+        "x4": (indicators.columns[f"rsi{p.rsi_period}"], 0),
+        "x5": (indicators.columns["stoch_k"], 0),
+        "x6": (indicators.columns["stoch_d"], 0),
+        "x7": (indicators.columns["williams_r"], 0),
+        "x8": (indicators.columns[f"ema{short_ema}"], 0),
+        "x9": (indicators.columns[f"ema{long_ema}"], 0),
     }
 
-    # Day t is usable when all day-t inputs exist and both t+1 forecasts do.
-    def first_defined(col: np.ndarray, what: str) -> int:
-        finite = np.isfinite(col)
-        idx = np.flatnonzero(finite)
-        if idx.size == 0:
-            raise ValueError(f"{what} has no defined values")
-        if not finite[idx[0]:].all():
-            hole = int(np.flatnonzero(~finite[idx[0]:])[0]) + int(idx[0])
-            raise ValueError(
-                f"{what} undefined at {target.dates[hole]} after its warm-up ended"
-            )
-        return int(idx[0])
-
+    # the first row is the first day t at which every column is defined at
+    # t + lead; day-t columns are checked first, so errors name them first
     start = 0
-    for name, col in source.items():
-        if name in ("x2", "x3"):
-            continue
-        start = max(start, first_defined(col, COLUMN_LEGEND[name]))
-    fc_start = max(first_defined(c1, COLUMN_LEGEND["x2"]),
-                   first_defined(c2, COLUMN_LEGEND["x3"]))
-    start = max(start, fc_start - 1)
+    for name, (col, lead) in sorted(source.items(), key=lambda item: item[1][1]):
+        undefined = ~np.isfinite(col)
+        first = int(np.argmin(undefined))
+        if undefined[first]:
+            raise ValueError(f"{COLUMN_LEGEND[name]} has no defined values")
+        if undefined[first:].any():
+            hole = first + int(np.argmax(undefined[first:]))
+            raise ValueError(f"{COLUMN_LEGEND[name]} undefined at {target.dates[hole]} "
+                             "after its warm-up ended")
+        start = max(start, first - lead)
 
-    rows = range(start, n - 1)
-    if len(rows) == 0:
+    if start >= n - 1:
         raise ValueError("no usable rows after warm-up")
-    columns = tuple(source)
-    x = np.column_stack([source[c][start + 1:n] if c in ("x2", "x3")
-                         else source[c][start:n - 1] for c in columns])
-    y = target.closes[start + 1:n]
-    return FeatureMatrix(
-        dates=tuple(target.dates[start:n - 1]),
-        target_dates=tuple(target.dates[start + 1:n]),
-        columns=columns,
-        x=x,
-        y=y,
-    )
+    x = np.column_stack([col[start + lead:n - 1 + lead] for col, lead in source.values()])
+    return FeatureMatrix(tuple(target.dates[start + 1:]), tuple(source), x,
+                         target.closes[start + 1:])
 
 
 def ols(m: FeatureMatrix, subset) -> RegressionFit:

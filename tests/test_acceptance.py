@@ -41,7 +41,6 @@ def _matrix(cols, y):
     n = len(y)
     days = _weekdays(n + 1)
     return FeatureMatrix(
-        dates=tuple(days[:n]),
         target_dates=tuple(days[1:]),
         columns=names,
         x=np.column_stack([np.asarray(cols[c], float) for c in names]),

@@ -30,7 +30,6 @@ def matrix(cols, y):
     n = len(y)
     days = weekdays(n + 1)
     return FeatureMatrix(
-        dates=tuple(days[:n]),
         target_dates=tuple(days[1:]),
         columns=names,
         x=np.column_stack([np.asarray(cols[c], float) for c in names]),
@@ -152,6 +151,14 @@ def test_train_input_validation():
     small = matrix({"x1": np.arange(20.0)}, np.arange(1.0, 21.0))
     with pytest.raises(ValueError, match="30"):
         train(small, hidden=2)
+
+
+def test_split_at_the_fewest_rows_and_largest_fraction_keeps_half():
+    # 30 rows and a fraction just under 0.5 are the extremes `train` and
+    # `TrainConfig` allow, and they still leave 15 rows to fit
+    data = neuralnet._split(linear_matrix(n=30),
+                            TrainConfig(validation_fraction=0.4999).validation_fraction)
+    assert (len(data.fit), len(data.held_out)) == (15, 15)
 
 
 def test_train_is_bitwise_deterministic():

@@ -304,7 +304,7 @@ def test_seeded_fits_refuse_a_negative_seed_before_fitting(call, monkeypatch):
     monkeypatch.setattr(neuralnet, "_trained", fitted)
     levels = Series(100.0 + np.cumsum(np.random.default_rng(0).normal(0.0, 1.0, 200)))
     days, x = weekdays(61), np.arange(60.0)
-    m = FeatureMatrix(tuple(days[:-1]), tuple(days[1:]), ("x1",), x[:, None], 10.0 + x)
+    m = FeatureMatrix(tuple(days[1:]), ("x1",), x[:, None], 10.0 + x)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         call(levels, m)
 

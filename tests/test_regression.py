@@ -1,5 +1,6 @@
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import linalg
 
 from chaincast import pipeline
 from chaincast.errors import RankDeficiencyError
-from chaincast.indicators import IndicatorParams, compute
+from chaincast.indicators import IndicatorParams, IndicatorSet, compute
 from chaincast.metrics import accuracy, mape
 from chaincast.regression import (
     COLUMN_LEGEND,
@@ -31,7 +32,6 @@ def matrix(cols, y):
     n = len(y)
     days = weekdays(n + 1)
     return FeatureMatrix(
-        dates=tuple(days[:n]),
         target_dates=tuple(days[1:]),
         columns=names,
         x=np.column_stack([np.asarray(cols[c], float) for c in names]),
@@ -62,7 +62,6 @@ def test_build_features_default_warmup_four_rows():
     m = build_features(frame, ind, c1, c2)
     # %D is the last indicator to come alive, at index 15
     assert len(m) == 4
-    assert m.dates == tuple(frame.dates[15:19])
     assert m.target_dates == tuple(frame.dates[16:20])
     assert m.columns == tuple(f"x{i}" for i in range(1, 10))
 
@@ -105,8 +104,8 @@ def test_build_features_forecast_warmup_shifts_start():
     c1 = np.full(25, np.nan)
     c1[18:] = 1.0
     m = build_features(frame, compute(frame), c1, np.ones(25))
-    # forecasts exist from index 18, so the first usable feature day is 17
-    assert m.dates[0] == frame.dates[17]
+    # forecasts exist from index 18, so the first target day is 18 (feature day 17)
+    assert m.target_dates[0] == frame.dates[18]
     assert len(m) == 25 - 17 - 1
 
 
@@ -125,11 +124,141 @@ def test_build_features_calendar_mismatch():
         build_features(frame, compute(other), np.ones(25), np.ones(25))
 
 
+def _reference_build_features(target, indicators, companion1_forecast,
+                              companion2_forecast):
+    """`build_features` as it was before its columns carried a lead: the
+    forecasts' one-day shift written out beside the day-t columns.
+    Returns (target_dates, x, y)."""
+    n = len(target)
+    if tuple(indicators.dates) != tuple(target.dates):
+        raise ValueError("indicator calendar does not match the target frame")
+    c1 = np.asarray(companion1_forecast, float)
+    c2 = np.asarray(companion2_forecast, float)
+    if c1.shape != (n,) or c2.shape != (n,):
+        raise ValueError("forecast tracks must align with the target calendar")
+
+    p = indicators.params
+    if len(p.ema_periods) != 2:
+        raise ValueError("exactly two smoothing periods are required")
+    short_ema, long_ema = sorted(p.ema_periods)
+    source = {
+        "x1": target.opens,
+        "x2": c1,
+        "x3": c2,
+        "x4": indicators.columns[f"rsi{p.rsi_period}"],
+        "x5": indicators.columns["stoch_k"],
+        "x6": indicators.columns["stoch_d"],
+        "x7": indicators.columns["williams_r"],
+        "x8": indicators.columns[f"ema{short_ema}"],
+        "x9": indicators.columns[f"ema{long_ema}"],
+    }
+
+    def first_defined(col, what):
+        finite = np.isfinite(col)
+        idx = np.flatnonzero(finite)
+        if idx.size == 0:
+            raise ValueError(f"{what} has no defined values")
+        if not finite[idx[0]:].all():
+            hole = int(np.flatnonzero(~finite[idx[0]:])[0]) + int(idx[0])
+            raise ValueError(
+                f"{what} undefined at {target.dates[hole]} after its warm-up ended"
+            )
+        return int(idx[0])
+
+    start = 0
+    for name, col in source.items():
+        if name in ("x2", "x3"):
+            continue
+        start = max(start, first_defined(col, COLUMN_LEGEND[name]))
+    fc_start = max(first_defined(c1, COLUMN_LEGEND["x2"]),
+                   first_defined(c2, COLUMN_LEGEND["x3"]))
+    start = max(start, fc_start - 1)
+
+    if len(range(start, n - 1)) == 0:
+        raise ValueError("no usable rows after warm-up")
+    x = np.column_stack([source[c][start + 1:n] if c in ("x2", "x3")
+                         else source[c][start:n - 1] for c in source])
+    return tuple(target.dates[start + 1:n]), x, target.closes[start + 1:n]
+
+
+def _inputs_with_gaps(n, seed, prefixes, holes):
+    """A frame, its indicator set and two forecast tracks whose nine inputs
+    (x1 .. x9 in order) start undefined for ``prefixes[i]`` days, with an
+    undefined day at each (input, day) of ``holes`` that the calendar has."""
+    frame = random_frame(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    cols = [frame.opens.copy()] + [rng.normal(50.0, 10.0, n) for _ in range(8)]
+    for col, prefix in zip(cols, prefixes):
+        col[:prefix] = np.nan
+    for i, day in holes:
+        if day < n:
+            cols[i][day] = np.nan
+    # the bar rule keeps NaN out of a frame's opens, so it is set past it
+    object.__setattr__(frame, "opens", cols[0])
+    names = ("rsi14", "stoch_k", "stoch_d", "williams_r", "ema5", "ema10")
+    ind = IndicatorSet(frame.dates, dict(zip(names, cols[3:])), IndicatorParams())
+    return frame, ind, cols[1], cols[2]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       prefixes=st.lists(st.integers(0, 4) | st.integers(0, 16), min_size=9, max_size=9),
+       holes=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 15)), max_size=3))
+def test_build_features_matches_the_reference(n, seed, prefixes, holes):
+    args = _inputs_with_gaps(n, seed, prefixes, holes)
+    try:
+        expected = _reference_build_features(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            build_features(*args)
+        assert str(caught.value) == str(exc)
+        return
+    m = build_features(*args)
+    assert m.target_dates == expected[0]
+    assert m.x.shape == expected[1].shape and m.x.tobytes() == expected[1].tobytes()
+    assert m.y.shape == expected[2].shape and m.y.tobytes() == expected[2].tobytes()
+
+
 def test_feature_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
         matrix({"x1": [1.0, np.nan, 3.0, 4.0]}, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError, match="shapes"):
         matrix({"x1": [1.0, 2.0, 3.0]}, [1.0, 2.0])
+
+
+def _built(n=25, params=IndicatorParams(), c2=None):
+    """`build_features` on a random frame with flat forecast tracks."""
+    frame = random_frame(n, seed=10)
+    return build_features(frame, compute(frame, params), np.ones(n),
+                          np.ones(n) if c2 is None else c2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _built(c2=np.ones(24)),
+                 "forecast tracks must align with the target calendar", id="short-track"),
+    pytest.param(lambda: _built(params=IndicatorParams(ema_periods=(3, 5, 8))),
+                 "exactly two smoothing periods are required", id="three-periods"),
+    pytest.param(lambda: _built(c2=np.full(25, np.nan)),
+                 "second companion close forecast for day t+1 has no defined values",
+                 id="empty-track"),
+    # %D starts at index 15, the last day, so no day has a next one
+    pytest.param(lambda: _built(n=16), "no usable rows after warm-up", id="warm-up-only"),
+    pytest.param(lambda: matrix({"x1": []}, []), "feature matrix needs at least one row",
+                 id="no-rows"),
+    pytest.param(lambda: noise_matrix(5, 2, seed=0).with_columns(("x1", "x1")),
+                 "duplicate column names", id="duplicate-columns"),
+    pytest.param(lambda: noise_matrix(5, 2, seed=0).with_columns(()),
+                 "need at least one column", id="no-columns"),
+    pytest.param(lambda: noise_matrix(5, 2, seed=0).window_by_target(
+        datetime.date(2000, 1, 3), datetime.date(2000, 1, 7)),
+                 "no rows with target dates between 2000-01-03 and 2000-01-07",
+                 id="empty-window"),
+    pytest.param(lambda: ols(noise_matrix(3, 2, seed=0), ("x1", "x2")),
+                 "3 rows cannot support 2 regressors", id="too-few-rows"),
+])
+def test_feature_layer_refusals_are_worded(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_with_columns_projects_in_given_order():
